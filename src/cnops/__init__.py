@@ -24,6 +24,7 @@ from .cnormal import (
     predicate_comp_jw,
     predicate_hermitian_jmu,
     predicate_hermitian_jw,
+    predicate_margin,
     predicate_normal_bdyfix,
     predicate_unitary_wco,
     predicate_weighted_jmu,
@@ -55,6 +56,7 @@ __all__ = [
     "predicate_comp_jw",
     "predicate_hermitian_jmu",
     "predicate_hermitian_jw",
+    "predicate_margin",
     "predicate_normal_bdyfix",
     "predicate_unitary_wco",
     "predicate_weighted_jmu",

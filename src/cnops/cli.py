@@ -22,12 +22,12 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cnormal
-from .cnormal import CaseId, VerificationReport, verify
+from .cnormal import CaseId, VerificationReport, predicate_margin, verify
 from .conjugations import Conjugation, JMu, JWp, parse_conjugation
 from .errors import CnopsError, IllConditionedGridError
 from .moebius import LinearFractionalMap, parse_complex, parse_map
@@ -49,7 +49,6 @@ class RunConfig:
     seed: int = 42
     out: str = ""
     format: str = "csv"
-    extra: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -145,9 +144,9 @@ def _sample_weighted_jmu(rng, index: int):
     beta = _unimodular(rng)
     if index % 2 == 1:
         while True:
-            m, mu = _general_self_map(rng), _unimodular(rng)
-            if _weighted_jmu_margin(m, mu) >= FALSE_MARGIN:
-                return m, JMu(mu), beta
+            m, conj = _general_self_map(rng), JMu(_unimodular(rng))
+            if predicate_margin(CaseId.WEIGHTED_JMU, m, conj) >= FALSE_MARGIN:
+                return m, conj, beta
     kind = index % 8
     if kind == 0:
         return (LinearFractionalMap(_disk_point(rng, 0.0, 1.0), 0.0, 0.0, 1.0),
@@ -157,7 +156,7 @@ def _sample_weighted_jmu(rng, index: int):
         return m, JMu(_unimodular(rng)), beta
     if kind == 4:
         m, a0, a1, _ = _hermitian_map(rng)
-        mu = np.conj(a0) / a0 if abs(a0) > 0 else 1.0
+        mu = a0 / np.conj(a0) if abs(a0) > 0 else 1.0
         return m, JMu(mu), beta
     return _real_symmetric_map(rng), JMu(_unimodular(rng)), beta
 
@@ -166,9 +165,9 @@ def _sample_weighted_jw(rng, index: int):
     beta = _unimodular(rng)
     if index % 2 == 1:
         while True:
-            m, p = _general_self_map(rng), _disk_point(rng, 0.1, 0.7)
-            if _weighted_jw_margin(m, p) >= FALSE_MARGIN:
-                return m, JWp(p), beta
+            m, conj = _general_self_map(rng), JWp(_disk_point(rng, 0.1, 0.7))
+            if predicate_margin(CaseId.WEIGHTED_JW, m, conj) >= FALSE_MARGIN:
+                return m, conj, beta
     kind = index % 6
     if kind == 0:
         return (LinearFractionalMap(1.0, 0.0, 0.0, 1.0),
@@ -179,30 +178,6 @@ def _sample_weighted_jw(rng, index: int):
         return _real_symmetric_map(rng), JWp(_disk_point(rng, 0.1, 0.4)), beta
     m, _, _, p = _hermitian_map(rng, need_solvable_p=True)
     return m, JWp(p), beta
-
-
-def _weighted_jmu_margin(m: LinearFractionalMap, mu: complex) -> float:
-    a, b, c, d = m.coefficients()
-    s = m.scale
-    lin = (np.conj(c) * d - np.conj(a) * b) * np.conj(mu) - (np.conj(a) * c - np.conj(b) * d)
-    return max(abs(abs(b) - abs(c)) / s, abs(lin) / s ** 2)
-
-
-def _weighted_jw_margin(m: LinearFractionalMap, p: complex) -> float:
-    e1, e2 = cnormal._weighted_jw_condition_values(m, p)
-    return max(abs(e1), abs(e2)) / m.scale ** 2
-
-
-def predicate_margin(case: CaseId, m: LinearFractionalMap, conj: Conjugation) -> float:
-    """Relative distance of the instance from the case's defining equalities."""
-    s = m.scale
-    if case is CaseId.COMP_JMU:
-        return max(abs(m.b), abs(m.c)) / s
-    if case is CaseId.COMP_JW:
-        return max(abs(m.b) / s, abs(m.c) / s, abs(abs(m.a / m.d) - 1.0))
-    if case is CaseId.WEIGHTED_JMU:
-        return _weighted_jmu_margin(m, conj.mu)
-    return _weighted_jw_margin(m, conj.p)
 
 
 _SAMPLERS = {
@@ -246,7 +221,7 @@ def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = 12,
         report = verify(case, m, conj, beta=beta, grid_n=grid_n,
                         truncations=truncations)
         extra = {"margin": predicate_margin(case, m, conj)}
-        if case in (CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW):
+        if case.weighted:
             beta2 = _unimodular(rng)
             r2 = cnormal.kernel_residual(case, m, conj, beta=beta2, grid_n=grid_n)
             extra["beta_residual_delta"] = abs(report.kernel_residual - r2)
@@ -268,11 +243,14 @@ def sweep_csv(reports, agreement: float) -> str:
 
 
 def sweep_json(reports, extras, agreement: float) -> str:
+    rows = [{**r.to_json_dict(), **x, "sample": i}
+            for i, (r, x) in enumerate(zip(reports, extras))]
+    for row in rows:
+        del row["timing_s"]   # wall-clock time would make the file non-reproducible
     return json.dumps({
         "agreement_rate": agreement,
         "samples": len(reports),
-        "rows": [{**r.to_json_dict(), **x, "sample": i}
-                 for i, (r, x) in enumerate(zip(reports, extras))],
+        "rows": rows,
     }, indent=2, sort_keys=True)
 
 

@@ -16,7 +16,6 @@ verify() report records all three.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,10 +35,11 @@ from .moebius import (
     sigma_at_zero,
 )
 
-logger = logging.getLogger(__name__)
-
 GRID_RADII = (0.3, 0.6, 0.9)
 SINGULAR_RTOL = 1e-6          # exclusion radius around singular sets, times scale
+SIDE_FLOOR_RTOL = 1e-12       # weighted side denominators below this times scale^2 are singular
+EXACT_TOL = 1e-12             # relative margin under which a composition case holds
+WEIGHTED_TOL = 1e-10          # relative margin under which a weighted case holds
 EXCLUDED_FRACTION_LIMIT = 0.2
 VERDICT_TRUE_MAX = 1e-9       # a true verdict demands kernel residual below this
 VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above this
@@ -52,17 +52,43 @@ class CaseId(str, Enum):
     WEIGHTED_JMU = "weighted_jmu"
     WEIGHTED_JW = "weighted_jw"
 
+    @property
+    def weighted(self) -> bool:
+        """True for the weighted operator W, False for plain C_phi."""
+        return self.value.startswith("weighted")
+
+    @property
+    def conj_type(self) -> type:
+        """The conjugation class (JMu or JWp) the case is stated for."""
+        return JMu if self.value.endswith("jmu") else JWp
+
 
 # --------------------------------------------------------------------------
 # closed-form side evaluators (vectorized over w, z)
 # --------------------------------------------------------------------------
 
-def _guard_comp_singular_set(m: LinearFractionalMap, w):
-    """The composition-case expansions split at sigma(w) = 0, i.e. abar w = cbar."""
+def _comp_singular(m: LinearFractionalMap, w):
+    """Mask of points near sigma(w) = 0, i.e. abar w = cbar, where the
+    composition-case expansions split (no such point when c = 0)."""
     if abs(m.c) == 0.0:
-        return
-    if np.any(np.abs(np.conj(m.a) * w - np.conj(m.c)) <= SINGULAR_RTOL * m.scale):
+        return np.zeros(np.shape(w), dtype=bool)
+    return np.abs(np.conj(m.a) * w - np.conj(m.c)) <= SINGULAR_RTOL * m.scale
+
+
+def _comp_expansion(m: LinearFractionalMap, w):
+    """(coef1, coef2, phi(sigma(w))) with C_phi* C_phi K_w = coef1 K_{phi(0)}
+    + coef2 K_{phi(sigma(w))}; coef1 is None when c = 0, where that term
+    vanishes.  Raises PoleError on the singular set."""
+    if np.any(_comp_singular(m, w)):
         raise PoleError("w lies on the excluded set conj(a) w = conj(c)")
+    a, b, c, d = m.coefficients()
+    phi_sigma_w = (((abs(a) ** 2 - abs(b) ** 2) * w + b * np.conj(d) - a * np.conj(c))
+                   / ((np.conj(a) * c - np.conj(b) * d) * w + abs(d) ** 2 - abs(c) ** 2))
+    coef2 = np.conj(d) / (np.conj(d) - np.conj(b) * w)
+    if abs(c) == 0.0:
+        return None, coef2, phi_sigma_w
+    coef1 = np.conj(c) / (np.conj(c) - np.conj(a) * w)
+    return coef1, coef2 - coef1, phi_sigma_w
 
 
 def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
@@ -75,22 +101,16 @@ def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
     Valid away from the singular set abar w = cbar (meaningless when c = 0,
     where the first term vanishes identically).
     """
-    a, b, c, d = m.coefficients()
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
     mu = complex(mu)
-    _guard_comp_singular_set(m, w)
+    coef1, coef2, phi_sigma_w = _comp_expansion(m, w)
     lhs = 1.0 / (1.0 - np.conj(lft_eval(m, mu * np.conj(w))) * lft_eval(m, z))
-    phi_sigma_w = (((abs(a) ** 2 - abs(b) ** 2) * w + b * np.conj(d) - a * np.conj(c))
-                   / ((np.conj(a) * c - np.conj(b) * d) * w + abs(d) ** 2 - abs(c) ** 2))
     second = 1.0 / (1.0 - np.conj(mu) * phi_sigma_w * z)
-    if abs(c) == 0.0:
-        coef2 = np.conj(d) / (np.conj(d) - np.conj(b) * w)
+    if coef1 is None:
         rhs = coef2 * second
     else:
-        coef1 = np.conj(c) / (np.conj(c) - np.conj(a) * w)
-        coef2 = np.conj(d) / (np.conj(d) - np.conj(b) * w) - coef1
-        rhs = coef1 / (1.0 - np.conj(mu) * (b / d) * z) + coef2 * second
+        rhs = coef1 / (1.0 - np.conj(mu) * (m.b / m.d) * z) + coef2 * second
     return lhs, rhs
 
 
@@ -102,11 +122,10 @@ def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
     C_phi* C_phi kernel expansion followed by the JW action, evaluated with
     t(z) = conj(tau_p(conj z)) = (p - conj(lam) z)/(1 - p z).
     """
-    a, b, c, d = m.coefficients()
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
     p = complex(p)
-    _guard_comp_singular_set(m, w)
+    coef1, coef2, phi_sigma_w = _comp_expansion(m, w)
     lam = np.conj(p) / p
     root = np.sqrt(1.0 - abs(p) ** 2)
 
@@ -114,22 +133,20 @@ def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
     lhs = (root / (1.0 - w * p)) / (1.0 - np.conj(lft_eval(m, eta)) * lft_eval(m, z))
 
     t = (p - np.conj(lam) * z) / (1.0 - p * z)
-    phi_sigma_w = (((abs(a) ** 2 - abs(b) ** 2) * w + b * np.conj(d) - a * np.conj(c))
-                   / ((np.conj(a) * c - np.conj(b) * d) * w + abs(d) ** 2 - abs(c) ** 2))
     second = 1.0 / (1.0 - phi_sigma_w * t)
     prefac = root / (1.0 - p * z)
-    if abs(c) == 0.0:
-        coef2 = np.conj(d) / (np.conj(d) - np.conj(b) * w)
+    if coef1 is None:
         rhs = prefac * coef2 * second
     else:
-        coef1 = np.conj(c) / (np.conj(c) - np.conj(a) * w)
-        coef2 = np.conj(d) / (np.conj(d) - np.conj(b) * w) - coef1
-        rhs = prefac * (coef1 / (1.0 - (b / d) * t) + coef2 * second)
+        rhs = prefac * (coef1 / (1.0 - (m.b / m.d) * t) + coef2 * second)
     return lhs, rhs
 
 
-def _weighted_jmu_denominators(m: LinearFractionalMap, mu: complex, w, z):
+def _weighted_jmu_parts(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
+    """Numerator and the two side denominators of the weighted J_mu case."""
     a, b, c, d = m.coefficients()
+    w = np.asarray(w, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     mu = complex(mu)
     D1 = ((abs(c) ** 2 - abs(a) ** 2) * np.conj(mu) * w * z
           + (np.conj(c) * d - np.conj(a) * b) * np.conj(mu) * z
@@ -139,7 +156,7 @@ def _weighted_jmu_denominators(m: LinearFractionalMap, mu: complex, w, z):
           + (np.conj(a) * c - np.conj(b) * d) * z
           + (a * np.conj(c) - b * np.conj(d)) * np.conj(mu) * w
           + abs(d) ** 2 - abs(c) ** 2)
-    return D1, D2
+    return abs(beta) ** 2 * abs(d) ** 2, D1, D2
 
 
 def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
@@ -153,10 +170,7 @@ def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, 
     Equality of the denominators as polynomials is exactly the predicate
     |b| = |c| and (cbar d - abar b) mubar = abar c - bbar d.
     """
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    num = abs(beta) ** 2 * abs(m.d) ** 2
-    D1, D2 = _weighted_jmu_denominators(m, mu, w, z)
+    num, D1, D2 = _weighted_jmu_parts(m, beta, mu, w, z)
     return num / D1, num / D2
 
 
@@ -202,14 +216,20 @@ def weighted_jw_quadruples(m: LinearFractionalMap, p: complex) -> QuadrupleSet:
     )
 
 
-def eval_sides_weighted_jw(m: LinearFractionalMap, beta: complex, p: complex, w, z):
-    """Both sides for W against JW_p via the quadruple denominators."""
+def _weighted_jw_parts(m: LinearFractionalMap, beta: complex, p: complex, w, z):
+    """Numerator and the two quadruple side denominators of the weighted JW case."""
     q = weighted_jw_quadruples(m, p)
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
     num = abs(beta) ** 2 * abs(m.d) ** 2 * np.sqrt(1.0 - abs(p) ** 2)
     E1 = (q.A1 * w + q.B1) * z + q.C1 * w + q.D1
     E2 = (q.A2 * w + q.B2) * z + q.C2 * w + q.D2
+    return num, E1, E2
+
+
+def eval_sides_weighted_jw(m: LinearFractionalMap, beta: complex, p: complex, w, z):
+    """Both sides for W against JW_p via the quadruple denominators."""
+    num, E1, E2 = _weighted_jw_parts(m, beta, p, w, z)
     return num / E1, num / E2
 
 
@@ -252,17 +272,12 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     ones; for validated self-maps the latter never triggers) are excluded;
     more than 20% exclusions raises IllConditionedGridError.
     """
-    a, b, c, d = m.coefficients()
     pts = ring_grid(grid_n)
     W, Z = np.meshgrid(pts, pts, indexing="ij")
     n_total = W.size
-    scale = m.scale
 
-    if case in (CaseId.COMP_JMU, CaseId.COMP_JW):
-        if abs(c) == 0.0:
-            valid = np.ones_like(W, dtype=bool)
-        else:
-            valid = np.abs(np.conj(a) * W - np.conj(c)) > SINGULAR_RTOL * scale
+    if not case.weighted:
+        valid = ~_comp_singular(m, W)
         wv, zv = W[valid], Z[valid]
         if case is CaseId.COMP_JMU:
             lhs, rhs = eval_sides_comp_jmu(m, conj.mu, wv, zv)
@@ -270,15 +285,11 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
             lhs, rhs = eval_sides_comp_jw(m, conj.p, wv, zv)
         return _reduce_residual(lhs - rhs, n_total)
 
-    num = abs(beta) ** 2 * abs(d) ** 2
     if case is CaseId.WEIGHTED_JMU:
-        D1, D2 = _weighted_jmu_denominators(m, conj.mu, W, Z)
+        num, D1, D2 = _weighted_jmu_parts(m, beta, conj.mu, W, Z)
     else:
-        q = weighted_jw_quadruples(m, conj.p)
-        num *= np.sqrt(1.0 - abs(conj.p) ** 2)
-        D1 = (q.A1 * W + q.B1) * Z + q.C1 * W + q.D1
-        D2 = (q.A2 * W + q.B2) * Z + q.C2 * W + q.D2
-    floor = 1e-12 * scale ** 2
+        num, D1, D2 = _weighted_jw_parts(m, beta, conj.p, W, Z)
+    floor = SIDE_FLOOR_RTOL * m.scale ** 2
     valid = (np.abs(D1) > floor) & (np.abs(D2) > floor)
     return _reduce_residual(num / D1[valid] - num / D2[valid], n_total)
 
@@ -287,29 +298,9 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
 # coefficient predicates
 # --------------------------------------------------------------------------
 
-def predicate_comp_jmu(m: LinearFractionalMap) -> bool:
-    """C_phi is J_mu-normal iff it is normal: b = 0 and c = 0 (projectively)."""
-    s = m.scale
-    return abs(m.b) <= 1e-12 * s and abs(m.c) <= 1e-12 * s
-
-
-def predicate_comp_jw(m: LinearFractionalMap, p: complex) -> bool:
-    """C_phi is JW_p-normal iff it is an isometry: phi(z) = alpha z, |alpha| = 1."""
-    if not 0.0 < abs(complex(p)) < 1.0:
-        raise ValueError("p must lie in the punctured open disk")
-    s = m.scale
-    return (abs(m.b) <= 1e-12 * s and abs(m.c) <= 1e-12 * s
-            and abs(abs(m.a / m.d) - 1.0) <= 1e-12)
-
-
-def predicate_weighted_jmu(m: LinearFractionalMap, mu: complex) -> bool:
-    """|b| = |c| and (cbar d - abar b) conj(mu) = abar c - bbar d."""
-    a, b, c, d = m.coefficients()
-    mu = complex(mu)
-    s = m.scale
-    cond_mod = abs(abs(b) - abs(c)) <= 1e-10 * s
-    lin = (np.conj(c) * d - np.conj(a) * b) * np.conj(mu) - (np.conj(a) * c - np.conj(b) * d)
-    return cond_mod and abs(lin) <= 1e-10 * s ** 2
+def _modulus_margin(m: LinearFractionalMap) -> float:
+    """Relative defect of |b| = |c|."""
+    return abs(abs(m.b) - abs(m.c)) / m.scale
 
 
 def _weighted_jw_condition_values(m: LinearFractionalMap, p: complex):
@@ -322,15 +313,56 @@ def _weighted_jw_condition_values(m: LinearFractionalMap, p: complex):
     return e1, e2
 
 
+def predicate_margin(case: CaseId, m: LinearFractionalMap,
+                     conj: Conjugation | None) -> float:
+    """Relative distance of the instance from the case's defining equalities.
+
+    Coefficient defects are divided by the matching power of m.scale, so the
+    margin is invariant under rescaling (a, b, c, d).  The composition cases
+    hold or fail for every conjugation parameter at once and ignore conj.
+    """
+    a, b, c, d = m.coefficients()
+    s = m.scale
+    if case is CaseId.COMP_JMU:
+        return max(abs(b), abs(c)) / s
+    if case is CaseId.COMP_JW:
+        return max(abs(b) / s, abs(c) / s, abs(abs(a / d) - 1.0))
+    if case is CaseId.WEIGHTED_JMU:
+        lin = ((np.conj(c) * d - np.conj(a) * b) * np.conj(conj.mu)
+               - (np.conj(a) * c - np.conj(b) * d))
+        return max(_modulus_margin(m), abs(lin) / s ** 2)
+    e1, e2 = _weighted_jw_condition_values(m, conj.p)
+    return max(abs(e1), abs(e2)) / s ** 2
+
+
+def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation | None) -> bool:
+    """The case holds iff its margin is within EXACT_TOL (composition cases)
+    or WEIGHTED_TOL (weighted cases)."""
+    return predicate_margin(case, m, conj) <= (WEIGHTED_TOL if case.weighted else EXACT_TOL)
+
+
+def predicate_comp_jmu(m: LinearFractionalMap) -> bool:
+    """C_phi is J_mu-normal iff it is normal: b = 0 and c = 0 (projectively)."""
+    return case_predicate(CaseId.COMP_JMU, m, None)
+
+
+def predicate_comp_jw(m: LinearFractionalMap, p: complex) -> bool:
+    """C_phi is JW_p-normal iff it is an isometry: phi(z) = alpha z, |alpha| = 1."""
+    return case_predicate(CaseId.COMP_JW, m, JWp(p))
+
+
+def predicate_weighted_jmu(m: LinearFractionalMap, mu: complex) -> bool:
+    """|b| = |c| and (cbar d - abar b) conj(mu) = abar c - bbar d."""
+    return case_predicate(CaseId.WEIGHTED_JMU, m, JMu(mu))
+
+
 def predicate_weighted_jw(m: LinearFractionalMap, p: complex) -> bool:
     """(|b|^2-|c|^2) p = (-abar c + bbar d - a bbar + c dbar)|p|^2 and
     (|a|^2-|d|^2)|p|^2 = (abar c - bbar d) conj(p) - (abar b - cbar d) p."""
-    e1, e2 = _weighted_jw_condition_values(m, p)
-    tol = 1e-10 * m.scale ** 2
-    return abs(e1) <= tol and abs(e2) <= tol
+    return case_predicate(CaseId.WEIGHTED_JW, m, JWp(p))
 
 
-def is_disk_automorphism(m: LinearFractionalMap, tol: float = 1e-10) -> bool:
+def is_disk_automorphism(m: LinearFractionalMap, tol: float = WEIGHTED_TOL) -> bool:
     """True iff sigma o phi is proportional to the identity and both phi and
     its inverse pass the self-map test."""
     comp = lft_compose(cowen_triple(m).sigma, m)
@@ -347,11 +379,11 @@ def predicate_unitary_wco(m: LinearFractionalMap, gamma: complex, q: complex) ->
     gamma, q = complex(gamma), complex(q)
     if abs(q) >= 1.0:
         raise ValueError("q must lie in the open disk")
-    if abs(abs(gamma) - 1.0) > 1e-12:
+    if abs(abs(gamma) - 1.0) > EXACT_TOL:
         return False
     if not is_disk_automorphism(m):
         return False
-    return abs(lft_eval(m, q)) <= 1e-10
+    return abs(lft_eval(m, q)) <= WEIGHTED_TOL
 
 
 @dataclass(frozen=True)
@@ -380,10 +412,6 @@ def hermitian_family(a0: complex, a1: float, a2: float) -> HermitianFamily:
     return HermitianFamily(map=m, beta=a2, is_self_map=lft_is_self_map(m))
 
 
-def predicate_hermitian_wco(a0: complex, a1: float, a2: float) -> HermitianFamily:
-    return hermitian_family(a0, a1, a2)
-
-
 def predicate_hermitian_jmu(a0: complex, a1: float, mu: complex) -> bool:
     """(a0 - conj(a0) mu)(1 + a1 - |a0|^2) = 0 within 1e-12.
 
@@ -394,7 +422,7 @@ def predicate_hermitian_jmu(a0: complex, a1: float, mu: complex) -> bool:
     if abs(complex(a1).imag) > 0.0:
         raise ValueError("a1 must be real")
     a1 = float(np.real(a1))
-    return abs((a0 - np.conj(a0) * mu) * (1.0 + a1 - abs(a0) ** 2)) <= 1e-12
+    return abs((a0 - np.conj(a0) * mu) * (1.0 + a1 - abs(a0) ** 2)) <= EXACT_TOL
 
 
 def predicate_hermitian_jw(a0: complex, a1: float, p: complex) -> bool:
@@ -406,7 +434,7 @@ def predicate_hermitian_jw(a0: complex, a1: float, p: complex) -> bool:
     a = a1 - abs(a0) ** 2
     lhs = (a * a - 1.0) * abs(p) ** 2
     rhs = -(a + 1.0) * 2.0 * np.real(a0 * p)
-    return abs(lhs - rhs) <= 1e-10
+    return abs(lhs - rhs) <= WEIGHTED_TOL
 
 
 def hermitian_jw_solved_p(a0: float, a1: float) -> float:
@@ -436,27 +464,27 @@ def predicate_normal_bdyfix(m: LinearFractionalMap, param: complex, which: str) 
     b dbar (a |d|^2 variant in circulation is not equivalent, see
     predicate_normal_bdyfix_jw_dsq_variant).
     """
-    a, b, c, d = m.coefficients()
-    s = m.scale
-    if abs(abs(b) - abs(c)) > 1e-10 * s:
+    if _modulus_margin(m) > WEIGHTED_TOL:
         raise HypothesisViolationError("|b| = |c| hypothesis fails")
     if not has_boundary_fixed_point(m):
         raise HypothesisViolationError("no boundary fixed point")
     if which == "jmu":
-        mu = complex(param)
-        lin = (np.conj(c) * d - np.conj(a) * b) * np.conj(mu) - (np.conj(a) * c - np.conj(b) * d)
-        return abs(lin) <= 1e-10 * s ** 2
+        return predicate_weighted_jmu(m, param)   # |b| = |c| already holds
     if which != "jw":
         raise ValueError("which must be 'jmu' or 'jw'")
-    p = complex(param)
-    logger.warning("normal-boundary-fixed JW predicate: using the derived "
-                   "2 Re((a conj(c) - b conj(d)) p) cross-term; the |d|^2 "
-                   "variant is inequivalent and kept only as a regression guard")
-    tol = 1e-10 * s ** 2
+    return _bdyfix_jw_margin(m, param, m.b * np.conj(m.d)) <= WEIGHTED_TOL
+
+
+def _bdyfix_jw_margin(m: LinearFractionalMap, p: complex, cross: complex) -> float:
+    """Relative defect of the normal-family JW pair with cross-term `cross`:
+    a bbar - c dbar = bbar d - abar c and
+    (|a|^2 - |d|^2)|p|^2 = 2 Re((a cbar - cross) p)."""
+    a, b, c, d = m.coefficients()
+    p = complex(p)
     first = a * np.conj(b) - c * np.conj(d) - (np.conj(b) * d - np.conj(a) * c)
     second = ((abs(a) ** 2 - abs(d) ** 2) * abs(p) ** 2
-              - 2.0 * np.real((a * np.conj(c) - b * np.conj(d)) * p))
-    return abs(first) <= tol and abs(second) <= tol
+              - 2.0 * np.real((a * np.conj(c) - cross) * p))
+    return max(abs(first), abs(second)) / m.scale ** 2
 
 
 def predicate_normal_bdyfix_jw_dsq_variant(m: LinearFractionalMap, p: complex) -> bool:
@@ -465,23 +493,7 @@ def predicate_normal_bdyfix_jw_dsq_variant(m: LinearFractionalMap, p: complex) -
     Not equivalent to the derived condition; kept so the discrepancy stays
     documented by a failing-equivalence regression test.
     """
-    a, b, c, d = m.coefficients()
-    p = complex(p)
-    tol = 1e-10 * m.scale ** 2
-    first = a * np.conj(b) - c * np.conj(d) - (np.conj(b) * d - np.conj(a) * c)
-    second = ((abs(a) ** 2 - abs(d) ** 2) * abs(p) ** 2
-              - 2.0 * np.real((a * np.conj(c) - d * np.conj(d)) * p))
-    return abs(first) <= tol and abs(second) <= tol
-
-
-def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation) -> bool:
-    if case is CaseId.COMP_JMU:
-        return predicate_comp_jmu(m)
-    if case is CaseId.COMP_JW:
-        return predicate_comp_jw(m, conj.p)
-    if case is CaseId.WEIGHTED_JMU:
-        return predicate_weighted_jmu(m, conj.mu)
-    return predicate_weighted_jw(m, conj.p)
+    return _bdyfix_jw_margin(m, p, m.d * np.conj(m.d)) <= WEIGHTED_TOL
 
 
 # --------------------------------------------------------------------------
@@ -522,9 +534,9 @@ class VerificationReport:
                 f"{self.kernel_residual!r},{max_n!r},{str(self.consistent).lower()}")
 
 
-def _matrix_residuals_non_increasing(residuals) -> bool:
+def _matrix_residuals_non_increasing(residuals, floor: float) -> bool:
     vals = [r for _, r in residuals]
-    return all(nxt <= max(prev, MATRIX_FLOOR) for prev, nxt in zip(vals, vals[1:]))
+    return all(nxt <= max(prev, floor) for prev, nxt in zip(vals, vals[1:]))
 
 
 def _conj_params(conj: Conjugation) -> dict:
@@ -535,34 +547,32 @@ def _conj_params(conj: Conjugation) -> dict:
 
 def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
            beta: complex = 1.0, grid_n: int = 12,
-           truncations=operators.STANDARD_TRUNCATIONS,
-           dump_matrices_to=None) -> VerificationReport:
+           truncations=operators.STANDARD_TRUNCATIONS) -> VerificationReport:
     """Run predicate + kernel oracle + matrix oracle and gather the report.
 
     consistency_flag: a true verdict demands kernel residual < 1e-9 and
     matrix residuals non-increasing in N (above a 1e-12 floor); a false
-    verdict demands kernel residual > 1e-7.  The matrix residual at each N is
-    the Frobenius defect of C T*T C - T T* on the truncation-stable leading
-    block (operators.stable_keep).
+    verdict demands kernel residual > 1e-7.  Both residuals of a weighted
+    case are |beta|^2 times those at beta = 1, so for those cases the three
+    thresholds are multiplied by |beta|^2; the reported residuals are not.
+    The matrix residual at each N is the Frobenius defect of C T*T C - T T*
+    on the truncation-stable leading block (operators.stable_keep).
     """
     t0 = time.perf_counter()
     if not lft_is_self_map(m):
         raise ValueError(f"{m} is not a validated self-map")
-    if case in (CaseId.COMP_JMU, CaseId.WEIGHTED_JMU) and not isinstance(conj, JMu):
-        raise ValueError(f"case {case.value} needs a JMu conjugation")
-    if case in (CaseId.COMP_JW, CaseId.WEIGHTED_JW) and not isinstance(conj, JWp):
-        raise ValueError(f"case {case.value} needs a JWp conjugation")
-    if case in (CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW) and beta == 0:
+    if not isinstance(conj, case.conj_type):
+        raise ValueError(f"case {case.value} needs a {case.conj_type.__name__} conjugation")
+    if case.weighted and beta == 0:
         raise ValueError("beta must be non-zero")
 
     verdict = case_predicate(case, m, conj)
     k_res = kernel_residual(case, m, conj, beta=beta, grid_n=grid_n)
 
-    weighted = case in (CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW)
     matrix_residuals = []
     truncations = sorted(int(n) for n in truncations)
     for N in truncations:
-        if weighted:
+        if case.weighted:
             psi = operators.canonical_weight_series(m, beta, N)
             T = operators.weighted_composition_matrix(psi, m, N)
         else:
@@ -570,19 +580,17 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         C_op = operators.conjugation_operator(conj, N)
         keep = operators.stable_keep(N, m=m, C=conj)
         matrix_residuals.append((N, operators.cnormal_residual_matrix(T, C_op, keep)))
-        if dump_matrices_to is not None:
-            operators.write_matrix_csv(T, f"{dump_matrices_to}.T.N{N}.csv")
-            operators.write_matrix_csv(C_op.matrix, f"{dump_matrices_to}.C.N{N}.csv")
 
+    unit = abs(beta) ** 2 if case.weighted else 1.0
     if verdict:
-        consistent = (k_res < VERDICT_TRUE_MAX
-                      and _matrix_residuals_non_increasing(matrix_residuals))
+        consistent = (k_res < VERDICT_TRUE_MAX * unit and
+                      _matrix_residuals_non_increasing(matrix_residuals, MATRIX_FLOOR * unit))
     else:
-        consistent = k_res > VERDICT_FALSE_MIN
+        consistent = k_res > VERDICT_FALSE_MIN * unit
 
     params = {"map": [[x.real, x.imag] for x in m.coefficients()],
               "conjugation": _conj_params(conj)}
-    if weighted:
+    if case.weighted:
         params["beta"] = [complex(beta).real, complex(beta).imag]
     return VerificationReport(
         case=case.value,
@@ -592,7 +600,6 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         params=params,
         grid={"rings": list(GRID_RADII), "points_per_ring": grid_n,
               "pairs": (3 * grid_n) ** 2},
-        warnings=[],
         consistent=bool(consistent),
         timing_s=time.perf_counter() - t0,
     )

@@ -8,7 +8,6 @@ of T_g C_phi equals the product of the N x N truncations.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -170,14 +169,3 @@ def stable_keep(N: int, m: LinearFractionalMap | None = None,
     if isinstance(C, JWp):
         rate *= (1.0 + abs(C.p)) / (1.0 - abs(C.p))
     return max(4, min(N // 2, int(N / (1.25 * rate))))
-
-
-def write_matrix_csv(M: np.ndarray, path) -> None:
-    """Dump a complex matrix as column-major (re, im) pairs, one entry per row."""
-    M = np.asarray(M, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["col", "row", "re", "im"])
-        for j in range(M.shape[1]):
-            for i in range(M.shape[0]):
-                writer.writerow([j, i, repr(float(M[i, j].real)), repr(float(M[i, j].imag))])

@@ -95,10 +95,18 @@ class TestVerify:
         # mutate the predicate so the oracle disagrees with the verdict
         import cnops.cnormal as cn
 
-        monkeypatch.setattr(cn, "predicate_comp_jmu", lambda m: False)
+        monkeypatch.setattr(cn, "case_predicate", lambda case, m, conj: False)
         code, _, _ = run_main(capsys, [
             "verify", "--map", "0.7,0,0,1", "--conj", "jmu:1", "--trunc", "32"])
         assert code == 1
+
+    def test_small_beta_is_not_a_contradiction(self, capsys):
+        code, out, _ = run_main(capsys, [
+            "verify", "--map", "0.5,0.3,0.1,1", "--conj", "jmu:1", "--weighted",
+            "--beta", "1e-5"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] is False and report["consistent"] is True
 
     def test_bad_map_exits_2(self, capsys):
         code, _, _ = run_main(capsys, [
@@ -129,13 +137,12 @@ class TestSweepSampling:
             assert lft_is_self_map(m)
             assert abs(abs(beta) - 1.0) < 1e-12
 
-    def test_even_odd_margin_split(self):
-        from cnops.cli import _weighted_jw_margin
-
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_even_odd_margin_split(self, case):
         seeds = np.random.SeedSequence(11).spawn(30)
         for i, s in enumerate(seeds):
-            m, conj, _ = sample_case(CaseId.WEIGHTED_JW, np.random.default_rng(s), i)
-            margin = _weighted_jw_margin(m, conj.p)
+            m, conj, _ = sample_case(case, np.random.default_rng(s), i)
+            margin = cli.predicate_margin(case, m, conj)
             if i % 2 == 0:
                 assert margin <= 1e-12
             else:
@@ -154,12 +161,13 @@ class TestSweep:
         assert len(lines) == 26   # header + 24 rows + agreement line
         assert lines[-1].startswith("# agreement_rate=1.0")
 
-    def test_determinism(self, capsys, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_determinism(self, capsys, tmp_path, fmt):
+        p1, p2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
         for p in (p1, p2):
             code, _, _ = run_main(capsys, [
                 "sweep", "--conj", "jw", "--samples", "10", "--seed", "3",
-                "--trunc", "32", "--out", str(p)])
+                "--trunc", "32", "--format", fmt, "--out", str(p)])
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -557,9 +557,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(CaseId.WEIGHTED_JMU, GENERIC, JMu(1.0), beta=0.0)
 
-    def test_dump_matrices(self, tmp_path):
-        base = tmp_path / "dump"
-        verify(CaseId.COMP_JMU, LinearFractionalMap(0.5, 0, 0, 1), JMu(1.0),
-               truncations=(32,), dump_matrices_to=str(base))
-        assert (tmp_path / "dump.T.N32.csv").exists()
-        assert (tmp_path / "dump.C.N32.csv").exists()
+    @pytest.mark.parametrize("case", [CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW])
+    @pytest.mark.parametrize("beta", [1e-6, 1e6])
+    def test_weighted_consistency_is_beta_scaled(self, case, beta):
+        # both oracles scale as |beta|^2; the thresholds must follow them
+        from cnops.cli import sample_case
+
+        seeds = np.random.SeedSequence(42).spawn(8)
+        for i in range(0, 8, 2):
+            m, conj, _ = sample_case(case, np.random.default_rng(seeds[i]), i)
+            r = verify(case, m, conj, beta=beta, truncations=(32, 64))
+            assert r.verdict and r.consistent

@@ -16,7 +16,6 @@ from cnops.operators import (
     conjugation_operator,
     stable_keep,
     weighted_composition_matrix,
-    write_matrix_csv,
 )
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
@@ -192,15 +191,3 @@ class TestStableKeep:
     def test_automorphism_reduces_block(self):
         m = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)
         assert stable_keep(128, m=m) < 64
-
-
-def test_write_matrix_csv(tmp_path):
-    M = np.array([[1 + 2j, 3j], [0.5, -1]], dtype=complex)
-    path = tmp_path / "m.csv"
-    write_matrix_csv(M, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "col,row,re,im"
-    assert len(lines) == 5
-    # column-major: first data row is entry (0, 0), second is (1, 0)
-    assert lines[1].startswith("0,0,1.0,2.0")
-    assert lines[2].startswith("0,1,0.5,0.0")
