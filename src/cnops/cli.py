@@ -11,8 +11,8 @@ sweep     --samples/--seed/--out/--format; seeded sampling of maps and
           exactly, rejected ones violate them by at least 1e-3 relative.
           exit 0 iff the predicate/oracle agreement rate is 100%.
 
-Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in a
-thread pool, and written in index order, so identical configs produce
+Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
+index order and written in that order, so identical configs produce
 byte-identical output files.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,8 +226,7 @@ def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = 12,
             extra["beta_residual_delta"] = abs(report.kernel_residual - r2)
         return report, extra
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(one, range(samples)))
+    results = [one(i) for i in range(samples)]
     reports = [r for r, _ in results]
     extras = [e for _, e in results]
     agreement = sum(r.consistent for r in reports) / samples
@@ -269,18 +267,29 @@ def _check_writable(path: str):
         raise ValueError(f"output path {path!r} is not writable")
 
 
-def _resolve_case(conj: Conjugation, weighted: bool) -> CaseId:
-    if isinstance(conj, JMu):
-        return CaseId.WEIGHTED_JMU if weighted else CaseId.COMP_JMU
-    return CaseId.WEIGHTED_JW if weighted else CaseId.COMP_JW
+def _family(conj: Conjugation) -> str:
+    return "jmu" if isinstance(conj, JMu) else "jw"
+
+
+def _resolve_case(family: str, weighted: bool) -> CaseId:
+    return CaseId(f"{'weighted' if weighted else 'comp'}_{family}")
 
 
 def _parse_common(cfg: RunConfig):
     m = parse_map(cfg.map_text)
     conj = parse_conjugation(cfg.conj_text)
     beta = parse_complex(cfg.beta_text)
-    case = _resolve_case(conj, cfg.weighted)
+    case = _resolve_case(_family(conj), cfg.weighted)
     return m, conj, beta, case
+
+
+def _emit(text: str, out: str):
+    """Write text to the --out file (newline-terminated), or print it."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    else:
+        print(text)
 
 
 def cmd_classify(cfg: RunConfig) -> int:
@@ -311,13 +320,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     except (ValueError, CnopsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if cfg.format == "json" else \
-        CSV_HEADER + "\n" + report.csv_row(0) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    _emit(report.to_json() if cfg.format == "json" else
+          CSV_HEADER + "\n" + report.csv_row(0) + "\n", cfg.out)
     return 0 if report.consistent else 1
 
 
@@ -325,14 +329,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     try:
         if cfg.samples < 1:
             raise ValueError("samples must be >= 1")
-        conj_text = cfg.conj_text.strip().lower()
+        family = cfg.conj_text.strip().lower()
         fixed_conj = None
-        if conj_text in ("jmu", "jw"):
-            family = conj_text
-        else:
+        if family not in ("jmu", "jw"):
             fixed_conj = parse_conjugation(cfg.conj_text)
-            family = "jmu" if isinstance(fixed_conj, JMu) else "jw"
-        case = _resolve_case(JMu(1.0) if family == "jmu" else JWp(0.5), cfg.weighted)
+            family = _family(fixed_conj)
+        case = _resolve_case(family, cfg.weighted)
         if cfg.out:
             _check_writable(cfg.out)
         reports, extras, agreement = run_sweep(
@@ -341,13 +343,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except (ValueError, CnopsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = sweep_json(reports, extras, agreement) if cfg.format == "json" \
-        else sweep_csv(reports, agreement)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    _emit(sweep_json(reports, extras, agreement) if cfg.format == "json"
+          else sweep_csv(reports, agreement), cfg.out)
     return 0 if agreement == 1.0 else 1
 
 

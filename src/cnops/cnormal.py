@@ -43,7 +43,8 @@ WEIGHTED_TOL = 1e-10          # relative margin under which a weighted case hold
 EXCLUDED_FRACTION_LIMIT = 0.2
 VERDICT_TRUE_MAX = 1e-9       # a true verdict demands kernel residual below this
 VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above this
-MATRIX_FLOOR = 1e-12          # non-increase of matrix residuals is tested above this
+MATRIX_FLOOR = 1e-12          # matrix residuals may rise in N while below this
+MATRIX_FLOOR_RTOL = 4 * np.finfo(float).eps   # or this * sqrt(N) * keep (rounding)
 
 
 class CaseId(str, Enum):
@@ -534,9 +535,10 @@ class VerificationReport:
                 f"{self.kernel_residual!r},{max_n!r},{str(self.consistent).lower()}")
 
 
-def _matrix_residuals_non_increasing(residuals, floor: float) -> bool:
+def _matrix_residuals_non_increasing(residuals, floors) -> bool:
     vals = [r for _, r in residuals]
-    return all(nxt <= max(prev, floor) for prev, nxt in zip(vals, vals[1:]))
+    return all(nxt <= max(prev, floor)
+               for prev, nxt, floor in zip(vals, vals[1:], floors[1:]))
 
 
 def _conj_params(conj: Conjugation) -> dict:
@@ -551,10 +553,11 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     """Run predicate + kernel oracle + matrix oracle and gather the report.
 
     consistency_flag: a true verdict demands kernel residual < 1e-9 and
-    matrix residuals non-increasing in N (above a 1e-12 floor); a false
-    verdict demands kernel residual > 1e-7.  Both residuals of a weighted
-    case are |beta|^2 times those at beta = 1, so for those cases the three
-    thresholds are multiplied by |beta|^2; the reported residuals are not.
+    matrix residuals non-increasing in N above a rounding floor of
+    max(1e-12, 4 eps sqrt(N) keep) at each N; a false verdict demands kernel
+    residual > 1e-7.  Both residuals of a weighted case are |beta|^2 times
+    those at beta = 1, so for those cases the three thresholds are multiplied
+    by |beta|^2; the reported residuals are not.
     The matrix residual at each N is the Frobenius defect of C T*T C - T T*
     on the truncation-stable leading block (operators.stable_keep).
     """
@@ -569,7 +572,8 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     verdict = case_predicate(case, m, conj)
     k_res = kernel_residual(case, m, conj, beta=beta, grid_n=grid_n)
 
-    matrix_residuals = []
+    unit = abs(beta) ** 2 if case.weighted else 1.0
+    matrix_residuals, floors = [], []
     truncations = sorted(int(n) for n in truncations)
     for N in truncations:
         if case.weighted:
@@ -580,11 +584,11 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         C_op = operators.conjugation_operator(conj, N)
         keep = operators.stable_keep(N, m=m, C=conj)
         matrix_residuals.append((N, operators.cnormal_residual_matrix(T, C_op, keep)))
+        floors.append(unit * max(MATRIX_FLOOR, MATRIX_FLOOR_RTOL * np.sqrt(N) * keep))
 
-    unit = abs(beta) ** 2 if case.weighted else 1.0
     if verdict:
         consistent = (k_res < VERDICT_TRUE_MAX * unit and
-                      _matrix_residuals_non_increasing(matrix_residuals, MATRIX_FLOOR * unit))
+                      _matrix_residuals_non_increasing(matrix_residuals, floors))
     else:
         consistent = k_res > VERDICT_FALSE_MIN * unit
 

@@ -151,14 +151,7 @@ def jw_weighted_matrix(C: JWp, N: int) -> np.ndarray:
     equals the lower-triangular-Toeplitz(xi) times composition(tau) product
     entrywise on the block.
     """
-    tau = hardy.lft_power_series(C.tau(), N)
-    M = np.zeros((N, N), dtype=complex)
-    col = C.xi_series(N)
-    M[:, 0] = col
-    for j in range(1, N):
-        col = hardy.series_multiply(col, tau, N)
-        M[:, j] = col
-    return M
+    return hardy.power_matrix(C.xi_series(N), hardy.lft_power_series(C.tau(), N), N)
 
 
 def conj_apply_series(C: Conjugation, f: np.ndarray, N: int) -> np.ndarray:

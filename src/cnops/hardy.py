@@ -90,6 +90,15 @@ def series_multiply(f: np.ndarray, g: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
+def power_matrix(first: np.ndarray, f: np.ndarray, N: int) -> np.ndarray:
+    """N x N matrix whose column j holds the coefficients of first * f^j."""
+    M = np.zeros((N, N), dtype=complex)
+    M[:, 0] = first
+    for j in range(1, N):
+        M[:, j] = series_multiply(M[:, j - 1], f, N)
+    return M
+
+
 def series_eval(f: np.ndarray, z):
     """Evaluate the truncated series at z (Horner)."""
     f = np.asarray(f, dtype=complex)

@@ -16,9 +16,8 @@ import numpy as np
 from .errors import DegenerateMapError, NotSelfMapError, PoleError
 
 DET_RTOL = 1e-14          # |ad - bc| <= DET_RTOL * scale^2 means degenerate
-SELF_MAP_TOL = 1e-12      # sup |phi| on the boundary grid may exceed 1 by this
+SELF_MAP_TOL = 1e-12      # sup |phi| on the closed disk may exceed 1 by this
 BOUNDARY_FP_TOL = 1e-10   # ||z| - 1| below this classifies a fixed point as boundary
-DEFAULT_BOUNDARY_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -38,11 +37,10 @@ class LinearFractionalMap:
                 f"ad - bc = {self.det:.3e} is numerically zero for {self}")
 
     @classmethod
-    def self_map(cls, a, b, c, d, grid_size: int = DEFAULT_BOUNDARY_GRID
-                 ) -> "LinearFractionalMap":
+    def self_map(cls, a, b, c, d) -> "LinearFractionalMap":
         """Validated constructor: additionally requires the disk self-map test."""
         m = cls(a, b, c, d)
-        if not lft_is_self_map(m, grid_size):
+        if not lft_is_self_map(m):
             raise NotSelfMapError(f"{m} is not a self-map of the unit disk")
         return m
 
@@ -106,20 +104,20 @@ def lft_eval(m: LinearFractionalMap, z):
     return out if out.ndim else complex(out)
 
 
-def lft_is_self_map(m: LinearFractionalMap, grid_size: int = DEFAULT_BOUNDARY_GRID) -> bool:
-    """Boundary-grid self-map test.
+def image_disk(m: LinearFractionalMap):
+    """(centre, radius) of the disk phi(D), or None when |d| <= |c| puts the pole
+    in the closed disk (Cowen & MacCluer, Composition Operators on Spaces of
+    Analytic Functions, 1995, ch. 2)."""
+    if abs(m.d) <= abs(m.c):
+        return None
+    gap = abs(m.d) ** 2 - abs(m.c) ** 2
+    return complex(m.b * np.conj(m.d) - m.a * np.conj(m.c)) / gap, abs(m.det) / gap
 
-    True iff max over `grid_size` equispaced boundary points of |phi| stays
-    below 1 + SELF_MAP_TOL and the pole -d/c lies strictly outside the closed
-    disk (no pole condition is needed when c = 0 since d != 0 by nondegeneracy).
-    """
-    if grid_size < 256:
-        raise ValueError("grid_size must be at least 256")
-    if abs(m.c) > 0 and abs(-m.d / m.c) <= 1.0:
-        return False
-    theta = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    vals = np.abs((m.a * theta + m.b) / (m.c * theta + m.d))
-    return bool(vals.max() <= 1.0 + SELF_MAP_TOL)
+
+def lft_is_self_map(m: LinearFractionalMap) -> bool:
+    """True iff phi(D) lies in the closed disk: |centre| + radius <= 1 + SELF_MAP_TOL."""
+    disk = image_disk(m)
+    return disk is not None and abs(disk[0]) + disk[1] <= 1.0 + SELF_MAP_TOL
 
 
 @dataclass(frozen=True)
@@ -210,10 +208,11 @@ def proportional(m1: LinearFractionalMap, m2: LinearFractionalMap, tol: float = 
     return bool(np.abs(v1 - t * v2).max() <= tol * max(np.abs(v1).max(), abs(t) * np.abs(v2).max()))
 
 
-def boundary_derivative_sup(m: LinearFractionalMap, grid_size: int = 512) -> float:
-    """sup over the unit circle of |phi'| = |ad - bc| / |c z + d|^2."""
-    theta = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    return float(np.abs(m.det / (m.c * theta + m.d) ** 2).max())
+def boundary_derivative_sup(m: LinearFractionalMap) -> float:
+    """sup over the unit circle of |phi'| = |ad - bc| / |c z + d|^2, which is
+    |ad - bc| / (|d| - |c|)^2 (infinite when |d| <= |c|)."""
+    gap = abs(m.d) - abs(m.c)
+    return abs(m.det) / gap ** 2 if gap > 0 else float("inf")
 
 
 _COMPLEX_RE = re.compile(

@@ -20,6 +20,7 @@ from .moebius import (
     LinearFractionalMap,
     boundary_derivative_sup,
     cowen_triple,
+    image_disk,
     lft_is_self_map,
     sigma_at_zero,
 )
@@ -38,14 +39,7 @@ def composition_matrix(m: LinearFractionalMap, N: int, *,
     """
     if require_self_map and not lft_is_self_map(m):
         raise NotSelfMapError(f"{m} is not a validated self-map")
-    phi = hardy.lft_power_series(m, N)
-    M = np.zeros((N, N), dtype=complex)
-    M[0, 0] = 1.0
-    col = M[:, 0].copy()
-    for j in range(1, N):
-        col = hardy.series_multiply(col, phi, N)
-        M[:, j] = col
-    return M
+    return hardy.power_matrix(np.eye(N, 1).ravel(), hardy.lft_power_series(m, N), N)
 
 
 def analytic_toeplitz_matrix(symbol: np.ndarray, N: int) -> np.ndarray:
@@ -162,9 +156,8 @@ def stable_keep(N: int, m: LinearFractionalMap | None = None,
     """
     rate = 1.0
     if m is not None and lft_is_self_map(m):
-        theta = np.exp(2j * np.pi * np.arange(512) / 512)
-        sup_phi = np.abs((m.a * theta + m.b) / (m.c * theta + m.d)).max()
-        if sup_phi > 0.98:
+        centre, radius = image_disk(m)
+        if abs(centre) + radius > 0.98:   # sup |phi| over the disk
             rate *= boundary_derivative_sup(m)
     if isinstance(C, JWp):
         rate *= (1.0 + abs(C.p)) / (1.0 - abs(C.p))

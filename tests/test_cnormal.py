@@ -557,6 +557,28 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(CaseId.WEIGHTED_JMU, GENERIC, JMu(1.0), beta=0.0)
 
+    def test_rounding_rise_at_large_n_is_consistent(self):
+        # a true comp_jw instance (rotation, |p| ~ 0.19) whose matrix residual
+        # rises by rounding alone, about 1.4e-13 -> 3.9e-13 -> 1.1e-12 on
+        # OpenBLAS, crossing the absolute 1e-12 floor at N = 512
+        m = LinearFractionalMap(-0.9215663912013234 - 0.3882207962077369j, 0, 0, 1)
+        conj = JWp(0.13254524791164105 - 0.13357946384270014j)
+        r = verify(CaseId.COMP_JW, m, conj, truncations=(128, 256, 512))
+        assert r.verdict and r.consistent
+        assert all(res < 1e-11 for _, res in r.matrix_residuals)
+
+    def test_large_n_floor_still_flags_a_real_rise(self, monkeypatch):
+        # 1e-10 -> 1e-9 -> 1e-8 is far above the rounding floor (about 5e-12
+        # at N = 512, keep = 256), so a true verdict with it is inconsistent
+        rising = {128: 1e-10, 256: 1e-9, 512: 1e-8}
+        monkeypatch.setattr(cnormal.operators, "composition_matrix",
+                            lambda m, N: np.eye(N, dtype=complex))
+        monkeypatch.setattr(cnormal.operators, "cnormal_residual_matrix",
+                            lambda T, C, keep: rising[len(T)])
+        r = verify(CaseId.COMP_JMU, LinearFractionalMap(0.7, 0, 0, 1), JMu(1j),
+                   truncations=(128, 256, 512))
+        assert r.verdict and not r.consistent
+
     @pytest.mark.parametrize("case", [CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW])
     @pytest.mark.parametrize("beta", [1e-6, 1e6])
     def test_weighted_consistency_is_beta_scaled(self, case, beta):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cnops.errors import DegenerateMapError, NotSelfMapError, PoleError
 from cnops.moebius import (
+    SELF_MAP_TOL,
     LinearFractionalMap,
     boundary_derivative_sup,
     cowen_triple,
+    image_disk,
     lft_compose,
     lft_eval,
     lft_fixed_points,
@@ -72,15 +74,78 @@ class TestSelfMap:
         (LinearFractionalMap(1, 0, 0.5, 1), False),   # sup |phi| = 2 at z = -1
     ])
     def test_examples(self, m, expected):
-        assert lft_is_self_map(m, 4096) is expected
+        assert lft_is_self_map(m) is expected
 
     def test_pole_in_disk_rejected(self):
         # phi = 1/(2z + 0.5) has its pole at -0.25
         assert not lft_is_self_map(LinearFractionalMap(0, 1, 2, 0.5))
+        assert image_disk(LinearFractionalMap(0, 1, 2, 0.5)) is None
 
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            lft_is_self_map(HALF, 128)
+    def test_image_disk_matches_boundary_image(self):
+        centre, radius = image_disk(GENERIC)
+        boundary = lft_eval(GENERIC, np.exp(2j * np.pi * np.arange(64) / 64))
+        assert np.allclose(np.abs(boundary - centre), radius, rtol=0, atol=1e-14)
+
+
+def boundary_sup_modulus(m, n=4096, rounds=3):
+    """max |phi| on the unit circle from an n-point grid refined around its argmax.
+
+    |phi| along the image circle has a single maximum, so it lies within one
+    grid step of the grid argmax; each round zooms into those two steps.
+    """
+    theta = 2 * np.pi * np.arange(n) / n
+    for _ in range(rounds):
+        e = np.exp(1j * theta)
+        vals = np.abs((m.a * e + m.b) / (m.c * e + m.d))
+        k = int(np.argmax(vals))
+        step = theta[1] - theta[0]
+        theta = theta[k] + np.linspace(-step, step, n)
+    return float(vals.max())
+
+
+def reference_is_self_map(m) -> bool:
+    """The boundary-grid test the closed form replaced, made dense."""
+    if abs(m.c) > 0 and abs(m.d / m.c) <= 1.0:
+        return False
+    return boundary_sup_modulus(m) <= 1.0 + SELF_MAP_TOL
+
+
+def disk_image_map(centre, radius, gamma, q, t):
+    """t-rescaled quadruple of centre + radius * gamma (q - z)/(1 - conj(q) z),
+    whose image of the disk is the disk of that centre and radius."""
+    return LinearFractionalMap(-centre * np.conj(q) - radius * gamma,
+                               centre + radius * gamma * q,
+                               -np.conj(q), 1.0).rescaled(t)
+
+
+coefficients = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@given(a=coefficients, b=coefficients, c=coefficients, d=coefficients)
+@settings(max_examples=300, deadline=None)
+def test_self_map_closed_form_matches_dense_boundary_random(a, b, c, d):
+    try:
+        m = LinearFractionalMap(a, b, c, d)
+    except DegenerateMapError:
+        assume(False)
+    assume(abs(abs(m.d) - abs(m.c)) > 1e-6 * m.scale)   # keep the boundary values finite
+    assert lft_is_self_map(m) is reference_is_self_map(m)
+
+
+@given(offset=st.sampled_from([-1e-9, 1e-9]) | st.floats(-0.5, 0.5),
+       centre_abs=st.floats(0.0, 0.9), centre_arg=st.floats(0.0, 2 * np.pi),
+       gamma_arg=st.floats(0.0, 2 * np.pi), q=st.floats(0.0, 0.8), t=complex_units)
+@settings(max_examples=300, deadline=None)
+def test_self_map_closed_form_matches_dense_boundary_near_tangency(
+        offset, centre_abs, centre_arg, gamma_arg, q, t):
+    # sup |phi| = |centre| + radius = 1 + offset
+    assume(abs(offset) >= 1e-9)
+    radius = 1.0 + offset - centre_abs
+    assume(radius > 0.05)
+    m = disk_image_map(centre_abs * np.exp(1j * centre_arg), radius,
+                       np.exp(1j * gamma_arg), q * np.exp(1j * gamma_arg / 3), t)
+    assert lft_is_self_map(m) is (offset <= 0)
+    assert reference_is_self_map(m) is (offset <= 0)
 
 
 class TestFixedPoints:
@@ -181,6 +246,17 @@ def test_eval_scale_invariance(t, theta, r):
 def test_boundary_derivative_sup_dilation():
     # phi = alpha z has |phi'| = |alpha| everywhere
     assert boundary_derivative_sup(LinearFractionalMap(0.7, 0, 0, 1)) == pytest.approx(0.7)
+
+
+def test_boundary_derivative_sup_between_grid_points():
+    # min |c z + d| = |d| - |c| = 0.1 is attained at z = -exp(i pi/512), halfway
+    # between two points of a 512-point grid, so such a grid misses the sup
+    # |ad - bc| / 0.1^2 = 0.05 / 0.01 = 5
+    m = LinearFractionalMap(0.05, 0, 0.9, np.exp(1j * np.pi / 512))
+    assert lft_is_self_map(m)
+    assert boundary_derivative_sup(m) == pytest.approx(5.0, rel=1e-12)
+    theta = np.exp(2j * np.pi * np.arange(512) / 512)
+    assert np.abs(m.det / (m.c * theta + m.d) ** 2).max() < (1 - 1e-3) * 5.0
 
 
 class TestParsing:
