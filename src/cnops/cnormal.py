@@ -45,6 +45,7 @@ VERDICT_TRUE_MAX = 1e-9       # a true verdict demands kernel residual below thi
 VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above this
 MATRIX_FLOOR = 1e-12          # matrix residuals may rise in N while below this
 MATRIX_FLOOR_RTOL = 4 * np.finfo(float).eps   # or this * sqrt(N) * keep (rounding)
+MIN_TRUNCATION = 8            # smallest N whose N/2 holds stable_keep's floor of 4 rows
 
 
 class CaseId(str, Enum):
@@ -559,9 +560,18 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     those at beta = 1, so for those cases the three thresholds are multiplied
     by |beta|^2; the reported residuals are not.
     The matrix residual at each N is the Frobenius defect of C T*T C - T T*
-    on the truncation-stable leading block (operators.stable_keep).
+    on the truncation-stable leading block (operators.stable_keep).  T and
+    the conjugation matrix are built once, at the largest N, and the
+    truncation at each smaller N is their leading N x N block: every builder
+    is prefix-stable, and the weighted T_psi C_phi has a lower-triangular
+    left factor, so its slice is the smaller truncation up to rounding.
+    Every truncation must be at least MIN_TRUNCATION (ValueError otherwise).
     """
     t0 = time.perf_counter()
+    truncations = sorted(int(n) for n in truncations)
+    if not truncations or truncations[0] < MIN_TRUNCATION:
+        raise ValueError(f"truncations must be non-empty and each at least "
+                         f"{MIN_TRUNCATION}, got {truncations}")
     if not lft_is_self_map(m):
         raise ValueError(f"{m} is not a validated self-map")
     if not isinstance(conj, case.conj_type):
@@ -573,17 +583,18 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     k_res = kernel_residual(case, m, conj, beta=beta, grid_n=grid_n)
 
     unit = abs(beta) ** 2 if case.weighted else 1.0
+    n_max = truncations[-1]
+    if case.weighted:
+        psi = operators.canonical_weight_series(m, beta, n_max)
+        T = operators.weighted_composition_matrix(psi, m, n_max)
+    else:
+        T = operators.composition_matrix(m, n_max)
+    M = operators.conjugation_operator(conj, n_max).matrix
     matrix_residuals, floors = [], []
-    truncations = sorted(int(n) for n in truncations)
     for N in truncations:
-        if case.weighted:
-            psi = operators.canonical_weight_series(m, beta, N)
-            T = operators.weighted_composition_matrix(psi, m, N)
-        else:
-            T = operators.composition_matrix(m, N)
-        C_op = operators.conjugation_operator(conj, N)
         keep = operators.stable_keep(N, m=m, C=conj)
-        matrix_residuals.append((N, operators.cnormal_residual_matrix(T, C_op, keep)))
+        C_op = operators.AntilinearOperator(M[:N, :N])
+        matrix_residuals.append((N, operators.cnormal_residual_matrix(T[:N, :N], C_op, keep)))
         floors.append(unit * max(MATRIX_FLOOR, MATRIX_FLOOR_RTOL * np.sqrt(N) * keep))
 
     if verdict:

@@ -91,7 +91,12 @@ def series_multiply(f: np.ndarray, g: np.ndarray, N: int) -> np.ndarray:
 
 
 def power_matrix(first: np.ndarray, f: np.ndarray, N: int) -> np.ndarray:
-    """N x N matrix whose column j holds the coefficients of first * f^j."""
+    """N x N matrix whose column j holds the coefficients of first * f^j.
+
+    Column j is column j - 1 times f, truncated at degree N - 1; entry n sums
+    the same products at every N > n, so the leading n x n block of the result
+    at N equals the result at n exactly.
+    """
     M = np.zeros((N, N), dtype=complex)
     M[:, 0] = first
     for j in range(1, N):

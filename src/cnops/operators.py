@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import hardy
 from .conjugations import Conjugation, JMu, JWp, jw_weighted_matrix
@@ -32,8 +33,9 @@ def composition_matrix(m: LinearFractionalMap, N: int, *,
                        require_self_map: bool = True) -> np.ndarray:
     """Truncated matrix of C_phi: column j = coefficients of phi^j.
 
-    Columns are prefix-stable: the leading block at truncation 2N equals the
-    matrix at truncation N exactly.  With require_self_map=False only
+    Columns are prefix-stable: the leading n x n block of the matrix at any
+    N > n equals the matrix at n exactly, so a caller needing several sizes
+    builds the largest once and slices it.  With require_self_map=False only
     expandability (pole outside the closed disk) is enforced, which
     adjoint_via_cowen needs for the adjoint symbol.
     """
@@ -43,14 +45,16 @@ def composition_matrix(m: LinearFractionalMap, N: int, *,
 
 
 def analytic_toeplitz_matrix(symbol: np.ndarray, N: int) -> np.ndarray:
-    """Lower-triangular Toeplitz matrix of multiplication by the symbol."""
+    """Lower-triangular Toeplitz matrix of multiplication by the symbol.
+
+    Entry (i, j) is symbol[i - j] for i >= j.  Row i is the reversed length-N
+    window at offset i of the symbol preceded by N - 1 zeros, read off a
+    strided view.
+    """
     symbol = np.asarray(symbol, dtype=complex)[:N]
-    if len(symbol) < N:
-        symbol = np.pad(symbol, (0, N - len(symbol)))
-    M = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        M[j:, j] = symbol[: N - j]
-    return M
+    padded = np.zeros(2 * N - 1, dtype=complex)
+    padded[N - 1:N - 1 + len(symbol)] = symbol
+    return sliding_window_view(padded, N)[:, ::-1].copy()
 
 
 def weighted_composition_matrix(psi: np.ndarray, m: LinearFractionalMap,
@@ -126,9 +130,12 @@ def cnormal_residual_matrix(T: np.ndarray, C: AntilinearOperator,
     """Frobenius norm of (C T* T C - T T*) on the leading keep x keep block.
 
     With C x = M conj(x), the composition C T* T C linearizes to
-    M conj(T* T) conj(M).  Default keep is N/2; truncation corrupts trailing
-    rows of the products, and for inner-type symbols or JW conjugations the
-    corruption reaches further in (see stable_keep).
+    M conj(T* T) conj(M) = (M T^T)(conj(T) conj(M)).  Only the kept block is
+    formed: its rows need M[:keep] and its columns M[:, :keep], so the cost
+    is O(keep N^2) rather than four N x N products.  Default keep is N/2;
+    truncation corrupts trailing rows of the products, and for inner-type
+    symbols or JW conjugations the corruption reaches further in (see
+    stable_keep).
     """
     T = np.asarray(T, dtype=complex)
     N = len(T)
@@ -138,9 +145,9 @@ def cnormal_residual_matrix(T: np.ndarray, C: AntilinearOperator,
     if not 1 <= keep <= N // 2:
         raise ValueError(f"keep must be in [1, N/2] = [1, {N // 2}]")
     M = C.matrix
-    lhs = M @ np.conj(T.conj().T @ T) @ np.conj(M)
-    rhs = T @ T.conj().T
-    return float(np.linalg.norm((lhs - rhs)[:keep, :keep]))
+    lhs = (M[:keep] @ T.T) @ np.conj(T @ M[:, :keep])
+    rhs = T[:keep] @ T[:keep].conj().T
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def stable_keep(N: int, m: LinearFractionalMap | None = None,

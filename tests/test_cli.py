@@ -113,6 +113,13 @@ class TestVerify:
             "verify", "--map", "2,0,0,1", "--conj", "jmu:1"])
         assert code == 2
 
+    @pytest.mark.parametrize("trunc", ["0,32", "6"])
+    def test_small_truncation_exits_2(self, capsys, trunc):
+        code, _, err = run_main(capsys, [
+            "verify", "--map", "0.7,0,0,1", "--conj", "jmu:1", "--trunc", trunc])
+        assert code == 2
+        assert "error:" in err and "at least 8" in err
+
     def test_ill_conditioned_grid_exits_3(self, capsys, monkeypatch):
         from cnops.errors import IllConditionedGridError
         import cnops.cli as cli_mod

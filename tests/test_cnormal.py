@@ -553,6 +553,15 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(CaseId.COMP_JMU, LinearFractionalMap(2, 0, 0, 1), JMu(1.0))
 
+    @pytest.mark.parametrize("truncations", [(0, 32), (6,), (4, 8), (32, 7), ()])
+    def test_rejects_truncations_below_eight(self, truncations):
+        with pytest.raises(ValueError, match="at least 8"):
+            verify(CaseId.COMP_JMU, GENERIC, JMu(1.0), truncations=truncations)
+
+    def test_smallest_truncation_runs(self):
+        r = verify(CaseId.COMP_JW, GENERIC, JWp(0.4), truncations=(8,))
+        assert [n for n, _ in r.matrix_residuals] == [8]
+
     def test_rejects_zero_beta(self):
         with pytest.raises(ValueError):
             verify(CaseId.WEIGHTED_JMU, GENERIC, JMu(1.0), beta=0.0)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_self_map
+from cnops.conjugations import JWp
 from cnops.errors import NotExpandableError, SingularKernelError
 from cnops.hardy import (
     KernelCombo,
@@ -11,6 +13,7 @@ from cnops.hardy import (
     kernel_series,
     lft_power_series,
     norm,
+    power_matrix,
     series_eval,
     series_multiply,
 )
@@ -117,6 +120,35 @@ class TestSeriesMultiply:
         lhs = series_multiply(series_multiply(f1, f2, 16), f3, 16)
         rhs = series_multiply(f1, series_multiply(f2, f3, 16), 16)
         assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(lhs).max())
+
+
+def cauchy_columns(first, f, N):
+    """Reference for power_matrix: column j is the lower-triangular Toeplitz
+    matrix of f (built by index arithmetic) times column j - 1."""
+    f = np.asarray(f, dtype=complex)[:N]
+    i, j = np.indices((N, N))
+    L = np.where(i >= j, f[np.clip(i - j, 0, N - 1)], 0)
+    out = np.zeros((N, N), dtype=complex)
+    out[:, 0] = first
+    for k in range(1, N):
+        out[:, k] = L @ out[:, k - 1]
+    return out
+
+
+class TestPowerMatrix:
+    @pytest.mark.parametrize("N", [32, 64, 128, 256])
+    def test_matches_cauchy_reference(self, N):
+        # entries are coefficients of functions of H^2 norm <= 1, so rounding
+        # of the N-term sums bounds the difference
+        g = np.random.default_rng(N)
+        tol = 8 * N * np.finfo(float).eps
+        for _ in range(3):
+            m = random_self_map(g)
+            first, f = np.eye(N, 1).ravel(), lft_power_series(m, N)
+            assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
+            C = JWp(g.uniform(0.1, 0.9) * np.exp(2j * np.pi * g.uniform()))
+            first, f = C.xi_series(N), lft_power_series(C.tau(), N)
+            assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
 
 
 class TestInnerProduct:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_self_map
-from cnops.conjugations import JMu, JWp
+from cnops import cnormal
+from cnops.cnormal import CaseId, verify
+from cnops.conjugations import JMu, JWp, jw_weighted_matrix
 from cnops.errors import NotSelfMapError
 from cnops.hardy import kernel_series, lft_power_series
 from cnops.moebius import LinearFractionalMap
@@ -61,6 +63,17 @@ class TestToeplitz:
         M = analytic_toeplitz_matrix(kernel_series(0.5, 6), 6)
         for k in range(6):
             assert np.allclose(np.diag(M, -k), 0.5 ** k)
+
+    @pytest.mark.parametrize("length,N", [(16, 16), (5, 16), (40, 16), (1, 1), (3, 1)])
+    def test_matches_column_loop(self, rng, length, N):
+        symbol = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        loop = np.zeros((N, N), dtype=complex)
+        padded = np.pad(symbol[:N], (0, max(0, N - length)))
+        for j in range(N):
+            loop[j:, j] = padded[: N - j]
+        M = analytic_toeplitz_matrix(symbol, N)
+        assert np.array_equal(M, loop)
+        assert M.flags.c_contiguous and M.flags.writeable
 
 
 class TestWeightedComposition:
@@ -173,11 +186,64 @@ class TestCnormalResidualMatrix:
         keep = stable_keep(N, m=GENERIC, C=JWp(0.4))
         assert cnormal_residual_matrix(T, C, keep) > 1e-3
 
+    @pytest.mark.parametrize("case,conj", [
+        (CaseId.COMP_JMU, JMu(np.exp(0.9j))),
+        (CaseId.WEIGHTED_JMU, JMu(-1.0)),
+        (CaseId.COMP_JW, JWp(0.4)),
+        (CaseId.WEIGHTED_JW, JWp(0.3 - 0.5j)),
+    ])
+    @pytest.mark.parametrize("m", [GENERIC, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1)])
+    def test_block_matches_full_products(self, case, conj, m):
+        # the kept block formed alone equals the block of the four full products
+        N = 64
+        if case.weighted:
+            T = weighted_composition_matrix(canonical_weight_series(m, 0.7 + 0.2j, N), m, N)
+        else:
+            T = composition_matrix(m, N)
+        C = conjugation_operator(conj, N)
+        M = C.matrix
+        full = M @ np.conj(T.conj().T @ T) @ np.conj(M) - T @ T.conj().T
+        for keep in (1, 5, 16, 32):
+            want = np.linalg.norm(full[:keep, :keep])
+            got = cnormal_residual_matrix(T, C, keep)
+            assert abs(got - want) <= 8 * N * np.finfo(float).eps * max(1.0, want)
+
     def test_dimension_mismatch(self):
         T = np.eye(8, dtype=complex)
         C = conjugation_operator(JMu(1.0), 16)
         with pytest.raises(ValueError):
             cnormal_residual_matrix(T, C)
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("p", [0.4, 0.3 + 0.2j, -0.85j])
+    def test_jw_matrix_is_prefix_exact(self, p):
+        # verify slices the largest build for the smaller truncations
+        big = jw_weighted_matrix(JWp(p), 128)
+        for n in (32, 64):
+            assert np.array_equal(big[:n, :n], jw_weighted_matrix(JWp(p), n))
+
+    @pytest.mark.parametrize("case,conj", [
+        (CaseId.COMP_JMU, JMu(1j)),
+        (CaseId.COMP_JW, JWp(0.4)),
+        (CaseId.WEIGHTED_JMU, JMu(-1.0)),
+        (CaseId.WEIGHTED_JW, JWp(0.4)),
+    ])
+    def test_verify_builds_each_operator_once(self, monkeypatch, case, conj):
+        calls = {}
+        for name in ("composition_matrix", "weighted_composition_matrix",
+                     "conjugation_operator"):
+            original = getattr(cnormal.operators, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cnormal.operators, name, counted)
+        r = verify(case, GENERIC, conj, truncations=(32, 64, 128))
+        assert [n for n, _ in r.matrix_residuals] == [32, 64, 128]
+        assert calls == {"composition_matrix": 1, "conjugation_operator": 1,
+                         **({"weighted_composition_matrix": 1} if case.weighted else {})}
 
 
 class TestStableKeep:
