@@ -1,15 +1,20 @@
 """Command-line surface: classify, verify, sweep.
 
 classify  --map a,b,c,d --conj jmu:<c>|jw:<c> [--weighted] [--beta c]
-          prints the predicate verdict as JSON; exit 0, or 2 on bad input.
-verify    same selectors plus --grid/--trunc; runs the dual-oracle check.
-          exit 0 when predicate and oracles agree, 1 when they contradict
-          (a hard failure), 2 on bad input, 3 on an ill-conditioned grid.
-sweep     --samples/--seed/--out/--format; seeded sampling of maps and
+          prints the predicate verdict as JSON; exit 0.
+verify    same selectors plus --grid/--trunc/--out/--format; runs the
+          dual-oracle check.  exit 0 when predicate and oracles agree, 1 when
+          they contradict (a hard failure), 3 on an ill-conditioned grid.
+sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
+          --grid/--trunc/--out/--format; seeded sampling of maps and
           conjugation parameters for the selected case, one row per sample,
           margin-aware: constructed instances satisfy the case equalities
           exactly, rejected ones violate them by at least 1e-3 relative.
-          exit 0 iff the predicate/oracle agreement rate is 100%.
+          exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
+
+Every command exits 2 on bad input, which includes a map that is not a
+self-map of the disk, beta = 0 for the weighted operator
+(cnormal.check_instance) and an --out path that cannot be written.
 
 Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
 index order and written in that order, so identical configs produce
@@ -20,34 +25,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cnormal
-from .cnormal import CaseId, VerificationReport, predicate_margin, verify
+from .cnormal import CaseId, predicate_margin, verify
 from .conjugations import Conjugation, JMu, JWp, parse_conjugation
 from .errors import CnopsError, IllConditionedGridError
 from .moebius import LinearFractionalMap, parse_complex, parse_map
+from .operators import STANDARD_TRUNCATIONS
 
 CSV_HEADER = "sample,case,verdict,kernel_residual,matrix_residual_max_n,consistent"
 FALSE_MARGIN = 1e-3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    map_text: str = ""
-    conj_text: str = ""
-    weighted: bool = False
-    beta_text: str = "1"
-    grid_n: int = 12
-    truncations: tuple = (32, 64, 128)
-    samples: int = 1000
-    seed: int = 42
-    out: str = ""
-    format: str = "csv"
 
 
 # --------------------------------------------------------------------------
@@ -62,11 +53,11 @@ def _disk_point(rng, rmin=0.0, rmax=0.9) -> complex:
     return complex(rng.uniform(rmin, rmax) * np.exp(2j * np.pi * rng.uniform()))
 
 
-def _automorphism(rng, qmax=0.8):
-    """gamma (q - z)/(1 - conj(q) z) as a coefficient quadruple."""
+def _automorphism(rng) -> LinearFractionalMap:
+    """gamma (q - z)/(1 - conj(q) z), 0.05 <= |q| < 0.6, as a coefficient quadruple."""
     gamma = _unimodular(rng)
-    q = _disk_point(rng, 0.05, qmax)
-    return LinearFractionalMap(-gamma, gamma * q, -np.conj(q), 1.0), gamma, q
+    q = _disk_point(rng, 0.05, 0.6)
+    return LinearFractionalMap(-gamma, gamma * q, -np.conj(q), 1.0)
 
 
 def _general_self_map(rng) -> LinearFractionalMap:
@@ -105,7 +96,7 @@ def _hermitian_map(rng, need_solvable_p=False):
         return fam.map, a0, a1, None
 
 
-def _real_symmetric_map(rng, rotate=True) -> LinearFractionalMap:
+def _real_symmetric_map(rng) -> LinearFractionalMap:
     """(a z + b zeta)/(b conj(zeta) z + a): |b| = |c|, boundary fixed point at zeta.
 
     Hyperbolic automorphisms; b stays <= 0.5 so matrix truncations at the
@@ -113,7 +104,7 @@ def _real_symmetric_map(rng, rotate=True) -> LinearFractionalMap:
     """
     a = 1.0
     b = rng.uniform(0.1, 0.5)
-    zeta = _unimodular(rng) if rotate else 1.0
+    zeta = _unimodular(rng)
     return LinearFractionalMap(a, b * zeta, b * np.conj(zeta), a)
 
 
@@ -151,8 +142,7 @@ def _sample_weighted_jmu(rng, index: int):
         return (LinearFractionalMap(_disk_point(rng, 0.0, 1.0), 0.0, 0.0, 1.0),
                 JMu(_unimodular(rng)), beta)
     if kind == 2:
-        m, _, q = _automorphism(rng, qmax=0.6)
-        return m, JMu(_unimodular(rng)), beta
+        return _automorphism(rng), JMu(_unimodular(rng)), beta
     if kind == 4:
         m, a0, a1, _ = _hermitian_map(rng)
         mu = a0 / np.conj(a0) if abs(a0) > 0 else 1.0
@@ -201,8 +191,8 @@ def sample_case(case: CaseId, rng: np.random.Generator, index: int):
 # sweep driver
 # --------------------------------------------------------------------------
 
-def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = 12,
-              truncations=(32, 64, 128), fixed_conj: Conjugation | None = None):
+def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = cnormal.GRID_N,
+              truncations=STANDARD_TRUNCATIONS, fixed_conj: Conjugation | None = None):
     """Evaluate `samples` seeded draws; returns (reports, extras, agreement_rate).
 
     extras[i] carries the beta-independence delta for weighted cases (the
@@ -258,13 +248,16 @@ def sweep_json(reports, extras, agreement: float) -> str:
 
 def _check_writable(path: str):
     """Reject unwritable output paths before any computation or file creation."""
-    import os
-
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise ValueError(f"output path {path!r} is a directory")
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise ValueError(f"output path {path!r} is not writable")
+
+
+def _error(exc: Exception, code: int = 2) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def _family(conj: Conjugation) -> str:
@@ -275,11 +268,11 @@ def _resolve_case(family: str, weighted: bool) -> CaseId:
     return CaseId(f"{'weighted' if weighted else 'comp'}_{family}")
 
 
-def _parse_common(cfg: RunConfig):
-    m = parse_map(cfg.map_text)
-    conj = parse_conjugation(cfg.conj_text)
-    beta = parse_complex(cfg.beta_text)
-    case = _resolve_case(_family(conj), cfg.weighted)
+def _parse_common(args):
+    m = parse_map(args.map_text)
+    conj = parse_conjugation(args.conj_text)
+    beta = parse_complex(args.beta_text)
+    case = _resolve_case(_family(conj), args.weighted)
     return m, conj, beta, case
 
 
@@ -292,65 +285,60 @@ def _emit(text: str, out: str):
         print(text)
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args) -> int:
     try:
-        m, conj, beta, case = _parse_common(cfg)
-        if cfg.weighted and beta == 0:
-            raise ValueError("beta must be non-zero")
+        m, conj, beta, case = _parse_common(args)
+        cnormal.check_instance(case, m, conj, beta)
         verdict = cnormal.case_predicate(case, m, conj)
     except (ValueError, CnopsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     payload = {"case": case.value, "verdict": bool(verdict),
-               "map": cfg.map_text, "conjugation": cfg.conj_text}
-    if cfg.weighted:
-        payload["beta"] = cfg.beta_text
+               "map": args.map_text, "conjugation": args.conj_text}
+    if args.weighted:
+        payload["beta"] = args.beta_text
     print(json.dumps(payload, sort_keys=True))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     try:
-        m, conj, beta, case = _parse_common(cfg)
-        report = verify(case, m, conj, beta=beta, grid_n=cfg.grid_n,
-                        truncations=cfg.truncations)
+        m, conj, beta, case = _parse_common(args)
+        report = verify(case, m, conj, beta=beta, grid_n=args.grid_n,
+                        truncations=args.truncations)
     except IllConditionedGridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except (ValueError, CnopsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report.to_json() if cfg.format == "json" else
-          CSV_HEADER + "\n" + report.csv_row(0) + "\n", cfg.out)
+        return _error(exc)
+    _emit(report.to_json() if args.format == "json" else
+          CSV_HEADER + "\n" + report.csv_row(0) + "\n", args.out)
     return 0 if report.consistent else 1
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args) -> int:
     try:
-        if cfg.samples < 1:
-            raise ValueError("samples must be >= 1")
-        family = cfg.conj_text.strip().lower()
+        family = args.conj_text.strip().lower()
         fixed_conj = None
         if family not in ("jmu", "jw"):
-            fixed_conj = parse_conjugation(cfg.conj_text)
+            fixed_conj = parse_conjugation(args.conj_text)
             family = _family(fixed_conj)
-        case = _resolve_case(family, cfg.weighted)
-        if cfg.out:
-            _check_writable(cfg.out)
         reports, extras, agreement = run_sweep(
-            case, cfg.samples, cfg.seed, grid_n=cfg.grid_n,
-            truncations=cfg.truncations, fixed_conj=fixed_conj)
-    except (ValueError, CnopsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(sweep_json(reports, extras, agreement) if cfg.format == "json"
-          else sweep_csv(reports, agreement), cfg.out)
+            _resolve_case(family, args.weighted), args.samples, args.seed,
+            grid_n=args.grid_n, truncations=args.truncations, fixed_conj=fixed_conj)
+    except (ValueError, CnopsError) as exc:
+        return _error(exc)
+    _emit(sweep_json(reports, extras, agreement) if args.format == "json"
+          else sweep_csv(reports, agreement), args.out)
     return 0 if agreement == 1.0 else 1
 
 
 # --------------------------------------------------------------------------
 # argument parsing
 # --------------------------------------------------------------------------
+
+def _truncations(text: str) -> tuple:
+    """The --trunc value: comma-separated truncation sizes."""
+    return tuple(int(x) for x in text.split(","))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -371,17 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", default="1", dest="beta_text",
                        help="non-zero weight constant (complex literal)")
 
+    def add_oracle_output(p, fmt: str):
+        p.add_argument("--grid", type=int, default=cnormal.GRID_N, dest="grid_n",
+                       help="points per ring of the (w, z) evaluation grid")
+        p.add_argument("--trunc", type=_truncations, default=STANDARD_TRUNCATIONS,
+                       dest="truncations", help="comma-separated matrix truncation sizes")
+        p.add_argument("--out", default="", help="write here instead of stdout")
+        p.add_argument("--format", choices=("json", "csv"), default=fmt)
+
     p_classify = sub.add_parser("classify", help="predicate verdict only")
     add_common(p_classify, need_map=True)
+    p_classify.set_defaults(run=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="predicate + kernel + matrix oracles")
     add_common(p_verify, need_map=True)
-    p_verify.add_argument("--grid", type=int, default=12, dest="grid_n",
-                          help="points per ring of the (w, z) evaluation grid")
-    p_verify.add_argument("--trunc", default="32,64,128",
-                          help="comma-separated matrix truncation sizes")
-    p_verify.add_argument("--out", default="", help="write the report here")
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
+    add_oracle_output(p_verify, "json")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_sweep = sub.add_parser(
         "sweep", help="seeded randomized agreement sweep",
@@ -395,41 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "code 0 iff every row's verdict agrees with the kernel "
                     "oracle dichotomy.")
     add_common(p_sweep, need_map=False)
-    p_sweep.add_argument("--grid", type=int, default=12, dest="grid_n")
-    p_sweep.add_argument("--trunc", default="32,64,128")
+    add_oracle_output(p_sweep, "csv")
     p_sweep.add_argument("--samples", type=int, default=1000)
     p_sweep.add_argument("--seed", type=int, default=42)
-    p_sweep.add_argument("--out", default="", help="write rows here instead of stdout")
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
+    p_sweep.set_defaults(run=cmd_sweep)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("map_text", "conj_text", "weighted", "beta_text", "grid_n",
-                 "samples", "seed", "out", "format"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "trunc"):
-        cfg.truncations = tuple(int(x) for x in str(args.trunc).split(","))
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    try:
+        if getattr(args, "out", ""):
+            _check_writable(args.out)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.command == "classify":
-        return cmd_classify(cfg)
-    if cfg.command == "verify":
-        return cmd_verify(cfg)
-    return cmd_sweep(cfg)
+        return _error(exc)
+    return args.run(args)
 
 
 if __name__ == "__main__":

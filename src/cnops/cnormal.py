@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import hardy, operators
+from . import operators
 from .conjugations import Conjugation, JMu, JWp
 from .errors import HypothesisViolationError, IllConditionedGridError, PoleError
 from .moebius import (
@@ -32,10 +32,10 @@ from .moebius import (
     lft_compose,
     lft_eval,
     lft_is_self_map,
-    sigma_at_zero,
 )
 
 GRID_RADII = (0.3, 0.6, 0.9)
+GRID_N = 12                   # default points per ring of the kernel grid
 SINGULAR_RTOL = 1e-6          # exclusion radius around singular sets, times scale
 SIDE_FLOOR_RTOL = 1e-12       # weighted side denominators below this times scale^2 are singular
 EXACT_TOL = 1e-12             # relative margin under which a composition case holds
@@ -266,7 +266,7 @@ def _reduce_residual(diffs: np.ndarray, n_total: int) -> float:
 
 
 def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
-                    beta: complex = 1.0, grid_n: int = 12) -> float:
+                    beta: complex = 1.0, grid_n: int = GRID_N) -> float:
     """max over the (w, z) grid of |lhs - rhs| for the case's identity.
 
     Grid pairs falling in the case's singular set (sigma(w) = 0 for the
@@ -364,13 +364,13 @@ def predicate_weighted_jw(m: LinearFractionalMap, p: complex) -> bool:
     return case_predicate(CaseId.WEIGHTED_JW, m, JWp(p))
 
 
-def is_disk_automorphism(m: LinearFractionalMap, tol: float = WEIGHTED_TOL) -> bool:
-    """True iff sigma o phi is proportional to the identity and both phi and
-    its inverse pass the self-map test."""
+def is_disk_automorphism(m: LinearFractionalMap) -> bool:
+    """True iff sigma o phi is proportional to the identity (within
+    WEIGHTED_TOL) and both phi and its inverse pass the self-map test."""
     comp = lft_compose(cowen_triple(m).sigma, m)
     s2 = m.scale ** 2
     off = max(abs(comp.b), abs(comp.c), abs(comp.a - comp.d))
-    if off > tol * s2:
+    if off > WEIGHTED_TOL * s2:
         return False
     return lft_is_self_map(m) and lft_is_self_map(m.inverse())
 
@@ -548,8 +548,19 @@ def _conj_params(conj: Conjugation) -> dict:
     return {"family": "jw", "p": [conj.p.real, conj.p.imag]}
 
 
+def check_instance(case: CaseId, m: LinearFractionalMap, conj: Conjugation, beta: complex):
+    """ValueError unless phi is a self-map of the disk, conj is of the case's
+    family and, for a weighted case, beta != 0."""
+    if not lft_is_self_map(m):
+        raise ValueError(f"{m} is not a validated self-map")
+    if not isinstance(conj, case.conj_type):
+        raise ValueError(f"case {case.value} needs a {case.conj_type.__name__} conjugation")
+    if case.weighted and beta == 0:
+        raise ValueError("beta must be non-zero")
+
+
 def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
-           beta: complex = 1.0, grid_n: int = 12,
+           beta: complex = 1.0, grid_n: int = GRID_N,
            truncations=operators.STANDARD_TRUNCATIONS) -> VerificationReport:
     """Run predicate + kernel oracle + matrix oracle and gather the report.
 
@@ -565,19 +576,15 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     truncation at each smaller N is their leading N x N block: every builder
     is prefix-stable, and the weighted T_psi C_phi has a lower-triangular
     left factor, so its slice is the smaller truncation up to rounding.
-    Every truncation must be at least MIN_TRUNCATION (ValueError otherwise).
+    Every truncation must be at least MIN_TRUNCATION, and the input must
+    pass check_instance (ValueError otherwise).
     """
     t0 = time.perf_counter()
     truncations = sorted(int(n) for n in truncations)
     if not truncations or truncations[0] < MIN_TRUNCATION:
         raise ValueError(f"truncations must be non-empty and each at least "
                          f"{MIN_TRUNCATION}, got {truncations}")
-    if not lft_is_self_map(m):
-        raise ValueError(f"{m} is not a validated self-map")
-    if not isinstance(conj, case.conj_type):
-        raise ValueError(f"case {case.value} needs a {case.conj_type.__name__} conjugation")
-    if case.weighted and beta == 0:
-        raise ValueError("beta must be non-zero")
+    check_instance(case, m, conj, beta)
 
     verdict = case_predicate(case, m, conj)
     k_res = kernel_residual(case, m, conj, beta=beta, grid_n=grid_n)
@@ -589,12 +596,12 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         T = operators.weighted_composition_matrix(psi, m, n_max)
     else:
         T = operators.composition_matrix(m, n_max)
-    M = operators.conjugation_operator(conj, n_max).matrix
+    M = operators.conjugation_operator(conj, n_max)
     matrix_residuals, floors = [], []
     for N in truncations:
         keep = operators.stable_keep(N, m=m, C=conj)
-        C_op = operators.AntilinearOperator(M[:N, :N])
-        matrix_residuals.append((N, operators.cnormal_residual_matrix(T[:N, :N], C_op, keep)))
+        residual = operators.cnormal_residual_matrix(T[:N, :N], M[:N, :N], keep)
+        matrix_residuals.append((N, residual))
         floors.append(unit * max(MATRIX_FLOOR, MATRIX_FLOOR_RTOL * np.sqrt(N) * keep))
 
     if verdict:

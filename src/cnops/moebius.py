@@ -199,13 +199,13 @@ def lft_compose(m1: LinearFractionalMap, m2: LinearFractionalMap) -> LinearFract
     return LinearFractionalMap(a, b, c, d)   # constructor rejects degenerate products
 
 
-def proportional(m1: LinearFractionalMap, m2: LinearFractionalMap, tol: float = 1e-12) -> bool:
-    """Projective equality of coefficient quadruples."""
+def proportional(m1: LinearFractionalMap, m2: LinearFractionalMap) -> bool:
+    """Projective equality of coefficient quadruples, to a relative 1e-12."""
     v1 = np.array(m1.coefficients())
     v2 = np.array(m2.coefficients())
     k = int(np.argmax(np.abs(v2)))
     t = v1[k] / v2[k]
-    return bool(np.abs(v1 - t * v2).max() <= tol * max(np.abs(v1).max(), abs(t) * np.abs(v2).max()))
+    return bool(np.abs(v1 - t * v2).max() <= 1e-12 * max(np.abs(v1).max(), abs(t) * np.abs(v2).max()))
 
 
 def boundary_derivative_sup(m: LinearFractionalMap) -> float:

@@ -1,12 +1,14 @@
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from cnops import cli
+from cnops import cli, cnormal
 from cnops.cli import CSV_HEADER, main, run_sweep, sample_case
 from cnops.cnormal import CaseId
+from cnops.operators import STANDARD_TRUNCATIONS
 
 
 def run_main(capsys, argv):
@@ -43,6 +45,7 @@ class TestClassify:
         ["classify", "--map", "1,0,0,2", "--conj", "what:1"],
         ["classify", "--map", "1,2,2,4", "--conj", "jmu:1"],
         ["classify", "--map", "1,0,0,2", "--conj", "jmu:1", "--weighted", "--beta", "0"],
+        ["classify", "--map", "2,0,0,1", "--conj", "jmu:1"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code, _, err = run_main(capsys, argv)
@@ -51,6 +54,13 @@ class TestClassify:
 
     def test_missing_flag_exits_2(self, capsys):
         assert main(["classify", "--map", "1,0,0,2"]) == 2
+
+    def test_non_self_map_exits_2(self, capsys):
+        # phi(z) = 2z: C_phi is not even bounded on H^2, so there is no verdict
+        code, out, err = run_main(capsys, [
+            "classify", "--map", "2,0,0,1", "--conj", "jmu:1"])
+        assert code == 2 and out == ""
+        assert "error:" in err and "self-map" in err
 
 
 class TestVerify:
@@ -113,6 +123,21 @@ class TestVerify:
             "verify", "--map", "2,0,0,1", "--conj", "jmu:1"])
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["directory", "missing_dir"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        code, stdout, err = run_main(capsys, [
+            "verify", "--map", "0.7,0,0,1", "--conj", "jmu:1", "--trunc", "32",
+            "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert "error:" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_trunc_exits_2(self, capsys):
+        code, _, err = run_main(capsys, [
+            "verify", "--map", "0.7,0,0,1", "--conj", "jmu:1", "--trunc", "32,x"])
+        assert code == 2 and "--trunc" in err
+
     @pytest.mark.parametrize("trunc", ["0,32", "6"])
     def test_small_truncation_exits_2(self, capsys, trunc):
         code, _, err = run_main(capsys, [
@@ -131,6 +156,28 @@ class TestVerify:
         code, _, err = run_main(capsys, [
             "verify", "--map", "0.7,0,0,1", "--conj", "jmu:1"])
         assert code == 3 and "synthetic" in err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--map", "0.7,0,0,1", "--conj", "jmu:1"],
+        ["sweep", "--conj", "jmu"],
+    ])
+    def test_oracle_defaults_are_the_library_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.grid_n == cnormal.GRID_N
+        assert args.truncations == STANDARD_TRUNCATIONS
+        for fn in (cnormal.verify, run_sweep):
+            params = inspect.signature(fn).parameters
+            assert params["grid_n"].default == cnormal.GRID_N
+            assert params["truncations"].default == STANDARD_TRUNCATIONS
+        assert inspect.signature(cnormal.kernel_residual).parameters[
+            "grid_n"].default == cnormal.GRID_N
+
+    def test_trunc_parses_to_sizes(self):
+        args = cli.build_parser().parse_args([
+            "sweep", "--conj", "jw", "--trunc", "64,32"])
+        assert args.truncations == (64, 32)
 
 
 class TestSweepSampling:

@@ -7,6 +7,7 @@ from cnops.cnormal import (
     CaseId,
     VerificationReport,
     _reduce_residual,
+    check_instance,
     eval_sides_comp_jmu,
     eval_sides_comp_jw,
     eval_sides_weighted_jmu,
@@ -49,10 +50,10 @@ def unitary_family(q, gamma1=1.0):
 def matrix_route_sides(m, conj, w, z, N=256):
     """(T T* C K_w)(z) and (C T* T K_w)(z) through truncated matrices."""
     T = composition_matrix(m, N)
-    A = conjugation_operator(conj, N)
+    M = conjugation_operator(conj, N)
     kw = kernel_series(w, N)
-    lhs = series_eval(T @ (T.conj().T @ A.apply(kw)), z)
-    rhs = series_eval(A.apply(T.conj().T @ (T @ kw)), z)
+    lhs = series_eval(T @ (T.conj().T @ (M @ np.conj(kw))), z)
+    rhs = series_eval(M @ np.conj(T.conj().T @ (T @ kw)), z)
     return lhs, rhs
 
 
@@ -565,6 +566,20 @@ class TestVerify:
     def test_rejects_zero_beta(self):
         with pytest.raises(ValueError):
             verify(CaseId.WEIGHTED_JMU, GENERIC, JMu(1.0), beta=0.0)
+
+    @pytest.mark.parametrize("case,m,conj,beta,match", [
+        (CaseId.COMP_JMU, LinearFractionalMap(2, 0, 0, 1), JMu(1.0), 1.0, "self-map"),
+        (CaseId.WEIGHTED_JW, LinearFractionalMap(1, 0, 1, 1), JWp(0.4), 1.0, "self-map"),
+        (CaseId.COMP_JMU, GENERIC, JWp(0.4), 1.0, "JMu conjugation"),
+        (CaseId.WEIGHTED_JW, GENERIC, JMu(1.0), 1.0, "JWp conjugation"),
+        (CaseId.WEIGHTED_JMU, GENERIC, JMu(1.0), 0.0, "beta"),
+    ])
+    def test_check_instance_rejects(self, case, m, conj, beta, match):
+        with pytest.raises(ValueError, match=match):
+            check_instance(case, m, conj, beta)
+
+    def test_check_instance_ignores_beta_of_composition_cases(self):
+        assert check_instance(CaseId.COMP_JW, GENERIC, JWp(0.4), 0.0) is None
 
     def test_rounding_rise_at_large_n_is_consistent(self):
         # a true comp_jw instance (rotation, |p| ~ 0.19) whose matrix residual

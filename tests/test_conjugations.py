@@ -52,16 +52,18 @@ class TestBuildConjugation:
         assert isinstance(C, JMu) and C.mu == -1.0
 
     def test_family_ii_matches_jw_action(self):
-        # the literal u(z) conj(f(conj(v(z)))) action agrees with the JW form
-        C = build_conjugation(AuvParams("ii", p=0.4))
-        assert isinstance(C, JWp) and C.p == 0.4
-        p = 0.4
+        # the literal u(z) conj(f(conj(v(z)))) action, u(z) / (1 - w v(z)) on
+        # K_w, agrees with the JW form of the same p and phase beta
         zs = 0.6 * np.exp(2j * np.pi * np.arange(7) / 7)
-        for w in (0.0, 0.3, -0.2 + 0.4j):
-            u = np.sqrt(1 - abs(p) ** 2) / (1 - p * zs)
-            v = (p / np.conj(p)) * (np.conj(p) - zs) / (1 - p * zs)
-            direct = u / (1 - w * v)
-            assert np.abs(direct - conj_apply_kernel(C, w)(zs)).max() <= 1e-12
+        for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85):
+            for beta in (1.0, np.exp(1.1j)):
+                C = build_conjugation(AuvParams("ii", beta=beta, p=p))
+                assert isinstance(C, JWp) and C.p == p and C.beta == beta
+                u = beta * np.sqrt(1 - abs(p) ** 2) / (1 - p * zs)
+                v = (p / np.conj(p)) * (np.conj(p) - zs) / (1 - p * zs)
+                for w in (0.0, 0.3, -0.2 + 0.4j):
+                    direct = u / (1 - w * v)
+                    assert np.abs(direct - conj_apply_kernel(C, w)(zs)).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", [
         AuvParams("i", mu=0.5),
