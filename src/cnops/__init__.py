@@ -32,11 +32,10 @@ from .cnormal import (
     verify,
     weighted_jw_quadruples,
 )
-from .conjugations import AuvParams, JMu, JWp, build_conjugation, conj_apply_kernel
+from .conjugations import JMu, JWp, conj_apply_kernel
 from .moebius import CowenTriple, LinearFractionalMap, cowen_triple
 
 __all__ = [
-    "AuvParams",
     "CaseId",
     "CowenTriple",
     "JMu",
@@ -44,7 +43,6 @@ __all__ = [
     "LinearFractionalMap",
     "QuadrupleSet",
     "VerificationReport",
-    "build_conjugation",
     "conj_apply_kernel",
     "cowen_triple",
     "eval_sides_comp_jmu",

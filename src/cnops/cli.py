@@ -6,8 +6,9 @@ verify    same selectors plus --grid/--trunc/--out/--format; runs the
           dual-oracle check.  exit 0 when predicate and oracles agree, 1 when
           they contradict (a hard failure), 3 on an ill-conditioned grid.
 sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
-          --grid/--trunc/--out/--format; seeded sampling of maps and
-          conjugation parameters for the selected case, one row per sample,
+          --grid/--trunc/--out/--format; seeded sampling of maps,
+          conjugation parameters and (weighted) a unimodular beta for the
+          selected case, so it takes no --map or --beta; one row per sample,
           margin-aware: constructed instances satisfy the case equalities
           exactly, rejected ones violate them by at least 1e-3 relative.
           exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
@@ -347,17 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "operators on the Hardy space of the disk.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_map: bool):
-        if need_map:
+    def add_common(p, one_instance: bool):
+        if one_instance:   # sweep samples the map and draws its own beta
             p.add_argument("--map", required=True, dest="map_text",
                            help="coefficients a,b,c,d; entries 're' or 're+imi'")
+            p.add_argument("--beta", default="1", dest="beta_text",
+                           help="non-zero weight constant (complex literal)")
         p.add_argument("--conj", required=True, dest="conj_text",
                        help="conjugation 'jmu:<c>' or 'jw:<c>' "
                             "(sweep also accepts bare 'jmu'/'jw' to sample the parameter)")
         p.add_argument("--weighted", action="store_true",
                        help="use the weighted operator with weight beta*K_{sigma(0)}")
-        p.add_argument("--beta", default="1", dest="beta_text",
-                       help="non-zero weight constant (complex literal)")
 
     def add_oracle_output(p, fmt: str):
         p.add_argument("--grid", type=int, default=cnormal.GRID_N, dest="grid_n",
@@ -368,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default=fmt)
 
     p_classify = sub.add_parser("classify", help="predicate verdict only")
-    add_common(p_classify, need_map=True)
+    add_common(p_classify, one_instance=True)
     p_classify.set_defaults(run=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="predicate + kernel + matrix oracles")
-    add_common(p_verify, need_map=True)
+    add_common(p_verify, one_instance=True)
     add_oracle_output(p_verify, "json")
     p_verify.set_defaults(run=cmd_verify)
 
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "are violated by a relative margin of at least 1e-3. Exit "
                     "code 0 iff every row's verdict agrees with the kernel "
                     "oracle dichotomy.")
-    add_common(p_sweep, need_map=False)
+    add_common(p_sweep, one_instance=False)
     add_oracle_output(p_sweep, "csv")
     p_sweep.add_argument("--samples", type=int, default=1000)
     p_sweep.add_argument("--seed", type=int, default=42)

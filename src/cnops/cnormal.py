@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import operators
-from .conjugations import Conjugation, JMu, JWp
+from .conjugations import Conjugation, JMu, JWp, conj_apply_kernel
 from .errors import HypothesisViolationError, IllConditionedGridError, PoleError
 from .moebius import (
     LinearFractionalMap,
@@ -96,7 +96,7 @@ def _comp_expansion(m: LinearFractionalMap, w):
 def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
     """Both sides of C_phi C_phi* J_mu K_w(z) = J_mu C_phi* C_phi K_w(z).
 
-    lhs = K_{phi(mu conj(w))}(phi(z)).
+    lhs = K_{phi(mu conj(w))}(phi(z)), with J_mu K_w from conj_apply_kernel.
     rhs = cbar/(cbar - abar w) * 1/(1 - conj(mu) phi(0) z)
         + (dbar/(dbar - bbar w) - cbar/(cbar - abar w))
           * 1/(1 - conj(mu) phi(sigma(w)) z).
@@ -107,7 +107,8 @@ def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
     z = np.asarray(z, dtype=complex)
     mu = complex(mu)
     coef1, coef2, phi_sigma_w = _comp_expansion(m, w)
-    lhs = 1.0 / (1.0 - np.conj(lft_eval(m, mu * np.conj(w))) * lft_eval(m, z))
+    weight, point = conj_apply_kernel(JMu(mu), w)
+    lhs = weight / (1.0 - np.conj(lft_eval(m, point)) * lft_eval(m, z))
     second = 1.0 / (1.0 - np.conj(mu) * phi_sigma_w * z)
     if coef1 is None:
         rhs = coef2 * second
@@ -119,24 +120,21 @@ def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
 def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
     """Both sides of the JW-conjugation identity for C_phi.
 
-    lhs = conj(xi_p(conj w)) K_{phi(eta)}(phi(z)) with
-    eta = (conj(p) - conj(w) lam)/(1 - conj(w p)); rhs comes from the
-    C_phi* C_phi kernel expansion followed by the JW action, evaluated with
+    lhs = weight K_{phi(eta)}(phi(z)) with JW_p K_w = weight K_eta from
+    conj_apply_kernel; rhs comes from the C_phi* C_phi kernel expansion
+    followed by the JW action, evaluated with
     t(z) = conj(tau_p(conj z)) = (p - conj(lam) z)/(1 - p z).
     """
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    p = complex(p)
+    C = JWp(p)
     coef1, coef2, phi_sigma_w = _comp_expansion(m, w)
-    lam = np.conj(p) / p
-    root = np.sqrt(1.0 - abs(p) ** 2)
+    weight, eta = conj_apply_kernel(C, w)
+    lhs = weight / (1.0 - np.conj(lft_eval(m, eta)) * lft_eval(m, z))
 
-    eta = (np.conj(p) - np.conj(w) * lam) / (1.0 - np.conj(w * p))
-    lhs = (root / (1.0 - w * p)) / (1.0 - np.conj(lft_eval(m, eta)) * lft_eval(m, z))
-
-    t = (p - np.conj(lam) * z) / (1.0 - p * z)
+    t = (C.p - np.conj(C.lam) * z) / (1.0 - C.p * z)
     second = 1.0 / (1.0 - phi_sigma_w * t)
-    prefac = root / (1.0 - p * z)
+    prefac = np.sqrt(1.0 - abs(C.p) ** 2) / (1.0 - C.p * z)
     if coef1 is None:
         rhs = prefac * coef2 * second
     else:
@@ -515,17 +513,7 @@ class VerificationReport:
     timing_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "verdict": self.verdict,
-            "kernel_residual": self.kernel_residual,
-            "matrix_residuals": [[int(n), float(r)] for n, r in self.matrix_residuals],
-            "params": self.params,
-            "grid": self.grid,
-            "warnings": list(self.warnings),
-            "consistent": self.consistent,
-            "timing_s": self.timing_s,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -7,14 +7,10 @@ product is the plain sesquilinear dot product of coefficient arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotExpandableError, SingularKernelError
 from .moebius import LinearFractionalMap
-
-DISK_INTERIOR_TOL = 1e-12   # kernel points must satisfy |w| < 1 - DISK_INTERIOR_TOL
 
 
 def kernel_eval(w, z):
@@ -35,29 +31,6 @@ def kernel_eval(w, z):
 def kernel_series(w: complex, N: int) -> np.ndarray:
     """First N Taylor coefficients of K_w: (conj(w)^n)_{n<N}."""
     return np.conj(complex(w)) ** np.arange(N)
-
-
-@dataclass(frozen=True)
-class KernelCombo:
-    """Finite combination sum_i weight_i * K_{point_i} with points inside the disk."""
-
-    terms: tuple   # of (weight, point) pairs
-
-    def __post_init__(self):
-        terms = tuple((complex(wt), complex(pt)) for wt, pt in self.terms)
-        for _, pt in terms:
-            if abs(pt) >= 1.0 - DISK_INTERIOR_TOL:
-                raise ValueError(f"kernel point {pt} not strictly inside the disk")
-        object.__setattr__(self, "terms", terms)
-
-    def __call__(self, z):
-        return sum(wt * kernel_eval(pt, z) for wt, pt in self.terms)
-
-    def series(self, N: int) -> np.ndarray:
-        out = np.zeros(N, dtype=complex)
-        for wt, pt in self.terms:
-            out += wt * kernel_series(pt, N)
-        return out
 
 
 def lft_power_series(m: LinearFractionalMap, N: int) -> np.ndarray:

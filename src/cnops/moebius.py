@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, NotSelfMapError, PoleError
+from .errors import DegenerateMapError, PoleError
 
 DET_RTOL = 1e-14          # |ad - bc| <= DET_RTOL * scale^2 means degenerate
 SELF_MAP_TOL = 1e-12      # sup |phi| on the closed disk may exceed 1 by this
@@ -35,14 +35,6 @@ class LinearFractionalMap:
         if abs(self.det) <= DET_RTOL * self.scale ** 2:
             raise DegenerateMapError(
                 f"ad - bc = {self.det:.3e} is numerically zero for {self}")
-
-    @classmethod
-    def self_map(cls, a, b, c, d) -> "LinearFractionalMap":
-        """Validated constructor: additionally requires the disk self-map test."""
-        m = cls(a, b, c, d)
-        if not lft_is_self_map(m):
-            raise NotSelfMapError(f"{m} is not a self-map of the unit disk")
-        return m
 
     @property
     def det(self) -> complex:

@@ -98,17 +98,59 @@ def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     return C.beta * np.conj(jw_weighted_matrix(C, N))
 
 
+def conj_apply_series(C: Conjugation, f: np.ndarray, N: int) -> np.ndarray:
+    """Coefficients of C f from the leading N coefficients of f (zero-padded):
+    conjugation_operator(C, N) @ conj(f).
+
+    JMu is exact.  For JWp, entries near the tail carry truncation error
+    (geometrically small on the leading block for inputs with decaying
+    coefficients).
+    """
+    f = np.asarray(f, dtype=complex)[:N]
+    return conjugation_operator(C, N) @ np.conj(np.pad(f, (0, N - len(f))))
+
+
+def conj_axiom_residuals(C: Conjugation, N: int, sample_count: int,
+                         rng: np.random.Generator | None = None) -> tuple[float, float]:
+    """Involution and antiunitarity defects of the truncated action.
+
+    Test vectors are random complex gaussians damped by 0.35^n, so the
+    measured defect reflects truncation of the action rather than the tail
+    mass of the inputs; the involution defect is taken on the leading N/2
+    coefficients, the antiunitary defect |<Cx, Cy> - <y, x>| on full length-N
+    vectors.
+    """
+    if N < 32:
+        raise ValueError("N must be at least 32")
+    rng = rng or np.random.default_rng(0)
+    damp = 0.35 ** np.arange(N)
+    xs = [(rng.standard_normal(N) + 1j * rng.standard_normal(N)) * damp
+          for _ in range(sample_count)]
+    involution = 0.0
+    for x in xs:
+        ccx = conj_apply_series(C, conj_apply_series(C, x, N), N)
+        involution = max(involution, float(np.abs((ccx - x)[: N // 2]).max()))
+    antiunitary = 0.0
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        cx = conj_apply_series(C, x, N)
+        cy = conj_apply_series(C, y, N)
+        antiunitary = max(antiunitary,
+                          abs(hardy.inner_product(cx, cy) - hardy.inner_product(y, x)))
+    return involution, antiunitary
+
+
 def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
                             keep: int | None = None) -> float:
     """Frobenius norm of (C T* T C - T T*) on the leading keep x keep block.
 
     C is the conjugation x -> M conj(x) (see conjugation_operator), so the
     composition C T* T C linearizes to M conj(T* T) conj(M) =
-    (M T^T)(conj(T) conj(M)).  Only the kept block is formed: its rows need
-    M[:keep] and its columns M[:, :keep], so the cost is O(keep N^2) rather
-    than four N x N products.  Default keep is N/2; truncation corrupts
-    trailing rows of the products, and for inner-type symbols or JW
-    conjugations the corruption reaches further in (see stable_keep).
+    (M T^T)(conj(T) conj(M)).  M is symmetric (<Cx, y> = <Cy, x>), so with
+    X = T M[:, :keep] the kept block is the Gram matrix X^T conj(X), at a
+    cost of O(keep N^2) rather than four N x N products.  Default keep is
+    N/2; truncation corrupts trailing rows of the products, and for
+    inner-type symbols or JW conjugations the corruption reaches further in
+    (see stable_keep).
     """
     T = np.asarray(T, dtype=complex)
     N = len(T)
@@ -117,7 +159,8 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
     keep = N // 2 if keep is None else keep
     if not 1 <= keep <= N // 2:
         raise ValueError(f"keep must be in [1, N/2] = [1, {N // 2}]")
-    lhs = (M[:keep] @ T.T) @ np.conj(T @ M[:, :keep])
+    X = T @ M[:, :keep]
+    lhs = X.T @ np.conj(X)
     rhs = T[:keep] @ T[:keep].conj().T
     return float(np.linalg.norm(lhs - rhs))
 

@@ -32,9 +32,9 @@ from cnops.cnormal import (
     verify,
     weighted_jw_quadruples,
 )
-from cnops.conjugations import JMu, JWp, conj_axiom_residuals
+from cnops.conjugations import JMu, JWp
 from cnops.moebius import LinearFractionalMap, lft_is_self_map
-from cnops.operators import adjoint_via_cowen, composition_matrix
+from cnops.operators import adjoint_via_cowen, composition_matrix, conj_axiom_residuals
 
 SEED = 20250808
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -237,6 +238,15 @@ class TestSweep:
         _, extras, _ = run_sweep(CaseId.WEIGHTED_JMU, 6, 9, truncations=(32,))
         assert all(e["beta_residual_delta"] < 1e-12 for e in extras)
 
+    @pytest.mark.parametrize("beta", ["5", "0"])
+    def test_beta_is_rejected(self, capsys, beta):
+        # the weighted samplers draw their own beta, so sweep takes no --beta
+        code, _, err = run_main(capsys, [
+            "sweep", "--conj", "jmu", "--weighted", "--samples", "3",
+            "--trunc", "32", "--beta", beta])
+        assert code == 2
+        assert "--beta" in err
+
     def test_zero_samples_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "never.csv"
         code, _, err = run_main(capsys, [
@@ -269,3 +279,30 @@ class TestSweep:
         payload = json.loads(out)
         assert all(r["params"]["conjugation"]["mu"] == [-1.0, 0.0]
                    for r in payload["rows"])
+
+
+# sha256 of the rows "sample,verdict,consistent,margin" of run_sweep(case, 48, 42)
+SWEEP_48_SEED_42 = {
+    CaseId.COMP_JMU: "95dc3eacda5c0c4504754043ac3f99fc68df486cfea6f798b08626d2ad6adb43",
+    CaseId.COMP_JW: "e3f094ee2eca341e2bed0b0c0433a411a28017a4788eef665abad212fd0224b7",
+    CaseId.WEIGHTED_JMU: "4fbe98b4ba5f8e9b7a089b6d83943565aa8abda66b415ec956fa29475d702177",
+    CaseId.WEIGHTED_JW: "741f27119867b278198ac94fd080a4b9e1380221078bc4763acc60ef89ca9020",
+}
+
+
+def sweep_rows(case: CaseId) -> str:
+    """The seeded sweep without its residual columns, whose last bits depend
+    on BLAS and libm; the margin has 8 significant digits, or is 0 at <= 1e-9."""
+    reports, extras, _ = run_sweep(case, 48, 42)
+    rows = []
+    for i, (r, x) in enumerate(zip(reports, extras)):
+        margin = "0" if x["margin"] <= 1e-9 else f"{x['margin']:.8g}"
+        rows.append(f"{i},{str(r.verdict).lower()},{str(r.consistent).lower()},{margin}")
+    return "\n".join(rows)
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_seeded_sweep_is_pinned(case):
+    # a changed sampler draw, verdict or consistency flag changes the digest
+    rows = sweep_rows(case)
+    assert hashlib.sha256(rows.encode()).hexdigest() == SWEEP_48_SEED_42[case], rows

@@ -123,12 +123,14 @@ class TestCompJwSides:
     def test_identity_map_reproduces_conjugated_kernel(self):
         # C_phi = I: both sides must equal (JW K_w)(z) itself
         from cnops.conjugations import conj_apply_kernel
+        from cnops.hardy import kernel_eval
 
         p = 0.3 + 0.25j
         m = LinearFractionalMap(1, 0, 0, 1)
         w, z = 0.35 - 0.2j, 0.5 + 0.1j
         lhs, rhs = eval_sides_comp_jw(m, p, w, z)
-        expected = conj_apply_kernel(JWp(p), w)(z)
+        weight, point = conj_apply_kernel(JWp(p), w)
+        expected = weight * kernel_eval(point, z)
         assert lhs == pytest.approx(expected, abs=1e-14)
         assert rhs == pytest.approx(expected, abs=1e-14)
 

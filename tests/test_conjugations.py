@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from cnops.conjugations import (
-    AuvParams,
     JMu,
     JWp,
-    build_conjugation,
     conj_apply_kernel,
-    conj_apply_series,
-    conj_axiom_residuals,
     jw_weighted_matrix,
     parse_conjugation,
 )
-from cnops.hardy import kernel_series, norm, series_eval
-from cnops.operators import analytic_toeplitz_matrix, composition_matrix
+from cnops.hardy import kernel_eval, kernel_series, norm, series_eval
+from cnops.operators import (
+    analytic_toeplitz_matrix,
+    composition_matrix,
+    conj_apply_series,
+    conj_axiom_residuals,
+)
 
 
 class TestSpecs:
@@ -35,6 +36,10 @@ class TestSpecs:
         with pytest.raises(ValueError):
             JWp(0.4, beta=2.0)
 
+    def test_jmu_rejects_bad_beta(self):
+        with pytest.raises(ValueError):
+            JMu(1.0, beta=0.9)
+
     @pytest.mark.parametrize("p", [0.4, 0.3 + 0.25j, -0.7j])
     def test_lambda_solves_its_equation(self, p):
         C = JWp(p)
@@ -43,13 +48,7 @@ class TestSpecs:
 
 
 class TestBuildConjugation:
-    def test_family_i_plain(self):
-        C = build_conjugation(AuvParams("i", mu=1.0))
-        assert isinstance(C, JMu) and C.mu == 1.0 and C.beta == 1.0
-
-    def test_family_i_passthrough(self):
-        C = build_conjugation(AuvParams("i", mu=-1.0))
-        assert isinstance(C, JMu) and C.mu == -1.0
+    """Family (ii) of the u(z) conj(f(conj(v(z)))) classification is JWp(p, beta)."""
 
     def test_family_ii_matches_jw_action(self):
         # the literal u(z) conj(f(conj(v(z)))) action, u(z) / (1 - w v(z)) on
@@ -57,52 +56,56 @@ class TestBuildConjugation:
         zs = 0.6 * np.exp(2j * np.pi * np.arange(7) / 7)
         for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85):
             for beta in (1.0, np.exp(1.1j)):
-                C = build_conjugation(AuvParams("ii", beta=beta, p=p))
-                assert isinstance(C, JWp) and C.p == p and C.beta == beta
+                C = JWp(p, beta)
                 u = beta * np.sqrt(1 - abs(p) ** 2) / (1 - p * zs)
                 v = (p / np.conj(p)) * (np.conj(p) - zs) / (1 - p * zs)
                 for w in (0.0, 0.3, -0.2 + 0.4j):
                     direct = u / (1 - w * v)
-                    assert np.abs(direct - conj_apply_kernel(C, w)(zs)).max() <= 1e-12
-
-    @pytest.mark.parametrize("bad", [
-        AuvParams("i", mu=0.5),
-        AuvParams("ii", p=0.0),
-        AuvParams("ii", p=1.0),
-        AuvParams("i", beta=0.9, mu=1.0),
-    ])
-    def test_rejects_bad_parameters(self, bad):
-        with pytest.raises(ValueError):
-            build_conjugation(bad)
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            AuvParams("iii", mu=1.0)
+                    weight, point = conj_apply_kernel(C, w)
+                    assert np.abs(direct - weight * kernel_eval(point, zs)).max() <= 1e-12
 
 
 class TestKernelAction:
     def test_jmu_real_point(self):
-        ((wt, pt),) = conj_apply_kernel(JMu(1.0), 0.3).terms
+        wt, pt = conj_apply_kernel(JMu(1.0), 0.3)
         assert wt == 1.0 and pt == 0.3
 
     def test_jmu_imaginary_point(self):
-        ((wt, pt),) = conj_apply_kernel(JMu(-1.0), 0.3j).terms
+        wt, pt = conj_apply_kernel(JMu(-1.0), 0.3j)
         assert wt == 1.0 and pt == pytest.approx(0.3j)
 
     def test_jwp_at_origin(self):
-        ((wt, pt),) = conj_apply_kernel(JWp(0.4), 0.0).terms
+        wt, pt = conj_apply_kernel(JWp(0.4), 0.0)
         assert wt == pytest.approx(np.sqrt(0.84))
         assert pt == pytest.approx(0.4)
 
     def test_beta_phase_scales_weight(self):
         beta = np.exp(1.1j)
-        ((wt, _),) = conj_apply_kernel(JWp(0.4, beta=beta), 0.2).terms
-        ((wt0, _),) = conj_apply_kernel(JWp(0.4), 0.2).terms
+        wt, _ = conj_apply_kernel(JWp(0.4, beta=beta), 0.2)
+        wt0, _ = conj_apply_kernel(JWp(0.4), 0.2)
         assert wt == pytest.approx(beta * wt0)
 
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError):
             conj_apply_kernel(JMu(1.0), 1.0)
+
+    @pytest.mark.parametrize("C", [JMu(np.exp(0.7j), beta=np.exp(0.2j)),
+                                   JWp(0.3 + 0.2j, beta=np.exp(1.1j))])
+    def test_array_matches_scalar_calls(self, C):
+        ws = np.array([[0.0, 0.3, -0.5 + 0.2j], [0.9j, -0.85, 0.1 - 0.4j]])
+        # numpy's array loops may fuse a multiply-add that its scalar path
+        # rounds twice, so the two agree to a few ulps, not bit for bit
+        weight, point = conj_apply_kernel(C, ws)
+        assert weight.shape == point.shape == ws.shape
+        for idx in np.ndindex(ws.shape):
+            wt, pt = conj_apply_kernel(C, ws[idx])
+            assert abs(weight[idx] - wt) <= 4 * np.finfo(float).eps * abs(wt)
+            assert abs(point[idx] - pt) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("C", [JMu(1.0), JWp(0.4)])
+    def test_rejects_any_point_off_the_open_disk(self, C):
+        with pytest.raises(ValueError):
+            conj_apply_kernel(C, np.array([0.2, 0.5j, -1.0]))
 
 
 class TestSeriesAction:
@@ -136,9 +139,9 @@ class TestSeriesAction:
         N = 128
         for w in (0.3, -0.5 + 0.2j):
             g = conj_apply_series(C, kernel_series(w, N), N)
-            combo = conj_apply_kernel(C, w)
+            weight, point = conj_apply_kernel(C, w)
             for z in (0.4, -0.3 + 0.5j):
-                assert abs(series_eval(g, z) - combo(z)) <= 1e-10
+                assert abs(series_eval(g, z) - weight * kernel_eval(point, z)) <= 1e-10
 
 
 class TestMatrixForm:

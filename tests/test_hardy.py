@@ -7,7 +7,6 @@ from conftest import random_self_map
 from cnops.conjugations import JWp
 from cnops.errors import NotExpandableError, SingularKernelError
 from cnops.hardy import (
-    KernelCombo,
     inner_product,
     kernel_eval,
     kernel_series,
@@ -43,15 +42,6 @@ class TestKernel:
         for w in (0.2, -0.5 + 0.3j, 0.9):
             kw = kernel_series(w, 16)
             assert inner_product(f, kw) == pytest.approx(series_eval(f, w), abs=1e-12)
-
-    def test_combo_validates_points(self):
-        with pytest.raises(ValueError):
-            KernelCombo(((1.0, 1.0 + 0j),))
-
-    def test_combo_eval_matches_series(self):
-        combo = KernelCombo(((2.0, 0.3), (1j, -0.5)))
-        z = 0.4 + 0.2j
-        assert combo(z) == pytest.approx(series_eval(combo.series(256), z), abs=1e-12)
 
 
 class TestPowerSeries:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnops.errors import DegenerateMapError, NotSelfMapError, PoleError
+from cnops.errors import DegenerateMapError, PoleError
 from cnops.moebius import (
     SELF_MAP_TOL,
     LinearFractionalMap,
@@ -57,13 +57,6 @@ class TestConstruction:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMapError):
             LinearFractionalMap(1, 2, 2, 4)
-
-    def test_validated_constructor_rejects_expander(self):
-        with pytest.raises(NotSelfMapError):
-            LinearFractionalMap.self_map(2, 0, 0, 1)
-
-    def test_validated_constructor_accepts_generic(self):
-        LinearFractionalMap.self_map(0.5, 0.25, 0.25, 1)
 
 
 class TestSelfMap:

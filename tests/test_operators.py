@@ -161,6 +161,16 @@ class TestConjugationOperator:
                       - (M @ np.conj(M)) @ x).max() <= 1e-14 * np.abs(x).max() * 100
 
 
+    @pytest.mark.parametrize("N", [32, 64, 128, 256])
+    def test_matrix_is_symmetric(self, N):
+        # <Cx, y> = <Cy, x> gives M = M^T, which cnormal_residual_matrix uses
+        M = conjugation_operator(JMu(np.exp(0.9j), beta=np.exp(0.3j)), N)
+        assert np.array_equal(M, M.T)
+        for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85, 0.1):
+            M = conjugation_operator(JWp(p, beta=np.exp(1.1j)), N)
+            assert np.abs(M - M.T).max() <= 1e-14
+
+
 class TestCnormalResidualMatrix:
     def test_dilation_jmu_machine_zero(self):
         m = LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1)
