@@ -14,8 +14,9 @@ sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
           exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
 
 Every command exits 2 on bad input, which includes a map that is not a
-self-map of the disk, beta = 0 for the weighted operator
-(cnormal.check_instance) and an --out path that cannot be written.
+self-map of the disk, a beta for the weighted operator whose |beta|^2 is 0
+or not finite (cnormal.check_instance) and an --out path that cannot be
+written.
 
 Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
 index order and written in that order, so identical configs produce
@@ -353,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--map", required=True, dest="map_text",
                            help="coefficients a,b,c,d; entries 're' or 're+imi'")
             p.add_argument("--beta", default="1", dest="beta_text",
-                           help="non-zero weight constant (complex literal)")
+                           help="weight constant (complex literal) whose |beta|^2 "
+                                "is a finite non-zero float")
         p.add_argument("--conj", required=True, dest="conj_text",
                        help="conjugation 'jmu:<c>' or 'jw:<c>' "
                             "(sweep also accepts bare 'jmu'/'jw' to sample the parameter)")

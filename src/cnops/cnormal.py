@@ -16,6 +16,7 @@ verify() report records all three.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -506,6 +507,7 @@ class VerificationReport:
     verdict: bool
     kernel_residual: float
     matrix_residuals: list          # [(N, residual)], increasing N
+    matrix_keep: list               # [(N, keep)]: the kept block size at each N
     params: dict
     grid: dict
     warnings: list = field(default_factory=list)
@@ -525,9 +527,8 @@ class VerificationReport:
 
 
 def _matrix_residuals_non_increasing(residuals, floors) -> bool:
-    vals = [r for _, r in residuals]
     return all(nxt <= max(prev, floor)
-               for prev, nxt, floor in zip(vals, vals[1:], floors[1:]))
+               for prev, nxt, floor in zip(residuals, residuals[1:], floors[1:]))
 
 
 def _conj_params(conj: Conjugation) -> dict:
@@ -538,13 +539,16 @@ def _conj_params(conj: Conjugation) -> dict:
 
 def check_instance(case: CaseId, m: LinearFractionalMap, conj: Conjugation, beta: complex):
     """ValueError unless phi is a self-map of the disk, conj is of the case's
-    family and, for a weighted case, beta != 0."""
+    family and, for a weighted case, |beta|^2 is a finite non-zero float
+    (both weighted residuals scale as |beta|^2)."""
     if not lft_is_self_map(m):
         raise ValueError(f"{m} is not a validated self-map")
     if not isinstance(conj, case.conj_type):
         raise ValueError(f"case {case.value} needs a {case.conj_type.__name__} conjugation")
-    if case.weighted and beta == 0:
-        raise ValueError("beta must be non-zero")
+    beta_sq = abs(beta) * abs(beta)
+    if case.weighted and not (math.isfinite(beta_sq) and beta_sq > 0):
+        raise ValueError(f"|beta|^2 must be a finite non-zero float, got {beta_sq!r} "
+                         f"for beta = {beta!r}")
 
 
 def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
@@ -556,14 +560,16 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     matrix residuals non-increasing in N above a rounding floor of
     max(1e-12, 4 eps sqrt(N) keep) at each N; a false verdict demands kernel
     residual > 1e-7.  Both residuals of a weighted case are |beta|^2 times
-    those at beta = 1, so for those cases the three thresholds are multiplied
-    by |beta|^2; the reported residuals are not.
+    those at beta / |beta|, so those cases run both oracles at beta / s, s the
+    power of two nearest |beta|, test them against the thresholds times
+    |beta / s|^2 and report them times s^2.
     The matrix residual at each N is the Frobenius defect of C T*T C - T T*
-    on the truncation-stable leading block (operators.stable_keep).  T and
-    the conjugation matrix are built once, at the largest N, and the
-    truncation at each smaller N is their leading N x N block: every builder
-    is prefix-stable, and the weighted T_psi C_phi has a lower-triangular
-    left factor, so its slice is the smaller truncation up to rounding.
+    on the truncation-stable leading keep x keep block (operators.stable_keep;
+    matrix_keep lists keep at each N).  It is formed from the blocks it reads
+    alone (operators.kept_block_residuals): the first keep columns of T and
+    its first keep rows for a J_mu case, all of T and the first keep columns
+    of the conjugation matrix for a JW_p case.  Each block is built once, at
+    the largest N and keep, and sliced for the smaller ones.
     Every truncation must be at least MIN_TRUNCATION, and the input must
     pass check_instance (ValueError otherwise).
     """
@@ -575,26 +581,23 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     check_instance(case, m, conj, beta)
 
     verdict = case_predicate(case, m, conj)
-    k_res = kernel_residual(case, m, conj, beta=beta, grid_n=grid_n)
+    # Dividing by a power of two is exact, so short of overflow or underflow
+    # the reported residuals are bit for bit those at beta, and for any beta
+    # that check_instance takes the oracles see |beta / s| in [0.7, 1.5].
+    s = 2.0 ** round(math.log2(abs(beta))) if case.weighted else 1.0
+    beta_s = beta / s
+    unit = abs(beta_s) ** 2 if case.weighted else 1.0
+    k_res = kernel_residual(case, m, conj, beta=beta_s, grid_n=grid_n)
 
-    unit = abs(beta) ** 2 if case.weighted else 1.0
-    n_max = truncations[-1]
-    if case.weighted:
-        psi = operators.canonical_weight_series(m, beta, n_max)
-        T = operators.weighted_composition_matrix(psi, m, n_max)
-    else:
-        T = operators.composition_matrix(m, n_max)
-    M = operators.conjugation_operator(conj, n_max)
-    matrix_residuals, floors = [], []
-    for N in truncations:
-        keep = operators.stable_keep(N, m=m, C=conj)
-        residual = operators.cnormal_residual_matrix(T[:N, :N], M[:N, :N], keep)
-        matrix_residuals.append((N, residual))
-        floors.append(unit * max(MATRIX_FLOOR, MATRIX_FLOOR_RTOL * np.sqrt(N) * keep))
+    sizes = [(N, operators.stable_keep(N, m=m, C=conj)) for N in truncations]
+    residuals = operators.kept_block_residuals(
+        m, conj, sizes, beta=beta_s if case.weighted else None)
+    floors = [unit * max(MATRIX_FLOOR, MATRIX_FLOOR_RTOL * np.sqrt(N) * keep)
+              for N, keep in sizes]
 
     if verdict:
         consistent = (k_res < VERDICT_TRUE_MAX * unit and
-                      _matrix_residuals_non_increasing(matrix_residuals, floors))
+                      _matrix_residuals_non_increasing(residuals, floors))
     else:
         consistent = k_res > VERDICT_FALSE_MIN * unit
 
@@ -605,8 +608,9 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     return VerificationReport(
         case=case.value,
         verdict=bool(verdict),
-        kernel_residual=float(k_res),
-        matrix_residuals=matrix_residuals,
+        kernel_residual=float(k_res * s * s),
+        matrix_residuals=[(N, r * s * s) for N, r in zip(truncations, residuals)],
+        matrix_keep=sizes,
         params=params,
         grid={"rings": list(GRID_RADII), "points_per_ring": grid_n,
               "pairs": (3 * grid_n) ** 2},

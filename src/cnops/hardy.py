@@ -63,16 +63,21 @@ def series_multiply(f: np.ndarray, g: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def power_matrix(first: np.ndarray, f: np.ndarray, N: int) -> np.ndarray:
-    """N x N matrix whose column j holds the coefficients of first * f^j.
+def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
+                 cols: int | None = None) -> np.ndarray:
+    """N x cols matrix (cols defaults to N) whose column j holds the
+    coefficients of first * f^j.
 
     Column j is column j - 1 times f, truncated at degree N - 1; entry n sums
-    the same products at every N > n, so the leading n x n block of the result
-    at N equals the result at n exactly.
+    the same products at every N > n and reads only the leading n + 1 entries
+    of first and f.  So the leading r rows of the result at any N > r equal
+    power_matrix(first[:r], f[:r], r, cols) exactly, and the leading columns
+    equal the result at a smaller cols exactly.
     """
-    M = np.zeros((N, N), dtype=complex)
+    cols = N if cols is None else cols
+    M = np.zeros((N, cols), dtype=complex)
     M[:, 0] = first
-    for j in range(1, N):
+    for j in range(1, cols):
         M[:, j] = series_multiply(M[:, j - 1], f, N)
     return M
 

@@ -139,6 +139,19 @@ def conj_axiom_residuals(C: Conjugation, N: int, sample_count: int,
     return involution, antiunitary
 
 
+def kept_block_residual(X: np.ndarray, R: np.ndarray) -> float:
+    """Frobenius norm of X^T conj(X) - R R*, the kept block of C T*T C - T T*.
+
+    With C the conjugation x -> M conj(x) and M symmetric, the leading
+    keep x keep block of C T*T C is the Gram matrix X^T conj(X) of
+    X = T M[:, :keep], and that of T T* is R R* with R = T[:keep]; see
+    cnormal_residual_matrix.
+    """
+    lhs = X.T @ np.conj(X)
+    rhs = R @ R.conj().T
+    return float(np.linalg.norm(lhs - rhs))
+
+
 def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
                             keep: int | None = None) -> float:
     """Frobenius norm of (C T* T C - T T*) on the leading keep x keep block.
@@ -146,11 +159,12 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
     C is the conjugation x -> M conj(x) (see conjugation_operator), so the
     composition C T* T C linearizes to M conj(T* T) conj(M) =
     (M T^T)(conj(T) conj(M)).  M is symmetric (<Cx, y> = <Cy, x>), so with
-    X = T M[:, :keep] the kept block is the Gram matrix X^T conj(X), at a
-    cost of O(keep N^2) rather than four N x N products.  Default keep is
-    N/2; truncation corrupts trailing rows of the products, and for
-    inner-type symbols or JW conjugations the corruption reaches further in
-    (see stable_keep).
+    X = T M[:, :keep] the kept block is the Gram matrix X^T conj(X)
+    (kept_block_residual), at a cost of O(keep N^2) rather than four N x N
+    products; of M it reads only the first keep columns.
+    Default keep is N/2; truncation corrupts trailing rows of the products,
+    and for inner-type symbols or JW conjugations the corruption reaches
+    further in (see stable_keep).
     """
     T = np.asarray(T, dtype=complex)
     N = len(T)
@@ -159,10 +173,40 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
     keep = N // 2 if keep is None else keep
     if not 1 <= keep <= N // 2:
         raise ValueError(f"keep must be in [1, N/2] = [1, {N // 2}]")
-    X = T @ M[:, :keep]
-    lhs = X.T @ np.conj(X)
-    rhs = T[:keep] @ T[:keep].conj().T
-    return float(np.linalg.norm(lhs - rhs))
+    return kept_block_residual(T @ M[:, :keep], T[:keep])
+
+
+def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
+                         beta: complex | None = None) -> list:
+    """cnormal_residual_matrix of the N x N truncations of T and of C's matrix
+    for each (N, keep) in sizes, built only from the blocks the kept
+    residual reads.
+
+    T is C_phi, or W = T_psi C_phi with psi = beta K_{sigma(0)} when beta is
+    given; column j of T holds the coefficients of first * phi^j with first
+    = 1 or psi, so hardy.power_matrix builds any block of it.  Each block is
+    built once, at the largest N and keep (n and k), and sliced for the
+    smaller sizes: power_matrix is prefix-exact in its rows and columns.
+
+    JMu: M is the diagonal beta_C conj(mu)^i, so X = T[:, :keep] times those
+    phases; the blocks are the first k columns of T at height n and its
+    first k rows across n columns (products of length k).
+    JWp: X = T M[:, :keep] reads all of T[:N, :N] but only the first k
+    columns of M = beta_C conj(W_{xi_p, tau_p}).
+    """
+    n = max(N for N, _ in sizes)
+    k = max(keep for _, keep in sizes)
+    phi = hardy.lft_power_series(m, n)
+    first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
+    if isinstance(C, JMu):
+        phases = C.beta * np.conj(C.mu) ** np.arange(k)
+        X = hardy.power_matrix(first, phi, n, cols=k) * phases
+        R = hardy.power_matrix(first[:k], phi[:k], k, cols=n)
+        return [kept_block_residual(X[:N, :keep], R[:keep, :N]) for N, keep in sizes]
+    T = hardy.power_matrix(first, phi, n)
+    M = C.beta * np.conj(hardy.power_matrix(
+        C.xi_series(n), hardy.lft_power_series(C.tau(), n), n, cols=k))
+    return [kept_block_residual(T[:N, :N] @ M[:N, :keep], T[:keep, :N]) for N, keep in sizes]
 
 
 def stable_keep(N: int, m: LinearFractionalMap | None = None,

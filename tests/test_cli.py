@@ -119,6 +119,27 @@ class TestVerify:
         report = json.loads(out)
         assert report["verdict"] is False and report["consistent"] is True
 
+    @pytest.mark.parametrize("beta", ["1e150", "1e-150", "1e154", "1e-160"])
+    def test_extreme_beta_is_not_a_contradiction(self, capsys, beta):
+        # both residuals scale as |beta|^2; 1e154 once overflowed the kernel
+        # residual to nan and 1e-160 underflowed the thresholds to 0
+        code, out, err = run_main(capsys, [
+            "verify", "--map", "0.99,0,0,1", "--conj", "jmu:1", "--weighted",
+            "--beta", beta, "--format", "csv"])
+        assert code == 0 and err == ""
+        row = out.splitlines()[1].split(",")
+        assert row[2] == "true" and row[5] == "true"
+        assert all(np.isfinite(float(x)) for x in row[3:5])
+
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("beta", ["1e300", "1e-300"])
+    def test_beta_whose_square_is_not_a_float_exits_2(self, capsys, command, beta):
+        code, out, err = run_main(capsys, [
+            command, "--map", "0.99,0,0,1", "--conj", "jmu:1", "--weighted",
+            "--beta", beta])
+        assert code == 2 and out == ""
+        assert "error:" in err and "beta" in err
+
     def test_bad_map_exits_2(self, capsys):
         code, _, _ = run_main(capsys, [
             "verify", "--map", "2,0,0,1", "--conj", "jmu:1"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -543,8 +545,11 @@ class TestVerify:
                    truncations=(32, 64))
         d = r.to_json_dict()
         assert set(d) == {"case", "verdict", "kernel_residual", "matrix_residuals",
-                          "params", "grid", "warnings", "consistent", "timing_s"}
+                          "matrix_keep", "params", "grid", "warnings", "consistent",
+                          "timing_s"}
         assert [n for n, _ in r.matrix_residuals] == [32, 64]
+        assert r.matrix_keep == [(32, 16), (64, 32)]
+        assert json.loads(r.to_json())["matrix_keep"] == [[32, 16], [64, 32]]
         row = r.csv_row(7)
         assert row.startswith("7,comp_jmu,true,")
 
@@ -597,10 +602,8 @@ class TestVerify:
         # 1e-10 -> 1e-9 -> 1e-8 is far above the rounding floor (about 5e-12
         # at N = 512, keep = 256), so a true verdict with it is inconsistent
         rising = {128: 1e-10, 256: 1e-9, 512: 1e-8}
-        monkeypatch.setattr(cnormal.operators, "composition_matrix",
-                            lambda m, N: np.eye(N, dtype=complex))
-        monkeypatch.setattr(cnormal.operators, "cnormal_residual_matrix",
-                            lambda T, C, keep: rising[len(T)])
+        monkeypatch.setattr(cnormal.operators, "kept_block_residuals",
+                            lambda m, C, sizes, beta=None: [rising[N] for N, _ in sizes])
         r = verify(CaseId.COMP_JMU, LinearFractionalMap(0.7, 0, 0, 1), JMu(1j),
                    truncations=(128, 256, 512))
         assert r.verdict and not r.consistent
@@ -616,3 +619,5 @@ class TestVerify:
             m, conj, _ = sample_case(case, np.random.default_rng(seeds[i]), i)
             r = verify(case, m, conj, beta=beta, truncations=(32, 64))
             assert r.verdict and r.consistent
+            # verify runs the oracle at beta over a power of two: exact scaling
+            assert r.kernel_residual == kernel_residual(case, m, conj, beta=beta)

@@ -140,6 +140,23 @@ class TestPowerMatrix:
             first, f = C.xi_series(N), lft_power_series(C.tau(), N)
             assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
 
+    @pytest.mark.parametrize("N", [32, 128])
+    def test_leading_blocks_are_bit_exact(self, N):
+        # verify builds only the first columns, or only the first rows from
+        # the leading entries of first and f, and slices them for smaller N
+        g = np.random.default_rng(N + 1)
+        C = JWp(0.7 * np.exp(0.4j))
+        inputs = [(np.eye(N, 1).ravel(), lft_power_series(random_self_map(g), N)),
+                  (C.xi_series(N), lft_power_series(C.tau(), N)),
+                  (g.standard_normal(N) + 1j * g.standard_normal(N),
+                   g.standard_normal(N) + 1j * g.standard_normal(N))]
+        for first, f in inputs:
+            full = power_matrix(first, f, N)
+            for r in (1, 5, N // 3, N // 2):
+                assert np.array_equal(power_matrix(first, f, N, cols=r), full[:, :r])
+                assert np.array_equal(power_matrix(first[:r], f[:r], r, cols=N), full[:r])
+                assert np.array_equal(power_matrix(first[:r], f[:r], r), full[:r, :r])
+
 
 class TestInnerProduct:
     def test_norm_squared_nonnegative(self, rng):

@@ -15,6 +15,7 @@ from cnops.operators import (
     cnormal_residual_matrix,
     composition_matrix,
     conjugation_operator,
+    kept_block_residuals,
     stable_keep,
     weighted_composition_matrix,
 )
@@ -215,6 +216,30 @@ class TestCnormalResidualMatrix:
             got = cnormal_residual_matrix(T, M, keep)
             assert abs(got - want) <= 8 * N * np.finfo(float).eps * max(1.0, want)
 
+    @pytest.mark.parametrize("case,conj", [
+        (CaseId.COMP_JMU, JMu(np.exp(0.9j), beta=np.exp(0.3j))),
+        (CaseId.WEIGHTED_JMU, JMu(-1.0)),
+        (CaseId.COMP_JW, JWp(0.4)),
+        (CaseId.WEIGHTED_JW, JWp(0.3 - 0.5j, beta=1j)),
+    ])
+    @pytest.mark.parametrize("m", [GENERIC, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1),
+                                   LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)])
+    @pytest.mark.parametrize("keep", [1, 5, "stable"])
+    def test_blocks_match_the_full_builds(self, case, conj, m, keep):
+        # the blocks built once at N = 128 and sliced give, at every N, the
+        # residual of the full N x N truncations
+        beta = 0.7 + 0.2j if case.weighted else None
+        sizes = [(N, stable_keep(N, m=m, C=conj) if keep == "stable" else keep)
+                 for N in (32, 64, 128)]
+        got = kept_block_residuals(m, conj, sizes, beta=beta)
+        for (N, k), value in zip(sizes, got):
+            if case.weighted:
+                T = weighted_composition_matrix(canonical_weight_series(m, beta, N), m, N)
+            else:
+                T = composition_matrix(m, N)
+            want = cnormal_residual_matrix(T, conjugation_operator(conj, N), k)
+            assert abs(value - want) <= 1e-13 * max(1.0, want)
+
     def test_dimension_mismatch(self):
         T = np.eye(8, dtype=complex)
         C = conjugation_operator(JMu(1.0), 16)
@@ -237,20 +262,19 @@ class TestBuildOnce:
         (CaseId.WEIGHTED_JW, JWp(0.4)),
     ])
     def test_verify_builds_each_operator_once(self, monkeypatch, case, conj):
-        calls = {}
-        for name in ("composition_matrix", "weighted_composition_matrix",
-                     "conjugation_operator"):
-            original = getattr(cnormal.operators, name)
+        # two blocks, each built once at the largest N: the first keep columns
+        # and rows of T for J_mu, all of T and keep columns of M for JW_p
+        sizes = []
+        original = cnormal.operators.hardy.power_matrix
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _original(*args, **kwargs)
+        def counted(first, f, N, cols=None):
+            sizes.append((N, N if cols is None else cols))
+            return original(first, f, N, cols)
 
-            monkeypatch.setattr(cnormal.operators, name, counted)
+        monkeypatch.setattr(cnormal.operators.hardy, "power_matrix", counted)
         r = verify(case, GENERIC, conj, truncations=(32, 64, 128))
         assert [n for n, _ in r.matrix_residuals] == [32, 64, 128]
-        assert calls == {"composition_matrix": 1, "conjugation_operator": 1,
-                         **({"weighted_composition_matrix": 1} if case.weighted else {})}
+        assert len(sizes) == 2 and all(max(size) == 128 for size in sizes)
 
 
 class TestStableKeep:
