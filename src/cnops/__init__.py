@@ -30,6 +30,7 @@ from .cnormal import (
     predicate_weighted_jmu,
     predicate_weighted_jw,
     verify,
+    weighted_jmu_quadruples,
     weighted_jw_quadruples,
 )
 from .conjugations import JMu, JWp, conj_apply_kernel
@@ -60,6 +61,7 @@ __all__ = [
     "predicate_weighted_jmu",
     "predicate_weighted_jw",
     "verify",
+    "weighted_jmu_quadruples",
     "weighted_jw_quadruples",
 ]
 

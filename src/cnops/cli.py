@@ -233,7 +233,7 @@ def sweep_csv(reports, agreement: float) -> str:
 
 
 def sweep_json(reports, extras, agreement: float) -> str:
-    rows = [{**r.to_json_dict(), **x, "sample": i}
+    rows = [cnormal.finite_json_dict({**r.to_json_dict(), **x, "sample": i})
             for i, (r, x) in enumerate(zip(reports, extras))]
     for row in rows:
         del row["timing_s"]   # wall-clock time would make the file non-reproducible

@@ -1,16 +1,14 @@
 """Kernel identities and coefficient predicates for conjugation-normality.
 
 An operator T is C-normal for a conjugation C when C T* T C = T T*, or
-equivalently T T* C = C T* T.  Both sides applied to a reproducing kernel K_w
-and evaluated at z are rational in (w, z) for linear fractional symbols, so
-each case below carries
+equivalently T T* C = C T* T.  Each case is decided by three independent
+routes, which must agree and which the verify() report records:
 
-  * a closed-form evaluator for the two sides (the kernel oracle),
-  * a coefficient predicate deciding the identity exactly,
-  * a matrix oracle through truncated operators (assembled in verify()).
-
-The predicate and the two oracles are independent routes and must agree; the
-verify() report records all three.
+  * a coefficient predicate deciding the identity exactly;
+  * the kernel oracle: both sides applied to K_w and evaluated at z, in closed
+    form.  For C_phi they read C only through conj_apply_kernel (_comp_sides);
+    for W each side is a numerator over its QuadrupleSet denominator;
+  * a matrix oracle through truncated operators (operators.kept_block_residuals).
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ def _comp_singular(m: LinearFractionalMap, w):
 
 def _comp_expansion(m: LinearFractionalMap, w):
     """(coef1, coef2, phi(sigma(w))) with C_phi* C_phi K_w = coef1 K_{phi(0)}
-    + coef2 K_{phi(sigma(w))}; coef1 is None when c = 0, where that term
+    + coef2 K_{phi(sigma(w))}; coef1 is 0 when c = 0, where that term
     vanishes.  Raises PoleError on the singular set."""
     if np.any(_comp_singular(m, w)):
         raise PoleError("w lies on the excluded set conj(a) w = conj(c)")
@@ -88,96 +86,43 @@ def _comp_expansion(m: LinearFractionalMap, w):
     phi_sigma_w = (((abs(a) ** 2 - abs(b) ** 2) * w + b * np.conj(d) - a * np.conj(c))
                    / ((np.conj(a) * c - np.conj(b) * d) * w + abs(d) ** 2 - abs(c) ** 2))
     coef2 = np.conj(d) / (np.conj(d) - np.conj(b) * w)
-    if abs(c) == 0.0:
-        return None, coef2, phi_sigma_w
-    coef1 = np.conj(c) / (np.conj(c) - np.conj(a) * w)
+    coef1 = np.conj(c) / (np.conj(c) - np.conj(a) * w) if abs(c) else np.zeros_like(w)
     return coef1, coef2 - coef1, phi_sigma_w
 
 
-def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
-    """Both sides of C_phi C_phi* J_mu K_w(z) = J_mu C_phi* C_phi K_w(z).
+def _comp_sides(m: LinearFractionalMap, C: Conjugation, w, z):
+    """Both sides of C_phi C_phi* C K_w(z) = C C_phi* C_phi K_w(z), reading C
+    only through conj_apply_kernel (ValueError when any |w| or |z| >= 1).
 
-    lhs = K_{phi(mu conj(w))}(phi(z)), with J_mu K_w from conj_apply_kernel.
-    rhs = cbar/(cbar - abar w) * 1/(1 - conj(mu) phi(0) z)
-        + (dbar/(dbar - bbar w) - cbar/(cbar - abar w))
-          * 1/(1 - conj(mu) phi(sigma(w)) z).
-    Valid away from the singular set abar w = cbar (meaningless when c = 0,
-    where the first term vanishes identically).
+    lhs = weight K_{phi(point)}(phi(z)) for C K_w = weight K_point.  The rhs
+    applies C to C_phi* C_phi K_w = sum_i coef_i K_{v_i} (_comp_expansion)
+    and uses (C K_v)(z) = <C K_z, K_v> = (C K_z)(v): with C K_z = u K_eta it
+    is u sum_i coef_i / (1 - conj(eta) v_i), v_i in {phi(0), phi(sigma(w))}.
     """
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    mu = complex(mu)
     coef1, coef2, phi_sigma_w = _comp_expansion(m, w)
-    weight, point = conj_apply_kernel(JMu(mu), w)
+    weight, point = conj_apply_kernel(C, w)
     lhs = weight / (1.0 - np.conj(lft_eval(m, point)) * lft_eval(m, z))
-    second = 1.0 / (1.0 - np.conj(mu) * phi_sigma_w * z)
-    if coef1 is None:
-        rhs = coef2 * second
-    else:
-        rhs = coef1 / (1.0 - np.conj(mu) * (m.b / m.d) * z) + coef2 * second
-    return lhs, rhs
+    u, eta = conj_apply_kernel(C, z)
+    eta_bar = np.conj(eta)
+    rhs = coef1 / (1.0 - eta_bar * (m.b / m.d)) + coef2 / (1.0 - eta_bar * phi_sigma_w)
+    return lhs, u * rhs
+
+
+def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
+    """Both sides of the composition-case identity for J_mu (_comp_sides)."""
+    return _comp_sides(m, JMu(mu), w, z)
 
 
 def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
-    """Both sides of the JW-conjugation identity for C_phi.
-
-    lhs = weight K_{phi(eta)}(phi(z)) with JW_p K_w = weight K_eta from
-    conj_apply_kernel; rhs comes from the C_phi* C_phi kernel expansion
-    followed by the JW action, evaluated with
-    t(z) = conj(tau_p(conj z)) = (p - conj(lam) z)/(1 - p z).
-    """
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    C = JWp(p)
-    coef1, coef2, phi_sigma_w = _comp_expansion(m, w)
-    weight, eta = conj_apply_kernel(C, w)
-    lhs = weight / (1.0 - np.conj(lft_eval(m, eta)) * lft_eval(m, z))
-
-    t = (C.p - np.conj(C.lam) * z) / (1.0 - C.p * z)
-    second = 1.0 / (1.0 - phi_sigma_w * t)
-    prefac = np.sqrt(1.0 - abs(C.p) ** 2) / (1.0 - C.p * z)
-    if coef1 is None:
-        rhs = prefac * coef2 * second
-    else:
-        rhs = prefac * (coef1 / (1.0 - (m.b / m.d) * t) + coef2 * second)
-    return lhs, rhs
-
-
-def _weighted_jmu_parts(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
-    """Numerator and the two side denominators of the weighted J_mu case."""
-    a, b, c, d = m.coefficients()
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    mu = complex(mu)
-    D1 = ((abs(c) ** 2 - abs(a) ** 2) * np.conj(mu) * w * z
-          + (np.conj(c) * d - np.conj(a) * b) * np.conj(mu) * z
-          + (c * np.conj(d) - a * np.conj(b)) * w
-          + abs(d) ** 2 - abs(b) ** 2)
-    D2 = (-(abs(a) ** 2 - abs(b) ** 2) * np.conj(mu) * w * z
-          + (np.conj(a) * c - np.conj(b) * d) * z
-          + (a * np.conj(c) - b * np.conj(d)) * np.conj(mu) * w
-          + abs(d) ** 2 - abs(c) ** 2)
-    return abs(beta) ** 2 * abs(d) ** 2, D1, D2
-
-
-def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
-    """Both sides for W = T_{beta K_{sigma(0)}} C_phi against J_mu.
-
-    Each side is |beta|^2 |d|^2 over an affine-in-(w, z, wz) denominator:
-    lhs: [(|c|^2-|a|^2) mubar w + (cbar d - abar b) mubar] z
-         + (c dbar - a bbar) w + |d|^2 - |b|^2,
-    rhs: [-(|a|^2-|b|^2) mubar w + (abar c - bbar d)] z
-         + (a cbar - b dbar) mubar w + |d|^2 - |c|^2.
-    Equality of the denominators as polynomials is exactly the predicate
-    |b| = |c| and (cbar d - abar b) mubar = abar c - bbar d.
-    """
-    num, D1, D2 = _weighted_jmu_parts(m, beta, mu, w, z)
-    return num / D1, num / D2
+    """Both sides of the composition-case identity for JW_p (_comp_sides)."""
+    return _comp_sides(m, JWp(p), w, z)
 
 
 @dataclass(frozen=True)
 class QuadrupleSet:
-    """Denominator coefficients of both sides in the weighted JW case."""
+    """Denominator coefficients of both sides in a weighted case: side i is a
+    numerator over (Ai w + Bi) z + Ci w + Di, so the sides agree identically
+    iff the quadruples coincide."""
 
     A1: complex
     B1: complex
@@ -195,9 +140,36 @@ class QuadrupleSet:
     def max_difference(self) -> float:
         return max(abs(x) for x in self.differences())
 
+    def denominators(self, w, z):
+        """The two side denominators at (w, z), elementwise."""
+        return ((self.A1 * w + self.B1) * z + self.C1 * w + self.D1,
+                (self.A2 * w + self.B2) * z + self.C2 * w + self.D2)
+
+
+def weighted_jmu_quadruples(m: LinearFractionalMap, mu: complex) -> QuadrupleSet:
+    """The eight denominator coefficients against J_mu.
+
+    Side 1 is J_mu W W* K_w, side 2 is W* W J_mu K_w; both equal
+    |beta|^2 |d|^2 / ((A w + B) z + C w + D).  The differences are
+    ((|c|^2-|b|^2) mubar, L, conj(L) mubar, |c|^2-|b|^2) with L the linear
+    defect of predicate_weighted_jmu.
+    """
+    a, b, c, d = m.coefficients()
+    mb = np.conj(complex(mu))
+    return QuadrupleSet(
+        A1=(abs(c) ** 2 - abs(a) ** 2) * mb,
+        B1=(np.conj(c) * d - np.conj(a) * b) * mb,
+        C1=c * np.conj(d) - a * np.conj(b),
+        D1=abs(d) ** 2 - abs(b) ** 2,
+        A2=-(abs(a) ** 2 - abs(b) ** 2) * mb,
+        B2=np.conj(a) * c - np.conj(b) * d,
+        C2=(a * np.conj(c) - b * np.conj(d)) * mb,
+        D2=abs(d) ** 2 - abs(c) ** 2,
+    )
+
 
 def weighted_jw_quadruples(m: LinearFractionalMap, p: complex) -> QuadrupleSet:
-    """The eight denominator coefficients, with lam = conj(p)/p.
+    """The eight denominator coefficients against JW_p, with lam = conj(p)/p.
 
     Side 1 is J W W* k_w, side 2 is W* W (JW) k_w; both equal
     |beta|^2 |d|^2 sqrt(1-|p|^2) / ((A w + B) z + C w + D).
@@ -217,21 +189,26 @@ def weighted_jw_quadruples(m: LinearFractionalMap, p: complex) -> QuadrupleSet:
     )
 
 
-def _weighted_jw_parts(m: LinearFractionalMap, beta: complex, p: complex, w, z):
-    """Numerator and the two quadruple side denominators of the weighted JW case."""
-    q = weighted_jw_quadruples(m, p)
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    num = abs(beta) ** 2 * abs(m.d) ** 2 * np.sqrt(1.0 - abs(p) ** 2)
-    E1 = (q.A1 * w + q.B1) * z + q.C1 * w + q.D1
-    E2 = (q.A2 * w + q.B2) * z + q.C2 * w + q.D2
-    return num, E1, E2
+def _weighted_parts(m: LinearFractionalMap, beta: complex, C: Conjugation, w, z):
+    """Numerator and the two side denominators of W against C."""
+    num = abs(beta) ** 2 * abs(m.d) ** 2
+    if isinstance(C, JMu):
+        return (num, *weighted_jmu_quadruples(m, C.mu).denominators(w, z))
+    return (num * np.sqrt(1.0 - abs(C.p) ** 2),
+            *weighted_jw_quadruples(m, C.p).denominators(w, z))
+
+
+def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
+    """Both sides for W = T_{beta K_{sigma(0)}} C_phi against J_mu
+    (weighted_jmu_quadruples)."""
+    num, D1, D2 = _weighted_parts(m, beta, JMu(mu), w, z)
+    return num / D1, num / D2
 
 
 def eval_sides_weighted_jw(m: LinearFractionalMap, beta: complex, p: complex, w, z):
-    """Both sides for W against JW_p via the quadruple denominators."""
-    num, E1, E2 = _weighted_jw_parts(m, beta, p, w, z)
-    return num / E1, num / E2
+    """Both sides for W against JW_p (weighted_jw_quadruples)."""
+    num, D1, D2 = _weighted_parts(m, beta, JWp(p), w, z)
+    return num / D1, num / D2
 
 
 # --------------------------------------------------------------------------
@@ -279,17 +256,10 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
 
     if not case.weighted:
         valid = ~_comp_singular(m, W)
-        wv, zv = W[valid], Z[valid]
-        if case is CaseId.COMP_JMU:
-            lhs, rhs = eval_sides_comp_jmu(m, conj.mu, wv, zv)
-        else:
-            lhs, rhs = eval_sides_comp_jw(m, conj.p, wv, zv)
+        lhs, rhs = _comp_sides(m, conj, W[valid], Z[valid])
         return _reduce_residual(lhs - rhs, n_total)
 
-    if case is CaseId.WEIGHTED_JMU:
-        num, D1, D2 = _weighted_jmu_parts(m, beta, conj.mu, W, Z)
-    else:
-        num, D1, D2 = _weighted_jw_parts(m, beta, conj.p, W, Z)
+    num, D1, D2 = _weighted_parts(m, beta, conj, W, Z)
     floor = SIDE_FLOOR_RTOL * m.scale ** 2
     valid = (np.abs(D1) > floor) & (np.abs(D2) > floor)
     return _reduce_residual(num / D1[valid] - num / D2[valid], n_total)
@@ -518,12 +488,21 @@ class VerificationReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(finite_json_dict(self.to_json_dict()), indent=2, sort_keys=True)
 
     def csv_row(self, sample: int) -> str:
         max_n = max((r for _, r in self.matrix_residuals), default=float("nan"))
         return (f"{sample},{self.case},{str(self.verdict).lower()},"
                 f"{self.kernel_residual!r},{max_n!r},{str(self.consistent).lower()}")
+
+
+def finite_json_dict(row: dict) -> dict:
+    """row as plain JSON values with each non-finite float (inf, nan) written
+    as None (null), and one warnings entry naming each field that held one."""
+    out = json.loads(json.dumps(row), parse_constant=lambda _: None)
+    out["warnings"] += [f"{key}: non-finite value written as null" for key in row
+                        if json.dumps(out[key]) != json.dumps(row[key])]
+    return out
 
 
 def _matrix_residuals_non_increasing(residuals, floors) -> bool:
@@ -565,11 +544,8 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     |beta / s|^2 and report them times s^2.
     The matrix residual at each N is the Frobenius defect of C T*T C - T T*
     on the truncation-stable leading keep x keep block (operators.stable_keep;
-    matrix_keep lists keep at each N).  It is formed from the blocks it reads
-    alone (operators.kept_block_residuals): the first keep columns of T and
-    its first keep rows for a J_mu case, all of T and the first keep columns
-    of the conjugation matrix for a JW_p case.  Each block is built once, at
-    the largest N and keep, and sliced for the smaller ones.
+    matrix_keep lists keep at each N), formed from the operator blocks it
+    reads alone (operators.kept_block_residuals).
     Every truncation must be at least MIN_TRUNCATION, and the input must
     pass check_instance (ValueError otherwise).
     """

@@ -101,14 +101,14 @@ def conj_apply_kernel(C: Conjugation, w):
     return weight, eta
 
 
-def jw_weighted_matrix(C: JWp, N: int) -> np.ndarray:
-    """Truncated matrix of W_{xi_p, tau_p}: column j holds coeffs of xi_p tau_p^j.
+def jw_weighted_matrix(C: JWp, N: int, cols: int | None = None) -> np.ndarray:
+    """Truncated N x cols matrix of W_{xi_p, tau_p}: column j holds coeffs of xi_p tau_p^j.
 
     Built cumulatively (column j = column j-1 convolved with tau_p), which
     equals the lower-triangular-Toeplitz(xi) times composition(tau) product
     entrywise on the block.
     """
-    return hardy.power_matrix(C.xi_series(N), hardy.lft_power_series(C.tau(), N), N)
+    return hardy.power_matrix(C.xi_series(N), hardy.lft_power_series(C.tau(), N), N, cols)
 
 
 def parse_conjugation(text: str) -> Conjugation:

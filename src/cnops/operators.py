@@ -86,16 +86,17 @@ def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
     return A
 
 
-def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
-    """Truncated matrix M of a conjugation spec, which acts as x -> M conj(x).
+def conjugation_operator(C: Conjugation, N: int, cols: int | None = None) -> np.ndarray:
+    """Truncated N x cols matrix M (cols defaults to N) of a conjugation spec,
+    which acts as x -> M conj(x).
 
     JMu: M = beta diag(conj(mu)^n), an exact representation.
     JWp: M = beta conj(W) with W the truncated matrix of W_{xi_p, tau_p}
     (the action x -> beta conj(W x) rewritten as x -> M conj(x)).
     """
     if isinstance(C, JMu):
-        return C.beta * np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)
-    return C.beta * np.conj(jw_weighted_matrix(C, N))
+        return C.beta * np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)[:, :cols]
+    return C.beta * np.conj(jw_weighted_matrix(C, N, cols))
 
 
 def conj_apply_series(C: Conjugation, f: np.ndarray, N: int) -> np.ndarray:
@@ -140,13 +141,8 @@ def conj_axiom_residuals(C: Conjugation, N: int, sample_count: int,
 
 
 def kept_block_residual(X: np.ndarray, R: np.ndarray) -> float:
-    """Frobenius norm of X^T conj(X) - R R*, the kept block of C T*T C - T T*.
-
-    With C the conjugation x -> M conj(x) and M symmetric, the leading
-    keep x keep block of C T*T C is the Gram matrix X^T conj(X) of
-    X = T M[:, :keep], and that of T T* is R R* with R = T[:keep]; see
-    cnormal_residual_matrix.
-    """
+    """Frobenius norm of X^T conj(X) - R R*: the kept block of C T*T C - T T*
+    for X = T M[:, :keep] and R = T[:keep] (cnormal_residual_matrix)."""
     lhs = X.T @ np.conj(X)
     rhs = R @ R.conj().T
     return float(np.linalg.norm(lhs - rhs))
@@ -159,7 +155,7 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
     C is the conjugation x -> M conj(x) (see conjugation_operator), so the
     composition C T* T C linearizes to M conj(T* T) conj(M) =
     (M T^T)(conj(T) conj(M)).  M is symmetric (<Cx, y> = <Cy, x>), so with
-    X = T M[:, :keep] the kept block is the Gram matrix X^T conj(X)
+    X = T M[:, :keep] the kept block is X^T conj(X) - R R*, R = T[:keep]
     (kept_block_residual), at a cost of O(keep N^2) rather than four N x N
     products; of M it reads only the first keep columns.
     Default keep is N/2; truncation corrupts trailing rows of the products,
@@ -188,24 +184,24 @@ def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
     built once, at the largest N and keep (n and k), and sliced for the
     smaller sizes: power_matrix is prefix-exact in its rows and columns.
 
-    JMu: M is the diagonal beta_C conj(mu)^i, so X = T[:, :keep] times those
-    phases; the blocks are the first k columns of T at height n and its
-    first k rows across n columns (products of length k).
+    JMu: M is diagonal, so X = T[:, :keep] times its diagonal; the blocks
+    are the first k columns of T at height n and its first k rows across n
+    columns, whose first k columns are the top of the column block.
     JWp: X = T M[:, :keep] reads all of T[:N, :N] but only the first k
-    columns of M = beta_C conj(W_{xi_p, tau_p}).
+    columns of M = conjugation_operator(C, n, cols=k).
     """
     n = max(N for N, _ in sizes)
     k = max(keep for _, keep in sizes)
     phi = hardy.lft_power_series(m, n)
     first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
     if isinstance(C, JMu):
-        phases = C.beta * np.conj(C.mu) ** np.arange(k)
-        X = hardy.power_matrix(first, phi, n, cols=k) * phases
-        R = hardy.power_matrix(first[:k], phi[:k], k, cols=n)
+        T = hardy.power_matrix(first, phi, n, cols=k)
+        R = np.hstack([T[:k], hardy.power_matrix(
+            hardy.series_multiply(T[:k, k - 1], phi, k), phi[:k], k, cols=n - k)])
+        X = T * np.diagonal(conjugation_operator(C, k))
         return [kept_block_residual(X[:N, :keep], R[:keep, :N]) for N, keep in sizes]
     T = hardy.power_matrix(first, phi, n)
-    M = C.beta * np.conj(hardy.power_matrix(
-        C.xi_series(n), hardy.lft_power_series(C.tau(), n), n, cols=k))
+    M = conjugation_operator(C, n, cols=k)
     return [kept_block_residual(T[:N, :N] @ M[:N, :keep], T[:keep, :N]) for N, keep in sizes]
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import json
@@ -130,6 +131,27 @@ class TestVerify:
         row = out.splitlines()[1].split(",")
         assert row[2] == "true" and row[5] == "true"
         assert all(np.isfinite(float(x)) for x in row[3:5])
+
+    def test_overflowing_residual_is_json_null(self, capsys):
+        # at beta = 1.3e154 the residuals, reported times s^2, exceed the float
+        # range; JSON has no Infinity, so they are written as null with a warning
+        argv = ["verify", "--map", "0.1,0.05,0.8,1", "--conj", "jmu:1", "--weighted",
+                "--beta", "1.3e154"]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["verdict"] is False and report["consistent"] is True
+        assert report["kernel_residual"] is None
+        assert all(r is None for _, r in report["matrix_residuals"])
+        assert report["warnings"] == [
+            "kernel_residual: non-finite value written as null",
+            "matrix_residuals: non-finite value written as null"]
+        code, out, _ = run_main(capsys, argv + ["--format", "csv"])
+        assert code == 0 and out.splitlines()[1].split(",")[3:5] == ["inf", "inf"]
 
     @pytest.mark.parametrize("command", ["verify", "classify"])
     @pytest.mark.parametrize("beta", ["1e300", "1e-300"])
@@ -292,6 +314,20 @@ class TestSweep:
         assert len(payload["rows"]) == 4
         assert payload["rows"][2]["sample"] == 2
 
+    def test_non_finite_json_is_null(self):
+        # sweep JSON rows go through the same writer as verify's report
+        report = cnormal.VerificationReport(
+            case="comp_jmu", verdict=False, kernel_residual=float("nan"),
+            matrix_residuals=[(32, 0.5)], matrix_keep=[(32, 16)], params={}, grid={})
+        payload = json.loads(cli.sweep_json([report], [{"margin": float("inf")}], 1.0),
+                             parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        row = payload["rows"][0]
+        assert row["kernel_residual"] is None and row["margin"] is None
+        assert row["matrix_residuals"] == [[32, 0.5]]
+        assert row["warnings"] == ["kernel_residual: non-finite value written as null",
+                                   "margin: non-finite value written as null"]
+        assert report.warnings == []
+
     def test_fixed_conjugation_parameter(self, capsys):
         code, out, _ = run_main(capsys, [
             "sweep", "--conj", "jmu:-1", "--samples", "4", "--trunc", "32",
@@ -311,10 +347,25 @@ SWEEP_48_SEED_42 = {
 }
 
 
+# sha256 of the kernel_residual column of run_sweep(case, 48, 42), one value
+# a line: 0 at <= 1e-12, else 6 significant digits
+KERNEL_48_SEED_42 = {
+    CaseId.COMP_JMU: "f8ead4f125f98556354dda0e2ba1fa75dc6db937594d3cb8fe6d24bfb21e8e8e",
+    CaseId.COMP_JW: "392ec01d539a44d57970782d5ff8706b964d17344afc3d6434a69d2946d1c523",
+    CaseId.WEIGHTED_JMU: "ea60ca0adf45855d05fa9dd34da4ba00d45d0e36dfe765323bf61eae8bf4832b",
+    CaseId.WEIGHTED_JW: "be19acee430659a9a2a74f7b5716738582b05ae1234e7e60b167affd351233a1",
+}
+
+
+@functools.cache
+def sweep_48(case: CaseId):
+    return run_sweep(case, 48, 42)
+
+
 def sweep_rows(case: CaseId) -> str:
     """The seeded sweep without its residual columns, whose last bits depend
     on BLAS and libm; the margin has 8 significant digits, or is 0 at <= 1e-9."""
-    reports, extras, _ = run_sweep(case, 48, 42)
+    reports, extras, _ = sweep_48(case)
     rows = []
     for i, (r, x) in enumerate(zip(reports, extras)):
         margin = "0" if x["margin"] <= 1e-9 else f"{x['margin']:.8g}"
@@ -327,3 +378,13 @@ def test_seeded_sweep_is_pinned(case):
     # a changed sampler draw, verdict or consistency flag changes the digest
     rows = sweep_rows(case)
     assert hashlib.sha256(rows.encode()).hexdigest() == SWEEP_48_SEED_42[case], rows
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_seeded_kernel_residuals_are_pinned(case):
+    # true rows sit at rounding level (<= 1.4e-14) and false rows at >= 0.14, so
+    # a change of the kernel oracle beyond rounding changes the digest
+    reports, _, _ = sweep_48(case)
+    rows = "\n".join("0" if r.kernel_residual <= 1e-12 else f"{r.kernel_residual:.6g}"
+                     for r in reports)
+    assert hashlib.sha256(rows.encode()).hexdigest() == KERNEL_48_SEED_42[case], rows

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_self_map
 from cnops import cnormal
+from cnops.cli import sample_case
 from cnops.cnormal import (
     CaseId,
     VerificationReport,
@@ -29,6 +30,7 @@ from cnops.cnormal import (
     predicate_weighted_jw,
     ring_grid,
     verify,
+    weighted_jmu_quadruples,
     weighted_jw_quadruples,
 )
 from cnops.conjugations import JMu, JWp
@@ -175,6 +177,15 @@ class TestCompJwSides:
         assert rhs == pytest.approx(rhs_m, abs=1e-8)
 
 
+@pytest.mark.parametrize("evaluate,param", [(eval_sides_comp_jmu, np.exp(0.3j)),
+                                            (eval_sides_comp_jw, 0.4)])
+@pytest.mark.parametrize("z", [1.0, -1j, np.array([0.2, 1.5j])])
+def test_comp_sides_reject_points_outside_the_disk(evaluate, param, z):
+    # the right side reads C K_z through conj_apply_kernel, which needs |z| < 1
+    with pytest.raises(ValueError):
+        evaluate(GENERIC, param, 0.3, z)
+
+
 # --------------------------------------------------------------------------
 # first-principles operator-chain products for the weighted sides
 # --------------------------------------------------------------------------
@@ -256,6 +267,66 @@ class TestWeightedJmuSides:
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
+def random_weighted_jmu_instance(g, true: bool):
+    """A random map and mu; when true, |b| = |c| and mu solves the linear
+    condition (cbar d - abar b) conj(mu) = abar c - bbar d."""
+    a, b, c, d = g.standard_normal(4) + 1j * g.standard_normal(4)
+    if not true:
+        return LinearFractionalMap(a, b, c, d), np.exp(2j * np.pi * g.uniform())
+    c = abs(b) * np.exp(2j * np.pi * g.uniform())
+    mu = np.conj((np.conj(a) * c - np.conj(b) * d) / (np.conj(c) * d - np.conj(a) * b))
+    return LinearFractionalMap(a, b, c, d), mu / abs(mu)
+
+
+class TestWeightedJmuQuadruples:
+    @pytest.mark.parametrize("index", range(16))
+    def test_sampler_instances_coincide_iff_predicate(self, index):
+        rng = np.random.default_rng(np.random.SeedSequence([5, index]))
+        m, conj, _ = sample_case(CaseId.WEIGHTED_JMU, rng, index)
+        q = weighted_jmu_quadruples(m, conj.mu)
+        holds = predicate_weighted_jmu(m, conj.mu)
+        assert holds == (index % 2 == 0)
+        assert (q.max_difference() <= 1e-10 * m.scale ** 2) == holds
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("true", [True, False])
+    def test_random_instances_coincide_iff_predicate(self, seed, true):
+        m, mu = random_weighted_jmu_instance(np.random.default_rng(seed), true)
+        q = weighted_jmu_quadruples(m, mu)
+        assert predicate_weighted_jmu(m, mu) == true
+        assert (q.max_difference() <= 1e-10 * m.scale ** 2) == true
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_differences_are_the_predicate_defects(self, seed):
+        # dA = (|c|^2-|b|^2) mubar, dB = the linear defect L of the predicate,
+        # dC = conj(L) mubar and dD = |c|^2-|b|^2, exactly
+        g = np.random.default_rng(seed)
+        m, mu = random_weighted_jmu_instance(g, False)
+        a, b, c, d = m.coefficients()
+        lin = ((np.conj(c) * d - np.conj(a) * b) * np.conj(mu)
+               - (np.conj(a) * c - np.conj(b) * d))
+        mod = abs(c) ** 2 - abs(b) ** 2
+        s2 = m.scale ** 2
+        dA, dB, dC, dD = weighted_jmu_quadruples(m, mu).differences()
+        assert abs(dA - mod * np.conj(mu)) <= 1e-13 * s2
+        assert abs(dB - lin) <= 1e-13 * s2
+        assert abs(dC - np.conj(lin) * np.conj(mu)) <= 1e-13 * s2
+        assert abs(dD - mod) <= 1e-13 * s2
+        # with |b| = |c| the margin is the linear defect alone
+        m_eq = LinearFractionalMap(a, b, abs(b) * np.exp(0.4j), d)
+        dB_eq = weighted_jmu_quadruples(m_eq, mu).differences()[1]
+        assert cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m_eq, JMu(mu)) == pytest.approx(
+            abs(dB_eq) / m_eq.scale ** 2, rel=1e-12)
+
+    def test_sides_are_the_quadruple_form(self):
+        m, beta, mu = GENERIC, 0.7 * np.exp(0.4j), np.exp(1.3j)
+        W, Z = np.meshgrid(ring_grid(10), ring_grid(10))
+        D1, D2 = weighted_jmu_quadruples(m, mu).denominators(W, Z)
+        lhs, rhs = eval_sides_weighted_jmu(m, beta, mu, W, Z)
+        num = abs(beta) ** 2 * abs(m.d) ** 2
+        assert np.array_equal(lhs, num / D1) and np.array_equal(rhs, num / D2)
+
+
 class TestWeightedJwQuadruples:
     def test_chain_agreement(self):
         m = LinearFractionalMap(0.5 + 0.1j, 0.25, 0.2 - 0.05j, 1.0 + 0.3j)
@@ -309,6 +380,22 @@ class TestWeightedJwQuadruples:
 # --------------------------------------------------------------------------
 
 class TestKernelResidual:
+    @pytest.mark.parametrize("case,conj,phased", [
+        (CaseId.COMP_JW, JWp(0.3 + 0.2j), JWp(0.3 + 0.2j, np.exp(1.1j))),
+        (CaseId.COMP_JMU, JMu(np.exp(0.4j)), JMu(np.exp(0.4j), np.exp(0.7j))),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_composition_residual_ignores_the_conjugation_phase(self, case, conj,
+                                                                phased, seed):
+        # both sides carry C's phase; true rows are rounding noise of O(1) sides,
+        # so the change is measured against max(1, residual)
+        g = np.random.default_rng(seed)
+        maps = [random_self_map(g, max_offset=0.4), LinearFractionalMap(np.exp(0.7j), 0, 0, 1),
+                LinearFractionalMap(0.6 * np.exp(0.2j), 0, 0, 1)]
+        for m in maps:
+            r = kernel_residual(case, m, conj)
+            assert abs(kernel_residual(case, m, phased) - r) <= 1e-15 * max(1.0, r)
+
     def test_normal_dilation_jmu(self):
         # nonconstant dilations only: alpha = 0 is a degenerate quadruple
         for alpha in (0.05, 0.7, 0.99 * np.exp(2.1j)):

@@ -255,6 +255,14 @@ class TestBuildOnce:
         for n in (32, 64):
             assert np.array_equal(big[:n, :n], jw_weighted_matrix(JWp(p), n))
 
+    @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j), beta=np.exp(0.3j)),
+                                      JWp(0.3 + 0.2j, beta=np.exp(1.1j))])
+    def test_conjugation_columns_are_bit_exact(self, conj):
+        # kept_block_residuals builds only the first k columns of M
+        full = conjugation_operator(conj, 64)
+        for k in (1, 5, 32):
+            assert np.array_equal(conjugation_operator(conj, 64, cols=k), full[:, :k])
+
     @pytest.mark.parametrize("case,conj", [
         (CaseId.COMP_JMU, JMu(1j)),
         (CaseId.COMP_JW, JWp(0.4)),
@@ -262,8 +270,9 @@ class TestBuildOnce:
         (CaseId.WEIGHTED_JW, JWp(0.4)),
     ])
     def test_verify_builds_each_operator_once(self, monkeypatch, case, conj):
-        # two blocks, each built once at the largest N: the first keep columns
-        # and rows of T for J_mu, all of T and keep columns of M for JW_p
+        # two blocks, each built once at the largest N = 128 and k = keep there:
+        # for J_mu the first k columns of T and the k x (128 - k) rest of its
+        # first k rows, for JW_p all of T and the first k columns of M
         sizes = []
         original = cnormal.operators.hardy.power_matrix
 
@@ -274,7 +283,11 @@ class TestBuildOnce:
         monkeypatch.setattr(cnormal.operators.hardy, "power_matrix", counted)
         r = verify(case, GENERIC, conj, truncations=(32, 64, 128))
         assert [n for n, _ in r.matrix_residuals] == [32, 64, 128]
-        assert len(sizes) == 2 and all(max(size) == 128 for size in sizes)
+        k = max(keep for _, keep in r.matrix_keep)
+        if isinstance(conj, JMu):
+            assert sizes == [(128, k), (k, 128 - k)]
+        else:
+            assert sizes == [(128, 128), (128, k)]
 
 
 class TestStableKeep:
