@@ -15,8 +15,9 @@ sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
 
 Every command exits 2 on bad input, which includes a map that is not a
 self-map of the disk, a beta for the weighted operator whose |beta|^2 is 0
-or not finite (cnormal.check_instance) and an --out path that cannot be
-written.
+or not finite (cnormal.check_instance), a --trunc size outside [8, 4096]
+(cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
+(cnormal.ring_grid) and an --out path that cannot be written.
 
 Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
 index order and written in that order, so identical configs produce

@@ -8,7 +8,10 @@ routes, which must agree and which the verify() report records:
   * the kernel oracle: both sides applied to K_w and evaluated at z, in closed
     form.  For C_phi they read C only through conj_apply_kernel (_comp_sides);
     for W each side is a numerator over its QuadrupleSet denominator;
-  * a matrix oracle through truncated operators (operators.kept_block_residuals).
+  * a matrix oracle: the defect of C T*T C - T T* on a leading kept block at
+    each truncation N, formed from the exact leading block X of T C, whose
+    columns are psi (w o phi)(h o phi)^i for C e_i = w h^i, and from the
+    block R = T[:keep] (operators.kept_block_residuals).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .moebius import (
 
 GRID_RADII = (0.3, 0.6, 0.9)
 GRID_N = 12                   # default points per ring of the kernel grid
+MAX_GRID_N = 512              # largest: (3 * 512)^2 grid pairs, 38 MB per complex array
 SINGULAR_RTOL = 1e-6          # exclusion radius around singular sets, times scale
 SIDE_FLOOR_RTOL = 1e-12       # weighted side denominators below this times scale^2 are singular
 EXACT_TOL = 1e-12             # relative margin under which a composition case holds
@@ -45,6 +49,7 @@ VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above th
 MATRIX_FLOOR = 1e-12          # matrix residuals may rise in N while below this
 MATRIX_FLOOR_RTOL = 4 * np.finfo(float).eps   # or this * sqrt(N) * keep (rounding)
 MIN_TRUNCATION = 8            # smallest N whose N/2 holds stable_keep's floor of 4 rows
+MAX_TRUNCATION = 4096         # largest N; its kept blocks take at most 256 MB
 
 
 class CaseId(str, Enum):
@@ -218,11 +223,12 @@ def eval_sides_weighted_jw(m: LinearFractionalMap, beta: complex, p: complex, w,
 def ring_grid(grid_n: int) -> np.ndarray:
     """Deterministic points on concentric rings of radius <= 0.9.
 
-    grid_n angles per ring, offset ring-to-ring by the golden angle so that
-    no two rings share a ray (keeps accidental symmetry out of the grid).
+    grid_n angles per ring (8 to MAX_GRID_N), offset ring-to-ring by the
+    golden angle so that no two rings share a ray (keeps accidental symmetry
+    out of the grid).
     """
-    if grid_n < 8:
-        raise ValueError("grid_n must be at least 8")
+    if not 8 <= grid_n <= MAX_GRID_N:
+        raise ValueError(f"grid_n must be at least 8 and at most {MAX_GRID_N}, got {grid_n}")
     pts = []
     golden = 2.0 * np.pi * 0.381966011250105
     for k, r in enumerate(GRID_RADII):
@@ -544,16 +550,19 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     |beta / s|^2 and report them times s^2.
     The matrix residual at each N is the Frobenius defect of C T*T C - T T*
     on the truncation-stable leading keep x keep block (operators.stable_keep;
-    matrix_keep lists keep at each N), formed from the operator blocks it
-    reads alone (operators.kept_block_residuals).
-    Every truncation must be at least MIN_TRUNCATION, and the input must
-    pass check_instance (ValueError otherwise).
+    matrix_keep lists keep at each N): X^T conj(X) - R R* with X the exact
+    leading N x keep block of T C, whose column i holds the coefficients of
+    psi (w o phi)(h o phi)^i for C e_i = w h^i, and R = T[:keep, :N]
+    (operators.kept_block_residuals).
+    Every truncation must lie in [MIN_TRUNCATION, MAX_TRUNCATION], and the
+    input must pass check_instance (ValueError otherwise).
     """
     t0 = time.perf_counter()
     truncations = sorted(int(n) for n in truncations)
-    if not truncations or truncations[0] < MIN_TRUNCATION:
-        raise ValueError(f"truncations must be non-empty and each at least "
-                         f"{MIN_TRUNCATION}, got {truncations}")
+    if not (truncations and MIN_TRUNCATION <= truncations[0]
+            and truncations[-1] <= MAX_TRUNCATION):
+        raise ValueError(f"truncations must be non-empty and each at least {MIN_TRUNCATION} "
+                         f"and at most {MAX_TRUNCATION}, got {truncations}")
     check_instance(case, m, conj, beta)
 
     verdict = case_predicate(case, m, conj)

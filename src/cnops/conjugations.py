@@ -11,6 +11,11 @@ involution exactly because lambda p = conj(p).  Its coefficient action
 (operators.conj_apply_series) goes through the truncated operator matrix, so
 it carries truncation error; the kernel action below is closed-form and exact.
 
+Both families are also given by their basis images C e_i = w h^i
+(basis_image_series), which the matrix oracle reads: for T = T_psi C_phi,
+column i of the matrix of T C holds the coefficients of
+T (C e_i) = psi (w o phi)(h o phi)^i, exactly and with no truncated factor.
+
 An optional unimodular phase beta multiplies either action (the classification
 of conjugations of the form u(z) * conj(f(conj(v(z)))) allows it): family (i),
 u = beta and v(z) = mu z, is JMu(mu, beta); family (ii),
@@ -26,7 +31,7 @@ from typing import Union
 import numpy as np
 
 from . import hardy
-from .moebius import LinearFractionalMap
+from .moebius import LinearFractionalMap, lft_compose
 
 UNIMODULAR_TOL = 1e-14
 
@@ -101,14 +106,41 @@ def conj_apply_kernel(C: Conjugation, w):
     return weight, eta
 
 
-def jw_weighted_matrix(C: JWp, N: int, cols: int | None = None) -> np.ndarray:
-    """Truncated N x cols matrix of W_{xi_p, tau_p}: column j holds coeffs of xi_p tau_p^j.
+def basis_image_series(C: Conjugation, m: LinearFractionalMap, N: int):
+    """First N Taylor coefficients of w o phi and h o phi, where C e_i = w h^i.
+
+    So (C e_i) o phi = (w o phi)(h o phi)^i, and at the identity map
+    hardy.power_matrix of the two series is the matrix of C.
+    JMu:  w = beta, h = conj(mu) z.
+    JWp:  w = beta sqrt(1-|p|^2)/(1 - p z) and
+          h = conj(lam) (conj(p) - z)/(1 - p z), that is xi_p and tau_p with
+          conjugated coefficients; w o phi = beta sqrt(1-|p|^2) (c z + d)/(e z + f)
+          with e = c - p a and f = d - p b, expanded here directly because its
+          determinant p (ad - bc) vanishes as p -> 0 while the series does not.
+    """
+    if isinstance(C, JMu):
+        w = np.zeros(N, dtype=complex)
+        w[0] = C.beta
+        h = LinearFractionalMap(np.conj(C.mu), 0.0, 0.0, 1.0)
+    else:
+        a, b, c, d = m.coefficients()
+        e, f = c - C.p * a, d - C.p * b
+        g = (-e / f) ** np.arange(N) / f          # 1/(e z + f)
+        w = d * g
+        w[1:] += c * g[:-1]
+        w *= C.beta * np.sqrt(1.0 - abs(C.p) ** 2)
+        h = LinearFractionalMap(*np.conj(C.tau().coefficients()))
+    return w, hardy.lft_power_series(lft_compose(h, m), N)
+
+
+def jw_weighted_matrix(C: JWp, N: int) -> np.ndarray:
+    """Truncated matrix of W_{xi_p, tau_p}: column j holds coeffs of xi_p tau_p^j.
 
     Built cumulatively (column j = column j-1 convolved with tau_p), which
     equals the lower-triangular-Toeplitz(xi) times composition(tau) product
     entrywise on the block.
     """
-    return hardy.power_matrix(C.xi_series(N), hardy.lft_power_series(C.tau(), N), N, cols)
+    return hardy.power_matrix(C.xi_series(N), hardy.lft_power_series(C.tau(), N), N)
 
 
 def parse_conjugation(text: str) -> Conjugation:

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import hardy
-from .conjugations import Conjugation, JMu, JWp, jw_weighted_matrix
+from .conjugations import Conjugation, JMu, JWp, basis_image_series, jw_weighted_matrix
 from .errors import NotSelfMapError
 from .moebius import (
     LinearFractionalMap,
@@ -86,17 +86,16 @@ def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
     return A
 
 
-def conjugation_operator(C: Conjugation, N: int, cols: int | None = None) -> np.ndarray:
-    """Truncated N x cols matrix M (cols defaults to N) of a conjugation spec,
-    which acts as x -> M conj(x).
+def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
+    """Truncated matrix M of a conjugation spec, which acts as x -> M conj(x).
 
     JMu: M = beta diag(conj(mu)^n), an exact representation.
     JWp: M = beta conj(W) with W the truncated matrix of W_{xi_p, tau_p}
     (the action x -> beta conj(W x) rewritten as x -> M conj(x)).
     """
     if isinstance(C, JMu):
-        return C.beta * np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)[:, :cols]
-    return C.beta * np.conj(jw_weighted_matrix(C, N, cols))
+        return C.beta * np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)
+    return C.beta * np.conj(jw_weighted_matrix(C, N))
 
 
 def conj_apply_series(C: Conjugation, f: np.ndarray, N: int) -> np.ndarray:
@@ -172,37 +171,44 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
     return kept_block_residual(T @ M[:, :keep], T[:keep])
 
 
-def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
-                         beta: complex | None = None) -> list:
-    """cnormal_residual_matrix of the N x N truncations of T and of C's matrix
-    for each (N, keep) in sizes, built only from the blocks the kept
-    residual reads.
+def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
+                beta: complex | None = None) -> tuple:
+    """The blocks X = (T C)[:n, :k] and R = T[:k, :n] that the kept residual
+    reads, exact in every entry.
 
     T is C_phi, or W = T_psi C_phi with psi = beta K_{sigma(0)} when beta is
-    given; column j of T holds the coefficients of first * phi^j with first
-    = 1 or psi, so hardy.power_matrix builds any block of it.  Each block is
-    built once, at the largest N and keep (n and k), and sliced for the
-    smaller sizes: power_matrix is prefix-exact in its rows and columns.
+    given.  With first = 1 or psi, column j of T holds the coefficients of
+    first phi^j, and column i of T C those of T (C e_i) =
+    first (w o phi)(h o phi)^i for C e_i = w h^i (basis_image_series).  So
+    each block is one hardy.power_matrix, and X is the leading block of the
+    matrix of T C itself, not the product of the truncations of T and of
+    C's matrix.  Both builds are prefix-exact in their rows and columns, so
+    slices give the blocks at smaller sizes.
+    """
+    phi = hardy.lft_power_series(m, k)
+    first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
+    w_phi, h_phi = basis_image_series(C, m, n)
+    X = hardy.power_matrix(hardy.series_multiply(first, w_phi, n), h_phi, n, cols=k)
+    R = hardy.power_matrix(first[:k], phi, k, cols=n)
+    return X, R
 
-    JMu: M is diagonal, so X = T[:, :keep] times its diagonal; the blocks
-    are the first k columns of T at height n and its first k rows across n
-    columns, whose first k columns are the top of the column block.
-    JWp: X = T M[:, :keep] reads all of T[:N, :N] but only the first k
-    columns of M = conjugation_operator(C, n, cols=k).
+
+def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
+                         beta: complex | None = None) -> list:
+    """The kept residual of C T*T C - T T* for each (N, keep) in sizes:
+    kept_block_residual(X[:N, :keep], R[:keep, :N]) with X and R the
+    kept_blocks, built once at the largest N and keep.
+
+    R = T[:keep, :N], as in cnormal_residual_matrix of the truncations.  X[:N]
+    is the exact leading block of T C, with columns psi (w o phi)(h o phi)^i
+    (psi = 1 for C_phi), where cnormal_residual_matrix reads the product
+    T_N M_N of the truncations.  The two agree for J_mu, whose matrix is
+    diagonal; for JW_p they differ by the truncation error of that product.
     """
     n = max(N for N, _ in sizes)
     k = max(keep for _, keep in sizes)
-    phi = hardy.lft_power_series(m, n)
-    first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
-    if isinstance(C, JMu):
-        T = hardy.power_matrix(first, phi, n, cols=k)
-        R = np.hstack([T[:k], hardy.power_matrix(
-            hardy.series_multiply(T[:k, k - 1], phi, k), phi[:k], k, cols=n - k)])
-        X = T * np.diagonal(conjugation_operator(C, k))
-        return [kept_block_residual(X[:N, :keep], R[:keep, :N]) for N, keep in sizes]
-    T = hardy.power_matrix(first, phi, n)
-    M = conjugation_operator(C, n, cols=k)
-    return [kept_block_residual(T[:N, :N] @ M[:N, :keep], T[:keep, :N]) for N, keep in sizes]
+    X, R = kept_blocks(m, C, n, k, beta)
+    return [kept_block_residual(X[:N, :keep], R[:keep, :N]) for N, keep in sizes]
 
 
 def stable_keep(N: int, m: LinearFractionalMap | None = None,

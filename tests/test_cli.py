@@ -189,6 +189,17 @@ class TestVerify:
         assert code == 2
         assert "error:" in err and "at least 8" in err
 
+    @pytest.mark.parametrize("argv,bound", [
+        (["verify", "--map", "1,0,0,1", "--conj", "jw:0.5", "--trunc", "32,4097"], "4096"),
+        (["verify", "--map", "1,0,0,1", "--conj", "jmu:1", "--grid", "513"], "512"),
+        (["sweep", "--conj", "jmu", "--samples", "1", "--grid", "513"], "512"),
+    ])
+    def test_oversized_truncation_or_grid_exits_2(self, capsys, argv, bound):
+        # rejected before anything of that size is allocated
+        code, out, err = run_main(capsys, argv)
+        assert code == 2 and out == ""
+        assert "error:" in err and f"at most {bound}" in err
+
     def test_ill_conditioned_grid_exits_3(self, capsys, monkeypatch):
         from cnops.errors import IllConditionedGridError
         import cnops.cli as cli_mod

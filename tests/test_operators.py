@@ -1,12 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import random_self_map
 from cnops import cnormal
 from cnops.cnormal import CaseId, verify
-from cnops.conjugations import JMu, JWp, jw_weighted_matrix
+from cnops.conjugations import JMu, JWp, basis_image_series, jw_weighted_matrix
 from cnops.errors import NotSelfMapError
-from cnops.hardy import kernel_series, lft_power_series
+from cnops.hardy import kernel_series, lft_power_series, power_matrix
 from cnops.moebius import LinearFractionalMap
 from cnops.operators import (
     adjoint_via_cowen,
@@ -15,12 +17,32 @@ from cnops.operators import (
     cnormal_residual_matrix,
     composition_matrix,
     conjugation_operator,
+    kept_block_residual,
     kept_block_residuals,
+    kept_blocks,
     stable_keep,
     weighted_composition_matrix,
 )
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
+AUTOMORPHISM = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)
+# rows of T C the references compute; their truncations of T and M are deep
+# enough that T_1024 M_1024 is the matrix of T C on these rows to rounding
+REF_ROWS, REF_N = 128, 1024
+
+
+@functools.cache
+def reference_rows(m, beta=None):
+    """Rows [:REF_ROWS] of the REF_N truncation of C_phi, or of W for a beta."""
+    rows = composition_matrix(m, REF_N)[:REF_ROWS]
+    if beta is None:
+        return rows
+    return analytic_toeplitz_matrix(canonical_weight_series(m, beta, REF_ROWS), REF_ROWS) @ rows
+
+
+@functools.cache
+def reference_conjugation(conj):
+    return conjugation_operator(conj, REF_N)
 
 
 def involution_defect(M, keep):
@@ -223,11 +245,12 @@ class TestCnormalResidualMatrix:
         (CaseId.WEIGHTED_JW, JWp(0.3 - 0.5j, beta=1j)),
     ])
     @pytest.mark.parametrize("m", [GENERIC, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1),
-                                   LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)])
+                                   AUTOMORPHISM])
     @pytest.mark.parametrize("keep", [1, 5, "stable"])
     def test_blocks_match_the_full_builds(self, case, conj, m, keep):
         # the blocks built once at N = 128 and sliced give, at every N, the
-        # residual of the full N x N truncations
+        # residual of the full N x N truncations for J_mu, and for JW_p the
+        # residual whose left block reads the exact rows of T C
         beta = 0.7 + 0.2j if case.weighted else None
         sizes = [(N, stable_keep(N, m=m, C=conj) if keep == "stable" else keep)
                  for N in (32, 64, 128)]
@@ -237,7 +260,11 @@ class TestCnormalResidualMatrix:
                 T = weighted_composition_matrix(canonical_weight_series(m, beta, N), m, N)
             else:
                 T = composition_matrix(m, N)
-            want = cnormal_residual_matrix(T, conjugation_operator(conj, N), k)
+            if isinstance(conj, JMu):
+                want = cnormal_residual_matrix(T, conjugation_operator(conj, N), k)
+            else:   # X is the block of T C itself, not of T_N M_N
+                X = reference_rows(m, beta) @ reference_conjugation(conj)[:, :k]
+                want = kept_block_residual(X[:N], T[:k])
             assert abs(value - want) <= 1e-13 * max(1.0, want)
 
     def test_dimension_mismatch(self):
@@ -255,14 +282,6 @@ class TestBuildOnce:
         for n in (32, 64):
             assert np.array_equal(big[:n, :n], jw_weighted_matrix(JWp(p), n))
 
-    @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j), beta=np.exp(0.3j)),
-                                      JWp(0.3 + 0.2j, beta=np.exp(1.1j))])
-    def test_conjugation_columns_are_bit_exact(self, conj):
-        # kept_block_residuals builds only the first k columns of M
-        full = conjugation_operator(conj, 64)
-        for k in (1, 5, 32):
-            assert np.array_equal(conjugation_operator(conj, 64, cols=k), full[:, :k])
-
     @pytest.mark.parametrize("case,conj", [
         (CaseId.COMP_JMU, JMu(1j)),
         (CaseId.COMP_JW, JWp(0.4)),
@@ -271,8 +290,8 @@ class TestBuildOnce:
     ])
     def test_verify_builds_each_operator_once(self, monkeypatch, case, conj):
         # two blocks, each built once at the largest N = 128 and k = keep there:
-        # for J_mu the first k columns of T and the k x (128 - k) rest of its
-        # first k rows, for JW_p all of T and the first k columns of M
+        # the first k columns of T C and the first k rows of T; no N x N build
+        # and no truncated conjugation matrix
         sizes = []
         original = cnormal.operators.hardy.power_matrix
 
@@ -280,14 +299,38 @@ class TestBuildOnce:
             sizes.append((N, N if cols is None else cols))
             return original(first, f, N, cols)
 
+        def unreachable(*args):
+            raise AssertionError("verify built a truncated conjugation matrix")
+
         monkeypatch.setattr(cnormal.operators.hardy, "power_matrix", counted)
+        monkeypatch.setattr(cnormal.operators, "conjugation_operator", unreachable)
+        monkeypatch.setattr(cnormal.operators, "jw_weighted_matrix", unreachable)
         r = verify(case, GENERIC, conj, truncations=(32, 64, 128))
         assert [n for n, _ in r.matrix_residuals] == [32, 64, 128]
         k = max(keep for _, keep in r.matrix_keep)
-        if isinstance(conj, JMu):
-            assert sizes == [(128, k), (k, 128 - k)]
-        else:
-            assert sizes == [(128, 128), (128, k)]
+        assert sizes == [(128, k), (k, 128)]
+
+
+class TestBasisImages:
+    @pytest.mark.parametrize("C", [
+        family(x, beta=beta) for beta in (1.0, np.exp(1.1j))
+        for family, x in [(JMu, np.exp(0.9j)), (JWp, 0.4), (JWp, 0.3 + 0.25j),
+                          (JWp, -0.7j), (JWp, 0.85)]])
+    def test_identity_map_gives_the_conjugation_matrix(self, C):
+        # column i of M holds C e_i = w h^i
+        w, h = basis_image_series(C, LinearFractionalMap(1, 0, 0, 1), 64)
+        assert np.abs(power_matrix(w, h, 64) - conjugation_operator(C, 64)).max() <= 1e-14
+
+    @pytest.mark.parametrize("conj", [JWp(0.4), JWp(0.3 - 0.5j, beta=1j)])
+    @pytest.mark.parametrize("m", [GENERIC, AUTOMORPHISM])
+    @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
+    def test_column_block_is_the_block_of_t_times_c(self, conj, m, beta):
+        # X is the exact leading block of T C, which T_1024 M_1024 gives on
+        # its first 128 rows to rounding
+        k = stable_keep(REF_ROWS, m=m, C=conj)
+        X, _ = kept_blocks(m, conj, REF_ROWS, k, beta)
+        want = reference_rows(m, beta) @ reference_conjugation(conj)[:, :k]
+        assert np.abs(X - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestStableKeep:
