@@ -11,7 +11,8 @@ sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
           selected case, so it takes no --map or --beta; one row per sample,
           margin-aware: constructed instances satisfy the case equalities
           exactly, rejected ones violate them by at least 1e-3 relative.
-          exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
+          exit 0 iff the predicate/oracle agreement rate is 100%, else 1;
+          3 when any sample's grid is ill-conditioned, as for verify.
 
 Every command exits 2 on bad input, which includes a map that is not a
 self-map of the disk, a beta for the weighted operator whose |beta|^2 is 0
@@ -327,6 +328,8 @@ def cmd_sweep(args) -> int:
         reports, extras, agreement = run_sweep(
             _resolve_case(family, args.weighted), args.samples, args.seed,
             grid_n=args.grid_n, truncations=args.truncations, fixed_conj=fixed_conj)
+    except IllConditionedGridError as exc:
+        return _error(exc, 3)
     except (ValueError, CnopsError) as exc:
         return _error(exc)
     _emit(sweep_json(reports, extras, agreement) if args.format == "json"

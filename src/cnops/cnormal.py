@@ -16,6 +16,7 @@ routes, which must agree and which the verify() report records:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -237,6 +238,19 @@ def ring_grid(grid_n: int) -> np.ndarray:
     return np.concatenate(pts)
 
 
+@functools.lru_cache(maxsize=2)
+def _kernel_grid(grid_n: int) -> tuple:
+    """The (w, z) pairs of ring_grid(grid_n) as read-only meshgrid arrays W, Z.
+
+    Built once per grid_n and shared by every kernel_residual call; the two
+    most recent sizes are kept (at MAX_GRID_N the pair holds 77 MB).
+    """
+    pts = ring_grid(grid_n)
+    W, Z = np.meshgrid(pts, pts, indexing="ij")
+    W.flags.writeable = Z.flags.writeable = False
+    return W, Z
+
+
 def _reduce_residual(diffs: np.ndarray, n_total: int) -> float:
     """Max of |diffs| over the surviving pairs; rejects over-excluded grids."""
     n_excluded = n_total - diffs.size
@@ -256,8 +270,7 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     ones; for validated self-maps the latter never triggers) are excluded;
     more than 20% exclusions raises IllConditionedGridError.
     """
-    pts = ring_grid(grid_n)
-    W, Z = np.meshgrid(pts, pts, indexing="ij")
+    W, Z = _kernel_grid(grid_n)
     n_total = W.size
 
     if not case.weighted:

@@ -68,17 +68,23 @@ def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
     """N x cols matrix (cols defaults to N) whose column j holds the
     coefficients of first * f^j.
 
-    Column j is column j - 1 times f, truncated at degree N - 1; entry n sums
-    the same products at every N > n and reads only the leading n + 1 entries
-    of first and f.  So the leading r rows of the result at any N > r equal
+    Column j is column j - 1 times f, truncated at degree N - 1 (the
+    np.convolve of series_multiply, entry for entry); entry n sums the same
+    products at every N > n and reads only the leading n + 1 entries of
+    first and f.  So the leading r rows of the result at any N > r equal
     power_matrix(first[:r], f[:r], r, cols) exactly, and the leading columns
     equal the result at a smaller cols exactly.
+
+    The columns are contiguous (order "F"), so no column is copied.  When
+    f[0] == 0, first * f^j has order at least j, so columns j >= N are zero
+    in the first N rows and are left as allocated, not computed.
     """
     cols = N if cols is None else cols
-    M = np.zeros((N, cols), dtype=complex)
+    f = np.asarray(f, dtype=complex)[:N]
+    M = np.zeros((N, cols), dtype=complex, order="F")
     M[:, 0] = first
-    for j in range(1, cols):
-        M[:, j] = series_multiply(M[:, j - 1], f, N)
+    for j in range(1, min(cols, N) if f[0] == 0 else cols):
+        M[:, j] = np.convolve(M[:, j - 1], f)[:N]
     return M
 
 

@@ -259,6 +259,17 @@ class TestSweepSampling:
 
 
 class TestSweep:
+    def test_ill_conditioned_grid_exits_3(self, capsys, monkeypatch):
+        from cnops.errors import IllConditionedGridError
+
+        def boom(*args, **kwargs):
+            raise IllConditionedGridError("synthetic")
+
+        monkeypatch.setattr(cnormal, "kernel_residual", boom)
+        code, out, err = run_main(capsys, [
+            "sweep", "--conj", "jmu", "--samples", "2", "--trunc", "32"])
+        assert code == 3 and out == "" and "synthetic" in err
+
     def test_comp_jmu_small_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run_main(capsys, [

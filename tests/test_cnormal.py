@@ -415,6 +415,18 @@ class TestKernelResidual:
         with pytest.raises(ValueError):
             ring_grid(4)
 
+    def test_cached_grid_rejects_writes(self):
+        from cnops.cnormal import _kernel_grid
+
+        W, Z = _kernel_grid(10)
+        assert _kernel_grid(10)[0] is W
+        W_ref, Z_ref = np.meshgrid(ring_grid(10), ring_grid(10), indexing="ij")
+        assert np.array_equal(W, W_ref) and np.array_equal(Z, Z_ref)
+        for arr in (W, Z):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+        assert np.array_equal(W, W_ref) and np.array_equal(Z, Z_ref)
+
     def test_reducer_rejects_overexcluded_grid(self):
         with pytest.raises(IllConditionedGridError):
             _reduce_residual(np.zeros(70), n_total=100)

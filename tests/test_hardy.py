@@ -125,7 +125,51 @@ def cauchy_columns(first, f, N):
     return out
 
 
+def series_multiply_chain(first, f, N, cols):
+    """Reference for power_matrix: every one of the cols columns computed by
+    series_multiply of the previous one, in a row-major array."""
+    out = np.zeros((N, cols), dtype=complex)
+    out[:, 0] = first
+    for j in range(1, cols):
+        out[:, j] = series_multiply(out[:, j - 1], f, N)
+    return out
+
+
+def chain_inputs(g, N):
+    """(first, f) pairs with f(0) != 0 and with f(0) = 0 (maps fixing 0)."""
+    e0 = np.eye(N, 1).ravel()
+    rand = g.standard_normal((3, N)) + 1j * g.standard_normal((3, N))
+    fixing_0 = LinearFractionalMap(0.6 * np.exp(0.5j), 0, -0.3 + 0.2j, 1)
+    return [(e0, lft_power_series(random_self_map(g), N)),
+            (rand[0], rand[1]),
+            (e0, lft_power_series(fixing_0, N)),
+            (rand[2], lft_power_series(LinearFractionalMap(0.8j, 0, 0, 1), N))]
+
+
 class TestPowerMatrix:
+    @pytest.mark.parametrize("N", [16, 48])
+    def test_equals_the_series_multiply_chain(self, N):
+        g = np.random.default_rng(N + 2)
+        inputs = chain_inputs(g, N)
+        assert [f[0] == 0 for _, f in inputs] == [False, False, True, True]
+        for first, f in inputs:
+            for cols in (1, N // 3, N - 1, N, N + 1, 2 * N + 3):
+                assert np.array_equal(power_matrix(first, f, N, cols=cols),
+                                      series_multiply_chain(first, f, N, cols))
+
+    @pytest.mark.parametrize("N", [16, 48])
+    def test_columns_past_n_are_zero_when_f_fixes_0(self, N):
+        # column j = first f^j has order j: its leading entry first[0] f[1]^j
+        # is the product of the chain, and columns j >= N vanish exactly
+        g = np.random.default_rng(N + 3)
+        for first, f in chain_inputs(g, N)[2:]:
+            M = power_matrix(first, f, N, cols=N + 7)
+            lead = first[0] * f[1] ** np.arange(N)
+            assert np.allclose(np.diagonal(M), lead, rtol=1e-12, atol=0)
+            assert np.all(np.diagonal(M) != 0)
+            assert not M[:, N:].any()
+            assert not np.triu(M[:, :N], 1).any()
+
     @pytest.mark.parametrize("N", [32, 64, 128, 256])
     def test_matches_cauchy_reference(self, N):
         # entries are coefficients of functions of H^2 norm <= 1, so rounding
@@ -149,7 +193,9 @@ class TestPowerMatrix:
         inputs = [(np.eye(N, 1).ravel(), lft_power_series(random_self_map(g), N)),
                   (C.xi_series(N), lft_power_series(C.tau(), N)),
                   (g.standard_normal(N) + 1j * g.standard_normal(N),
-                   g.standard_normal(N) + 1j * g.standard_normal(N))]
+                   g.standard_normal(N) + 1j * g.standard_normal(N)),
+                  (g.standard_normal(N) + 1j * g.standard_normal(N),
+                   lft_power_series(LinearFractionalMap(0.9 * np.exp(0.7j), 0, 0, 1), N))]
         for first, f in inputs:
             full = power_matrix(first, f, N)
             for r in (1, 5, N // 3, N // 2):
