@@ -4,21 +4,24 @@ classify  --map a,b,c,d --conj jmu:<c>|jw:<c> [--weighted] [--beta c]
           prints the predicate verdict as JSON; exit 0.
 verify    same selectors plus --grid/--trunc/--out/--format; runs the
           dual-oracle check.  exit 0 when predicate and oracles agree, 1 when
-          they contradict (a hard failure), 3 on an ill-conditioned grid.
+          they contradict (a hard failure).
 sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
           --grid/--trunc/--out/--format; seeded sampling of maps,
           conjugation parameters and (weighted) a unimodular beta for the
           selected case, so it takes no --map or --beta; one row per sample,
           margin-aware: constructed instances satisfy the case equalities
           exactly, rejected ones violate them by at least 1e-3 relative.
-          exit 0 iff the predicate/oracle agreement rate is 100%, else 1;
-          3 when any sample's grid is ill-conditioned, as for verify.
+          exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
 
-Every command exits 2 on bad input, which includes a map that is not a
-self-map of the disk, a beta for the weighted operator whose |beta|^2 is 0
-or not finite (cnormal.check_instance), a --trunc size outside [8, 4096]
+Each command returns its text and exit code to main, which alone maps errors
+to exit codes and writes output.  Every command exits 3 on an ill-conditioned
+kernel grid and 2 on bad input, with one "error: ..." line on stderr and
+nothing on stdout.  Bad input includes a map that is not a self-map of the
+disk, a beta for the weighted operator whose |beta|^2 is 0 or not finite
+(cnormal.check_instance), a --trunc size outside [8, 4096]
 (cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
-(cnormal.ring_grid) and an --out path that cannot be written.
+(cnormal.ring_grid) and an --out path that cannot be written.  The text ends
+in exactly one newline, and stdout gets the same bytes as the --out file.
 
 Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
 index order and written in that order, so identical configs produce
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import cnormal
 from .cnormal import CaseId, predicate_margin, verify
-from .conjugations import Conjugation, JMu, JWp, parse_conjugation
+from .conjugations import FAMILIES, Conjugation, JMu, JWp, parse_conjugation
 from .errors import CnopsError, IllConditionedGridError
 from .moebius import LinearFractionalMap, parse_complex, parse_map
 from .operators import STANDARD_TRUNCATIONS
@@ -80,7 +83,7 @@ def _hermitian_map(rng, need_solvable_p=False):
     """Self-maps of the Hermitian family: (a1-a0^2, a0, -conj(a0), 1), a1 real.
 
     With need_solvable_p the parameters are real and chosen so the JW
-    condition has a root p = 2 a0/(1 - a) in (0, 1).
+    condition has a root p (cnormal.hermitian_jw_solved_p) in (0.02, 0.98).
     """
     while True:
         if need_solvable_p:
@@ -91,13 +94,14 @@ def _hermitian_map(rng, need_solvable_p=False):
         fam = cnormal.hermitian_family(a0, a1, 1.0)
         if not fam.is_self_map:
             continue
-        if need_solvable_p:
-            a = a1 - a0 ** 2
-            p = 2.0 * a0 / (1.0 - a)
-            if not 0.02 < p < 0.98:
-                continue
+        if not need_solvable_p:
+            return fam.map, a0, a1, None
+        try:
+            p = cnormal.hermitian_jw_solved_p(a0, a1)
+        except ValueError:
+            continue
+        if 0.02 < p < 0.98:
             return fam.map, a0, a1, p
-        return fam.map, a0, a1, None
 
 
 def _real_symmetric_map(rng) -> LinearFractionalMap:
@@ -259,82 +263,49 @@ def _check_writable(path: str):
         raise ValueError(f"output path {path!r} is not writable")
 
 
-def _error(exc: Exception, code: int = 2) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
-def _family(conj: Conjugation) -> str:
-    return "jmu" if isinstance(conj, JMu) else "jw"
-
-
-def _resolve_case(family: str, weighted: bool) -> CaseId:
-    return CaseId(f"{'weighted' if weighted else 'comp'}_{family}")
+def _case(conj_type: type, weighted: bool) -> CaseId:
+    """The case of the plain or weighted operator against a conjugation family."""
+    return next(c for c in CaseId if c.conj_type is conj_type and c.weighted == weighted)
 
 
 def _parse_common(args):
     m = parse_map(args.map_text)
     conj = parse_conjugation(args.conj_text)
     beta = parse_complex(args.beta_text)
-    case = _resolve_case(_family(conj), args.weighted)
-    return m, conj, beta, case
+    return m, conj, beta, _case(type(conj), args.weighted)
 
 
-def _emit(text: str, out: str):
-    """Write text to the --out file (newline-terminated), or print it."""
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
-def cmd_classify(args) -> int:
-    try:
-        m, conj, beta, case = _parse_common(args)
-        cnormal.check_instance(case, m, conj, beta)
-        verdict = cnormal.case_predicate(case, m, conj)
-    except (ValueError, CnopsError) as exc:
-        return _error(exc)
-    payload = {"case": case.value, "verdict": bool(verdict),
+def cmd_classify(args) -> tuple[str, int]:
+    m, conj, beta, case = _parse_common(args)
+    cnormal.check_instance(case, m, conj, beta)
+    payload = {"case": case.value, "verdict": bool(cnormal.case_predicate(case, m, conj)),
                "map": args.map_text, "conjugation": args.conj_text}
     if args.weighted:
         payload["beta"] = args.beta_text
-    print(json.dumps(payload, sort_keys=True))
-    return 0
+    return json.dumps(payload, sort_keys=True), 0
 
 
-def cmd_verify(args) -> int:
-    try:
-        m, conj, beta, case = _parse_common(args)
-        report = verify(case, m, conj, beta=beta, grid_n=args.grid_n,
-                        truncations=args.truncations)
-    except IllConditionedGridError as exc:
-        return _error(exc, 3)
-    except (ValueError, CnopsError) as exc:
-        return _error(exc)
-    _emit(report.to_json() if args.format == "json" else
-          CSV_HEADER + "\n" + report.csv_row(0) + "\n", args.out)
-    return 0 if report.consistent else 1
+def cmd_verify(args) -> tuple[str, int]:
+    m, conj, beta, case = _parse_common(args)
+    report = verify(case, m, conj, beta=beta, grid_n=args.grid_n,
+                    truncations=args.truncations)
+    text = (report.to_json() if args.format == "json"
+            else CSV_HEADER + "\n" + report.csv_row(0))
+    return text, 0 if report.consistent else 1
 
 
-def cmd_sweep(args) -> int:
-    try:
-        family = args.conj_text.strip().lower()
-        fixed_conj = None
-        if family not in ("jmu", "jw"):
-            fixed_conj = parse_conjugation(args.conj_text)
-            family = _family(fixed_conj)
-        reports, extras, agreement = run_sweep(
-            _resolve_case(family, args.weighted), args.samples, args.seed,
-            grid_n=args.grid_n, truncations=args.truncations, fixed_conj=fixed_conj)
-    except IllConditionedGridError as exc:
-        return _error(exc, 3)
-    except (ValueError, CnopsError) as exc:
-        return _error(exc)
-    _emit(sweep_json(reports, extras, agreement) if args.format == "json"
-          else sweep_csv(reports, agreement), args.out)
-    return 0 if agreement == 1.0 else 1
+def cmd_sweep(args) -> tuple[str, int]:
+    fixed_conj = None
+    conj_type = FAMILIES.get(args.conj_text.strip().lower())
+    if conj_type is None:
+        fixed_conj = parse_conjugation(args.conj_text)
+        conj_type = type(fixed_conj)
+    reports, extras, agreement = run_sweep(
+        _case(conj_type, args.weighted), args.samples, args.seed,
+        grid_n=args.grid_n, truncations=args.truncations, fixed_conj=fixed_conj)
+    text = (sweep_json(reports, extras, agreement) if args.format == "json"
+            else sweep_csv(reports, agreement))
+    return text, 0 if agreement == 1.0 else 1
 
 
 # --------------------------------------------------------------------------
@@ -403,16 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the only place that turns errors into exit codes and
+    writes a command's text, to --out or stdout alike."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    out = getattr(args, "out", "")
     try:
-        if getattr(args, "out", ""):
-            _check_writable(args.out)
-    except ValueError as exc:
-        return _error(exc)
-    return args.run(args)
+        if out:
+            _check_writable(out)
+        text, code = args.run(args)
+    except (ValueError, CnopsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, IllConditionedGridError) else 2
+    text = text.rstrip("\n") + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import operators
-from .conjugations import Conjugation, JMu, JWp, conj_apply_kernel
+from .conjugations import FAMILIES, Conjugation, JMu, JWp, conj_apply_kernel
 from .errors import HypothesisViolationError, IllConditionedGridError, PoleError
 from .moebius import (
     LinearFractionalMap,
@@ -50,7 +50,8 @@ VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above th
 MATRIX_FLOOR = 1e-12          # matrix residuals may rise in N while below this
 MATRIX_FLOOR_RTOL = 4 * np.finfo(float).eps   # or this * sqrt(N) * keep (rounding)
 MIN_TRUNCATION = 8            # smallest N whose N/2 holds stable_keep's floor of 4 rows
-MAX_TRUNCATION = 4096         # largest N; its kept blocks take at most 256 MB
+MAX_TRUNCATION = 4096         # largest N; its kept blocks take at most 256 MB, and
+                              # operators.kept_block_residual peaks near 512 MB
 
 
 class CaseId(str, Enum):
@@ -67,7 +68,7 @@ class CaseId(str, Enum):
     @property
     def conj_type(self) -> type:
         """The conjugation class (JMu or JWp) the case is stated for."""
-        return JMu if self.value.endswith("jmu") else JWp
+        return FAMILIES[self.value.split("_")[1]]
 
 
 # --------------------------------------------------------------------------
@@ -385,19 +386,25 @@ class HermitianFamily:
     is_self_map: bool
 
 
-def hermitian_family(a0: complex, a1: float, a2: float) -> HermitianFamily:
-    """Map phi(z) = a0 + a1 z/(1 - conj(a0) z) and weight a2/(1 - conj(a0) z).
-
-    Normalized coefficients: (a, b, c, d) = (a1 - |a0|^2, a0, -conj(a0), 1)
-    and beta = a2.  a1, a2 must be real; a0 must lie in the open disk.
-    """
+def _hermitian_params(a0: complex, a1: float, a2: float = 0.0):
+    """(a0, a1, a2) as (complex, float, float); ValueError unless a0 lies in
+    the open disk and a1, a2 are real."""
     a0 = complex(a0)
     if abs(a0) >= 1.0:
         raise ValueError("a0 must lie in the open disk")
     for name, val in (("a1", a1), ("a2", a2)):
         if abs(complex(val).imag) > 0.0:
             raise ValueError(f"{name} must be real, got {val}")
-    a1, a2 = float(np.real(a1)), float(np.real(a2))
+    return a0, float(np.real(a1)), float(np.real(a2))
+
+
+def hermitian_family(a0: complex, a1: float, a2: float) -> HermitianFamily:
+    """Map phi(z) = a0 + a1 z/(1 - conj(a0) z) and weight a2/(1 - conj(a0) z).
+
+    Normalized coefficients: (a, b, c, d) = (a1 - |a0|^2, a0, -conj(a0), 1)
+    and beta = a2.  a1, a2 must be real; a0 must lie in the open disk.
+    """
+    a0, a1, a2 = _hermitian_params(a0, a1, a2)
     m = LinearFractionalMap(a1 - abs(a0) ** 2, a0, -np.conj(a0), 1.0)
     return HermitianFamily(map=m, beta=a2, is_self_map=lft_is_self_map(m))
 
@@ -408,19 +415,15 @@ def predicate_hermitian_jmu(a0: complex, a1: float, mu: complex) -> bool:
     Equivalent to predicate_weighted_jmu on the family map for every valid
     (a0, a1, mu); the second factor is 1 + a, a = a1 - |a0|^2.
     """
-    a0, mu = complex(a0), complex(mu)
-    if abs(complex(a1).imag) > 0.0:
-        raise ValueError("a1 must be real")
-    a1 = float(np.real(a1))
+    a0, a1, _ = _hermitian_params(a0, a1)
+    mu = complex(mu)
     return abs((a0 - np.conj(a0) * mu) * (1.0 + a1 - abs(a0) ** 2)) <= EXACT_TOL
 
 
 def predicate_hermitian_jw(a0: complex, a1: float, p: complex) -> bool:
     """[(a1-|a0|^2)^2 - 1]|p|^2 = -(a1 - |a0|^2 + 1) 2 Re(a0 p) within 1e-10."""
-    a0, p = complex(a0), complex(p)
-    if abs(complex(a1).imag) > 0.0:
-        raise ValueError("a1 must be real")
-    a1 = float(np.real(a1))
+    a0, a1, _ = _hermitian_params(a0, a1)
+    p = complex(p)
     a = a1 - abs(a0) ** 2
     lhs = (a * a - 1.0) * abs(p) ** 2
     rhs = -(a + 1.0) * 2.0 * np.real(a0 * p)
@@ -611,7 +614,7 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         matrix_keep=sizes,
         params=params,
         grid={"rings": list(GRID_RADII), "points_per_ring": grid_n,
-              "pairs": (3 * grid_n) ** 2},
+              "pairs": (len(GRID_RADII) * grid_n) ** 2},
         consistent=bool(consistent),
         timing_s=time.perf_counter() - t0,
     )

@@ -86,6 +86,8 @@ class JWp:
 
 Conjugation = Union[JMu, JWp]
 
+FAMILIES = {"jmu": JMu, "jw": JWp}   # the family names of conjugation specs
+
 
 def conj_apply_kernel(C: Conjugation, w):
     """Image of the reproducing kernel K_w as (weight, point): C K_w = weight K_point.
@@ -151,8 +153,6 @@ def parse_conjugation(text: str) -> Conjugation:
     if ":" not in s:
         raise ValueError(f"conjugation spec {text!r} must look like 'jmu:<c>' or 'jw:<c>'")
     kind, _, value = s.partition(":")
-    if kind == "jmu":
-        return JMu(mu=parse_complex(value))
-    if kind == "jw":
-        return JWp(p=parse_complex(value))
-    raise ValueError(f"unknown conjugation family {kind!r}")
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown conjugation family {kind!r}")
+    return FAMILIES[kind](parse_complex(value))

@@ -1,15 +1,20 @@
+import dataclasses
 import functools
 import hashlib
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cnops
 from cnops import cli, cnormal
 from cnops.cli import CSV_HEADER, main, run_sweep, sample_case
 from cnops.cnormal import CaseId
+from cnops.errors import IllConditionedGridError, PoleError
 from cnops.operators import STANDARD_TRUNCATIONS
 
 
@@ -211,6 +216,67 @@ class TestVerify:
         code, _, err = run_main(capsys, [
             "verify", "--map", "0.7,0,0,1", "--conj", "jmu:1"])
         assert code == 3 and "synthetic" in err
+
+
+# each command with the library call that does its computing
+COMPUTE_STEPS = {
+    "classify": (cnormal, "case_predicate",
+                 ["classify", "--map", "0.7,0,0,1", "--conj", "jmu:1"]),
+    "verify": (cli, "verify",
+               ["verify", "--map", "0.7,0,0,1", "--conj", "jmu:1", "--trunc", "32"]),
+    "sweep": (cli, "verify",
+              ["sweep", "--conj", "jmu", "--samples", "2", "--trunc", "32"]),
+}
+
+
+class TestMain:
+    @pytest.mark.parametrize("command", list(COMPUTE_STEPS))
+    @pytest.mark.parametrize("error,code", [(PoleError, 2), (IllConditionedGridError, 3)])
+    def test_one_exit_code_map(self, capsys, monkeypatch, command, error, code):
+        # PoleError is a CnopsError but not a ValueError
+        module, name, argv = COMPUTE_STEPS[command]
+
+        def boom(*args, **kwargs):
+            raise error("synthetic")
+
+        monkeypatch.setattr(module, name, boom)
+        assert run_main(capsys, argv) == (code, "", "error: synthetic\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--map", "0.7,0,0,1", "--conj", "jmu:1i", "--trunc", "32"],
+        ["sweep", "--conj", "jw", "--samples", "4", "--seed", "3", "--trunc", "32"],
+    ])
+    def test_stdout_and_out_file_have_the_same_bytes(self, capsys, monkeypatch,
+                                                     tmp_path, argv, fmt):
+        # verify's JSON report carries its wall-clock time, so zero it
+        real_verify = cli.verify
+        monkeypatch.setattr(cli, "verify", lambda *args, **kwargs: dataclasses.replace(
+            real_verify(*args, **kwargs), timing_s=0.0))
+        out_path = tmp_path / f"out.{fmt}"
+        argv = argv + ["--format", fmt]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0 and main(argv + ["--out", str(out_path)]) == 0
+        assert out.encode() == out_path.read_bytes()
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    def test_module_entry_point(self, capsys):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cnops.__file__)),
+             os.environ.get("PYTHONPATH", "")])}
+
+        def run(argv):
+            return subprocess.run([sys.executable, "-m", "cnops.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+
+        argv = ["verify", "--map", "0.7,0,0,1", "--conj", "jmu:1i", "--trunc", "32",
+                "--format", "csv"]
+        proc = run(argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_main(capsys, argv)
+        proc = run(["verify", "--map", "2,0,0,1", "--conj", "jmu:1"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "self-map" in proc.stderr
 
 
 class TestParser:

@@ -503,6 +503,18 @@ class TestPredicates:
         with pytest.raises(ValueError):
             hermitian_family(0.3, 0.2, 1j)
 
+    @pytest.mark.parametrize("predicate,param", [(predicate_hermitian_jmu, 1.0),
+                                                 (predicate_hermitian_jw, 0.5)])
+    @pytest.mark.parametrize("a0,a1,message", [(1.5, 0.2, "a0 must lie in the open disk"),
+                                               (0.3, 0.2 + 0.1j, "a1 must be real")])
+    def test_hermitian_predicates_validate_like_the_family(self, predicate, param,
+                                                           a0, a1, message):
+        # the family has no map at |a0| >= 1, so its predicates give no verdict there
+        with pytest.raises(ValueError, match=message):
+            hermitian_family(a0, a1, 1.0)
+        with pytest.raises(ValueError, match=message):
+            predicate(a0, a1, param)
+
     def test_hermitian_jmu(self):
         assert predicate_hermitian_jmu(0.3, 0.2, 1.0)          # real a0, mu = 1
         assert not predicate_hermitian_jmu(0.3j, 0.2, 1.0)
