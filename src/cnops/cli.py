@@ -14,12 +14,11 @@ sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
           exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
 
 Each command returns its text and exit code to main, which alone maps errors
-to exit codes and writes output.  Every command exits 3 on an ill-conditioned
-kernel grid and 2 on bad input, with one "error: ..." line on stderr and
-nothing on stdout.  Bad input includes a map that is not a self-map of the
-disk, a beta for the weighted operator whose |beta|^2 is 0 or not finite
-(cnormal.check_instance), a --trunc size outside [8, 4096]
-(cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
+to exit codes and writes output.  Every command exits 2 on bad input, with
+one "error: ..." line on stderr and nothing on stdout.  Bad input includes a
+map that is not a self-map of the disk, a beta for the weighted operator whose
+|beta|^2 is 0 or not finite (cnormal.check_instance), a --trunc size outside
+[8, 4096] (cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
 (cnormal.ring_grid) and an --out path that cannot be written.  The text ends
 in exactly one newline, and stdout gets the same bytes as the --out file.
 
@@ -40,7 +39,7 @@ import numpy as np
 from . import cnormal
 from .cnormal import CaseId, predicate_margin, verify
 from .conjugations import FAMILIES, Conjugation, JMu, JWp, parse_conjugation
-from .errors import CnopsError, IllConditionedGridError
+from .errors import CnopsError
 from .moebius import LinearFractionalMap, parse_complex, parse_map
 from .operators import STANDARD_TRUNCATIONS
 
@@ -217,7 +216,7 @@ def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = cnormal.GRID_
             conj = fixed_conj
         report = verify(case, m, conj, beta=beta, grid_n=grid_n,
                         truncations=truncations)
-        extra = {"margin": predicate_margin(case, m, conj)}
+        extra = {"margin": report.margin}
         if case.weighted:
             beta2 = _unimodular(rng)
             r2 = cnormal.kernel_residual(case, m, conj, beta=beta2, grid_n=grid_n)
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
         text, code = args.run(args)
     except (ValueError, CnopsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, IllConditionedGridError) else 2
+        return 2
     text = text.rstrip("\n") + "\n"
     if out:
         with open(out, "w") as fh:

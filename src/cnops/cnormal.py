@@ -27,7 +27,7 @@ import numpy as np
 
 from . import operators
 from .conjugations import FAMILIES, Conjugation, JMu, JWp, conj_apply_kernel
-from .errors import HypothesisViolationError, IllConditionedGridError, PoleError
+from .errors import HypothesisViolationError, PoleError
 from .moebius import (
     LinearFractionalMap,
     cowen_triple,
@@ -40,11 +40,9 @@ from .moebius import (
 GRID_RADII = (0.3, 0.6, 0.9)
 GRID_N = 12                   # default points per ring of the kernel grid
 MAX_GRID_N = 512              # largest: (3 * 512)^2 grid pairs, 38 MB per complex array
-SINGULAR_RTOL = 1e-6          # exclusion radius around singular sets, times scale
-SIDE_FLOOR_RTOL = 1e-12       # weighted side denominators below this times scale^2 are singular
+SINGULAR_RTOL = 1e-6          # w-space radius excluded around sigma(w) = 0 (_comp_singular)
 EXACT_TOL = 1e-12             # relative margin under which a composition case holds
 WEIGHTED_TOL = 1e-10          # relative margin under which a weighted case holds
-EXCLUDED_FRACTION_LIMIT = 0.2
 VERDICT_TRUE_MAX = 1e-9       # a true verdict demands kernel residual below this
 VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above this
 MATRIX_FLOOR = 1e-12          # matrix residuals may rise in N while below this
@@ -76,11 +74,14 @@ class CaseId(str, Enum):
 # --------------------------------------------------------------------------
 
 def _comp_singular(m: LinearFractionalMap, w):
-    """Mask of points near sigma(w) = 0, i.e. abar w = cbar, where the
-    composition-case expansions split (no such point when c = 0)."""
+    """Mask of points within SINGULAR_RTOL of w0 = conj(c/a), where sigma(w) = 0
+    and the composition-case expansions split (no such point when c = 0).
+
+    The test |abar w - cbar| <= SINGULAR_RTOL |a| is a radius in w-space, so it
+    does not grow when |a| and |c| are small against the scale."""
     if abs(m.c) == 0.0:
         return np.zeros(np.shape(w), dtype=bool)
-    return np.abs(np.conj(m.a) * w - np.conj(m.c)) <= SINGULAR_RTOL * m.scale
+    return np.abs(np.conj(m.a) * w - np.conj(m.c)) <= SINGULAR_RTOL * abs(m.a)
 
 
 def _comp_expansion(m: LinearFractionalMap, w):
@@ -252,37 +253,29 @@ def _kernel_grid(grid_n: int) -> tuple:
     return W, Z
 
 
-def _reduce_residual(diffs: np.ndarray, n_total: int) -> float:
-    """Max of |diffs| over the surviving pairs; rejects over-excluded grids."""
-    n_excluded = n_total - diffs.size
-    if n_excluded > EXCLUDED_FRACTION_LIMIT * n_total:
-        raise IllConditionedGridError(
-            f"{n_excluded}/{n_total} grid pairs excluded "
-            f"(limit {EXCLUDED_FRACTION_LIMIT:.0%})")
-    return float(np.abs(diffs).max())
-
-
 def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
                     beta: complex = 1.0, grid_n: int = GRID_N) -> float:
     """max over the (w, z) grid of |lhs - rhs| for the case's identity.
 
-    Grid pairs falling in the case's singular set (sigma(w) = 0 for the
-    composition cases, near-vanishing side denominators for the weighted
-    ones; for validated self-maps the latter never triggers) are excluded;
-    more than 20% exclusions raises IllConditionedGridError.
+    The composition cases exclude the grid w within SINGULAR_RTOL of
+    w0 = conj(c/a) (_comp_singular).  The ring radii are distinct and no two
+    grid points lie within 2 SINGULAR_RTOL of each other, so at most one w,
+    3 grid_n of the (3 grid_n)^2 pairs, is excluded.
+
+    The weighted cases exclude nothing.  Each side is num / D with
+    num = |beta|^2 |d|^2 (times sqrt(1 - |p|^2) for JW_p), non-zero since
+    beta != 0 and |d| > |c| for a self-map, and D a polynomial in (w, z).  The
+    side is (X K_w)(z) for a bounded operator X, finite and continuous on the
+    open bidisk, while num / D is unbounded near any zero of D; so D has no
+    zero there.
     """
     W, Z = _kernel_grid(grid_n)
-    n_total = W.size
-
-    if not case.weighted:
-        valid = ~_comp_singular(m, W)
-        lhs, rhs = _comp_sides(m, conj, W[valid], Z[valid])
-        return _reduce_residual(lhs - rhs, n_total)
-
-    num, D1, D2 = _weighted_parts(m, beta, conj, W, Z)
-    floor = SIDE_FLOOR_RTOL * m.scale ** 2
-    valid = (np.abs(D1) > floor) & (np.abs(D2) > floor)
-    return _reduce_residual(num / D1[valid] - num / D2[valid], n_total)
+    if case.weighted:
+        num, D1, D2 = _weighted_parts(m, beta, conj, W, Z)
+        return float(np.abs(num / D1 - num / D2).max())
+    valid = ~_comp_singular(m, W)
+    lhs, rhs = _comp_sides(m, conj, W[valid], Z[valid])
+    return float(np.abs(lhs - rhs).max())
 
 
 # --------------------------------------------------------------------------
@@ -501,7 +494,8 @@ class VerificationReport:
     matrix_residuals: list          # [(N, residual)], increasing N
     matrix_keep: list               # [(N, keep)]: the kept block size at each N
     params: dict
-    grid: dict
+    grid: dict                      # includes excluded_pairs: 0, or 3 grid_n
+    margin: float = math.nan        # predicate_margin of the instance
     warnings: list = field(default_factory=list)
     consistent: bool = True
     timing_s: float = 0.0
@@ -614,7 +608,10 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         matrix_keep=sizes,
         params=params,
         grid={"rings": list(GRID_RADII), "points_per_ring": grid_n,
-              "pairs": (len(GRID_RADII) * grid_n) ** 2},
+              "pairs": (len(GRID_RADII) * grid_n) ** 2,
+              "excluded_pairs": 0 if case.weighted else int(np.count_nonzero(
+                  _comp_singular(m, _kernel_grid(grid_n)[0])))},
+        margin=float(predicate_margin(case, m, conj)),
         consistent=bool(consistent),
         timing_s=time.perf_counter() - t0,
     )

@@ -25,9 +25,5 @@ class NotExpandableError(CnopsError, ValueError):
     """A series expansion is requested for a symbol with a pole in the closed disk."""
 
 
-class IllConditionedGridError(CnopsError, RuntimeError):
-    """More than the allowed fraction of grid points fell in a singular set."""
-
-
 class HypothesisViolationError(CnopsError, ValueError):
     """Input violates a structural hypothesis (boundary fixed point, |b|=|c|, ...)."""

@@ -14,7 +14,7 @@ import cnops
 from cnops import cli, cnormal
 from cnops.cli import CSV_HEADER, main, run_sweep, sample_case
 from cnops.cnormal import CaseId
-from cnops.errors import IllConditionedGridError, PoleError
+from cnops.errors import PoleError
 from cnops.operators import STANDARD_TRUNCATIONS
 
 
@@ -205,17 +205,19 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "error:" in err and f"at most {bound}" in err
 
-    def test_ill_conditioned_grid_exits_3(self, capsys, monkeypatch):
-        from cnops.errors import IllConditionedGridError
-        import cnops.cli as cli_mod
-
-        def boom(*args, **kwargs):
-            raise IllConditionedGridError("synthetic")
-
-        monkeypatch.setattr(cli_mod, "verify", boom)
-        code, _, err = run_main(capsys, [
-            "verify", "--map", "0.7,0,0,1", "--conj", "jmu:1"])
-        assert code == 3 and "synthetic" in err
+    @pytest.mark.parametrize("argv", [["--conj", "jmu:1"], ["--conj", "jw:0.3"],
+                                      ["--conj", "jmu:1", "--weighted"],
+                                      ["--conj", "jw:0.3", "--weighted"]],
+                             ids=["jmu", "jw", "jmu-weighted", "jw-weighted"])
+    def test_near_constant_map_verifies(self, capsys, argv):
+        # |a| = |c| = 1e-8 of the scale: the split point conj(c/a) = 1 is off
+        # the grid, so no grid pair is excluded
+        code, out, err = run_main(capsys, ["verify", "--map", "1e-8,0.5,1e-8,1", *argv])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] is False and report["consistent"] is True
+        assert report["grid"]["excluded_pairs"] == 0
+        assert report["margin"] > 1e-3
 
 
 # each command with the library call that does its computing
@@ -231,7 +233,7 @@ COMPUTE_STEPS = {
 
 class TestMain:
     @pytest.mark.parametrize("command", list(COMPUTE_STEPS))
-    @pytest.mark.parametrize("error,code", [(PoleError, 2), (IllConditionedGridError, 3)])
+    @pytest.mark.parametrize("error,code", [(PoleError, 2)])
     def test_one_exit_code_map(self, capsys, monkeypatch, command, error, code):
         # PoleError is a CnopsError but not a ValueError
         module, name, argv = COMPUTE_STEPS[command]
@@ -325,17 +327,6 @@ class TestSweepSampling:
 
 
 class TestSweep:
-    def test_ill_conditioned_grid_exits_3(self, capsys, monkeypatch):
-        from cnops.errors import IllConditionedGridError
-
-        def boom(*args, **kwargs):
-            raise IllConditionedGridError("synthetic")
-
-        monkeypatch.setattr(cnormal, "kernel_residual", boom)
-        code, out, err = run_main(capsys, [
-            "sweep", "--conj", "jmu", "--samples", "2", "--trunc", "32"])
-        assert code == 3 and out == "" and "synthetic" in err
-
     def test_comp_jmu_small_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run_main(capsys, [
@@ -368,6 +359,14 @@ class TestSweep:
     def test_beta_independence_recorded(self):
         _, extras, _ = run_sweep(CaseId.WEIGHTED_JMU, 6, 9, truncations=(32,))
         assert all(e["beta_residual_delta"] < 1e-12 for e in extras)
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_margin_is_the_reports(self, case):
+        reports, extras, _ = run_sweep(case, 4, 9, truncations=(32,))
+        seeds = np.random.SeedSequence(9).spawn(4)
+        for i, (r, e) in enumerate(zip(reports, extras)):
+            m, conj, _ = sample_case(case, np.random.default_rng(seeds[i]), i)
+            assert e["margin"] == r.margin == cnormal.predicate_margin(case, m, conj)
 
     @pytest.mark.parametrize("beta", ["5", "0"])
     def test_beta_is_rejected(self, capsys, beta):
