@@ -9,9 +9,11 @@ routes, which must agree and which the verify() report records:
     form.  For C_phi they read C only through conj_apply_kernel (_comp_sides);
     for W each side is a numerator over its QuadrupleSet denominator;
   * a matrix oracle: the defect of C T*T C - T T* on a leading kept block at
-    each truncation N, formed from the exact leading block X of T C, whose
-    columns are psi (w o phi)(h o phi)^i for C e_i = w h^i, and from the
-    block R = T[:keep] (operators.kept_block_residuals).
+    each truncation N, formed from the exact leading block X of T C and from
+    the block R = T[:keep] (operators.kept_block_residuals).  For J_mu, X is
+    T's first keep columns times beta conj(mu)^i, and R's first keep columns
+    are those columns' first keep rows; for JW_p, X has columns
+    psi (w o phi)(h o phi)^i for its basis images C e_i = w h^i.
 """
 
 from __future__ import annotations
@@ -561,9 +563,11 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     The matrix residual at each N is the Frobenius defect of C T*T C - T T*
     on the truncation-stable leading keep x keep block (operators.stable_keep;
     matrix_keep lists keep at each N): X^T conj(X) - R R* with X the exact
-    leading N x keep block of T C, whose column i holds the coefficients of
-    psi (w o phi)(h o phi)^i for C e_i = w h^i, and R = T[:keep, :N]
-    (operators.kept_block_residuals).
+    leading N x keep block of T C and R = T[:keep, :N]
+    (operators.kept_block_residuals).  For J_mu, X is T's first keep columns
+    times beta conj(mu)^i, and R's first keep columns are those columns'
+    first keep rows; for JW_p, column i of X holds the coefficients of
+    psi (w o phi)(h o phi)^i for its basis images C e_i = w h^i.
     Every truncation must lie in [MIN_TRUNCATION, MAX_TRUNCATION], and the
     input must pass check_instance (ValueError otherwise).
     """

@@ -12,8 +12,8 @@ involution exactly because lambda p = conj(p).  Its coefficient action
 it carries truncation error; the kernel action below is closed-form and exact.
 
 Both families are also given by their basis images C e_i = w h^i
-(basis_image_series), which the matrix oracle reads: for T = T_psi C_phi,
-column i of the matrix of T C holds the coefficients of
+(basis_image_series), which the matrix oracle reads for JW_p: for
+T = T_psi C_phi, column i of the matrix of T C holds the coefficients of
 T (C e_i) = psi (w o phi)(h o phi)^i, exactly and with no truncated factor.
 
 An optional unimodular phase beta multiplies either action (the classification

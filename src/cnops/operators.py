@@ -178,18 +178,35 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
 
     T is C_phi, or W = T_psi C_phi with psi = beta K_{sigma(0)} when beta is
     given.  With first = 1 or psi, column j of T holds the coefficients of
-    first phi^j, and column i of T C those of T (C e_i) =
-    first (w o phi)(h o phi)^i for C e_i = w h^i (basis_image_series).  So
-    each block is one hardy.power_matrix, and X is the leading block of the
-    matrix of T C itself, not the product of the truncations of T and of
-    C's matrix.  Both builds are prefix-exact in their rows and columns, so
-    slices give the blocks at smaller sizes.
+    first phi^j (one hardy.power_matrix), and column i of T C those of
+    T (C e_i).  X is the leading block of the matrix of T C itself, not the
+    product of the truncations of T and of C's matrix:
+
+    J_mu is diagonal, C e_i = beta conj(mu)^i e_i, so X is T's first k
+    columns times beta conj(mu)^i, and R's first k columns are those
+    columns' first k rows.  Past column k, R continues the same chain on k
+    rows; when phi(0) = 0, first phi^j has order at least j, so those
+    columns are zero and are not built.
+    JW_p reads its basis images, C e_i = w h^i (basis_image_series): column
+    i of T C holds first (w o phi)(h o phi)^i, one more chain.
+
+    Every build is prefix-exact in its rows and columns (power_matrix), so
+    R is the chain power_matrix(first[:k], phi[:k], k, cols=n) bit for bit,
+    and slices give the blocks at smaller sizes.
     """
-    phi = hardy.lft_power_series(m, k)
+    phi = hardy.lft_power_series(m, n)
     first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
+    if isinstance(C, JMu):
+        P = hardy.power_matrix(first, phi, n, cols=k)
+        X = P * (C.beta * np.conj(C.mu) ** np.arange(k))
+        R = np.zeros((k, n), dtype=complex, order="F")
+        R[:, :k] = P[:k]
+        if phi[0] != 0:
+            R[:, k - 1:] = hardy.power_matrix(P[:k, k - 1], phi[:k], k, cols=n - k + 1)
+        return X, R
     w_phi, h_phi = basis_image_series(C, m, n)
     X = hardy.power_matrix(hardy.series_multiply(first, w_phi, n), h_phi, n, cols=k)
-    R = hardy.power_matrix(first[:k], phi, k, cols=n)
+    R = hardy.power_matrix(first[:k], phi[:k], k, cols=n)
     return X, R
 
 
@@ -204,11 +221,14 @@ def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
     (psi = 1 for C_phi), where cnormal_residual_matrix reads the product
     T_N M_N of the truncations.  The two agree for J_mu, whose matrix is
     diagonal; for JW_p they differ by the truncation error of that product.
+    When phi(0) = 0, column j of R has order at least j, so R[:keep, :N] is
+    zero past column keep and R R* is formed over R[:keep, :keep] alone.
     """
     n = max(N for N, _ in sizes)
     k = max(keep for _, keep in sizes)
     X, R = kept_blocks(m, C, n, k, beta)
-    return [kept_block_residual(X[:N, :keep], R[:keep, :N]) for N, keep in sizes]
+    return [kept_block_residual(X[:N, :keep], R[:keep, :keep if m.b == 0 else N])
+            for N, keep in sizes]
 
 
 def stable_keep(N: int, m: LinearFractionalMap | None = None,

@@ -6,7 +6,9 @@ it as "<layer>.<name>", taking the layer from the module that defines it
 size, read from the argument `N` (or `T` and `keep` for the residual).  A
 benchmark run fails when a per-layer metric of BENCHMARK.json names a
 function that no longer exists under its layer, when a tagged function loses
-those arguments, or when a name or keyword that bench/ uses is gone.
+those arguments, or when a name or keyword that bench/ uses is gone.  A
+short traced run of each workload must also produce every per-layer metric:
+a metric whose function `verify` no longer calls is missing from the spans.
 """
 
 import ast
@@ -14,6 +16,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,7 @@ def _bench_spans():
 
 
 SPANS = _bench_spans()
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _function(qualname: str):
@@ -43,7 +48,7 @@ def _function(qualname: str):
 
 def metric_functions() -> list:
     names = set()
-    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+    for metric in SPEC["per_layer"]:
         layer, name = metric["name"].split(".")[:2]
         if layer in SPANS.LAYERS and name not in NOT_FUNCTIONS:
             names.add(f"{layer}.{name}")
@@ -146,3 +151,16 @@ def test_weighted_builder_goes_through_composition_matrix(monkeypatch):
     operators.weighted_composition_matrix(
         np.ones(16), LinearFractionalMap(0.5, 0.25, 0.25, 1), 16)
     assert sizes == [16]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_traced_run_produces_every_per_layer_metric(workload):
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "5",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"]
+    missing = {m["name"] for m in SPEC["per_layer"]} - set(result["metrics"])
+    assert not missing, f"traced run lacks {sorted(missing)}"

@@ -8,7 +8,7 @@ from cnops import cnormal
 from cnops.cnormal import CaseId, verify
 from cnops.conjugations import JMu, JWp, basis_image_series, jw_weighted_matrix
 from cnops.errors import NotSelfMapError
-from cnops.hardy import kernel_series, lft_power_series, power_matrix
+from cnops.hardy import kernel_series, lft_power_series, power_matrix, series_multiply
 from cnops.moebius import LinearFractionalMap
 from cnops.operators import (
     adjoint_via_cowen,
@@ -26,6 +26,7 @@ from cnops.operators import (
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
 AUTOMORPHISM = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)
+FIXES_ORIGIN = LinearFractionalMap(0.5, 0, 0.25, 1)   # phi(0) = 0
 # rows of T C the references compute; their truncations of T and M are deep
 # enough that T_1024 M_1024 is the matrix of T C on these rows to rounding
 REF_ROWS, REF_N = 128, 1024
@@ -289,9 +290,12 @@ class TestBuildOnce:
         (CaseId.WEIGHTED_JW, JWp(0.4)),
     ])
     def test_verify_builds_each_operator_once(self, monkeypatch, case, conj):
-        # two blocks, each built once at the largest N = 128 and k = keep there:
-        # the first k columns of T C and the first k rows of T; no N x N build
-        # and no truncated conjugation matrix
+        # each chain built once at the largest N = 128 and k = keep there, and
+        # no N x N build and no truncated conjugation matrix.  JW_p builds the
+        # first k columns of T C and the first k rows of T.  J_mu builds T's
+        # first k columns, which give X and R's first k columns, and continues
+        # R on k rows from column k - 1 unless phi(0) = 0, when the rest of R
+        # is zero
         sizes = []
         original = cnormal.operators.hardy.power_matrix
 
@@ -305,10 +309,49 @@ class TestBuildOnce:
         monkeypatch.setattr(cnormal.operators.hardy, "power_matrix", counted)
         monkeypatch.setattr(cnormal.operators, "conjugation_operator", unreachable)
         monkeypatch.setattr(cnormal.operators, "jw_weighted_matrix", unreachable)
-        r = verify(case, GENERIC, conj, truncations=(32, 64, 128))
-        assert [n for n, _ in r.matrix_residuals] == [32, 64, 128]
-        k = max(keep for _, keep in r.matrix_keep)
-        assert sizes == [(128, k), (k, 128)]
+        for m in (GENERIC, FIXES_ORIGIN):
+            sizes.clear()
+            r = verify(case, m, conj, truncations=(32, 64, 128))
+            assert [n for n, _ in r.matrix_residuals] == [32, 64, 128]
+            k = max(keep for _, keep in r.matrix_keep)
+            if isinstance(conj, JWp):
+                assert sizes == [(128, k), (k, 128)]
+            elif m is GENERIC:
+                assert sizes == [(128, k), (k, 128 - k + 1)]
+            else:
+                assert sizes == [(128, k)]
+
+
+class TestJMuBlocks:
+    @pytest.mark.parametrize("m", [GENERIC, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1),
+                                   AUTOMORPHISM])
+    @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
+    def test_one_chain_gives_both_blocks(self, m, beta):
+        # R is the k-row chain of T[:k] bit for bit; X is T's first k columns
+        # times beta conj(mu)^i, the basis-image chain of T C to rounding
+        C = JMu(np.exp(0.9j), beta=np.exp(0.3j))
+        n = REF_ROWS
+        k = stable_keep(n, m=m, C=C)
+        X, R = kept_blocks(m, C, n, k, beta)
+        first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
+        assert np.array_equal(R, power_matrix(first[:k], lft_power_series(m, k), k, cols=n))
+        w_phi, h_phi = basis_image_series(C, m, n)
+        want = power_matrix(series_multiply(first, w_phi, n), h_phi, n, cols=k)
+        assert np.abs(X - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j)), JWp(0.3 - 0.5j, beta=1j)])
+    @pytest.mark.parametrize("m", [FIXES_ORIGIN, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1)])
+    @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
+    def test_zero_columns_are_skipped(self, conj, m, beta):
+        # phi(0) = 0: R[:keep, :N] is zero past column keep, so R R* over
+        # R[:keep, :keep] is the product over all N columns to rounding
+        sizes = [(N, stable_keep(N, m=m, C=conj)) for N in (32, 64, 128)]
+        X, R = kept_blocks(m, conj, 128, max(keep for _, keep in sizes), beta)
+        got = kept_block_residuals(m, conj, sizes, beta=beta)
+        for (N, keep), value in zip(sizes, got):
+            assert not R[:keep, keep:N].any()
+            want = kept_block_residual(X[:N, :keep], R[:keep, :N])
+            assert abs(value - want) <= 1e-15 * max(1.0, want)
 
 
 class TestBasisImages:
