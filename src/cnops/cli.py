@@ -203,7 +203,8 @@ def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = cnormal.GRID_
     """Evaluate `samples` seeded draws; returns (reports, extras, agreement_rate).
 
     extras[i] carries the beta-independence delta for weighted cases (the
-    kernel residual is recomputed with a second unimodular beta).
+    kernel residual is recomputed with a second unimodular beta) and is empty
+    for the composition cases; each report carries its own margin.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -216,7 +217,7 @@ def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = cnormal.GRID_
             conj = fixed_conj
         report = verify(case, m, conj, beta=beta, grid_n=grid_n,
                         truncations=truncations)
-        extra = {"margin": report.margin}
+        extra = {}
         if case.weighted:
             beta2 = _unimodular(rng)
             r2 = cnormal.kernel_residual(case, m, conj, beta=beta2, grid_n=grid_n)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import operators
 from .conjugations import FAMILIES, Conjugation, JMu, JWp, conj_apply_kernel
-from .errors import HypothesisViolationError, PoleError
+from .errors import HypothesisViolationError
 from .moebius import (
     LinearFractionalMap,
     cowen_triple,
@@ -42,7 +42,7 @@ from .moebius import (
 GRID_RADII = (0.3, 0.6, 0.9)
 GRID_N = 12                   # default points per ring of the kernel grid
 MAX_GRID_N = 512              # largest: (3 * 512)^2 grid pairs, 38 MB per complex array
-SINGULAR_RTOL = 1e-6          # w-space radius excluded around sigma(w) = 0 (_comp_singular)
+SINGULAR_RTOL = 1e-6          # read by bench/workloads.py only; no cnops code reads it
 EXACT_TOL = 1e-12             # relative margin under which a composition case holds
 WEIGHTED_TOL = 1e-10          # relative margin under which a weighted case holds
 VERDICT_TRUE_MAX = 1e-9       # a true verdict demands kernel residual below this
@@ -75,46 +75,32 @@ class CaseId(str, Enum):
 # closed-form side evaluators (vectorized over w, z)
 # --------------------------------------------------------------------------
 
-def _comp_singular(m: LinearFractionalMap, w):
-    """Mask of points within SINGULAR_RTOL of w0 = conj(c/a), where sigma(w) = 0
-    and the composition-case expansions split (no such point when c = 0).
-
-    The test |abar w - cbar| <= SINGULAR_RTOL |a| is a radius in w-space, so it
-    does not grow when |a| and |c| are small against the scale."""
-    if abs(m.c) == 0.0:
-        return np.zeros(np.shape(w), dtype=bool)
-    return np.abs(np.conj(m.a) * w - np.conj(m.c)) <= SINGULAR_RTOL * abs(m.a)
-
-
-def _comp_expansion(m: LinearFractionalMap, w):
-    """(coef1, coef2, phi(sigma(w))) with C_phi* C_phi K_w = coef1 K_{phi(0)}
-    + coef2 K_{phi(sigma(w))}; coef1 is 0 when c = 0, where that term
-    vanishes.  Raises PoleError on the singular set."""
-    if np.any(_comp_singular(m, w)):
-        raise PoleError("w lies on the excluded set conj(a) w = conj(c)")
-    a, b, c, d = m.coefficients()
-    phi_sigma_w = (((abs(a) ** 2 - abs(b) ** 2) * w + b * np.conj(d) - a * np.conj(c))
-                   / ((np.conj(a) * c - np.conj(b) * d) * w + abs(d) ** 2 - abs(c) ** 2))
-    coef2 = np.conj(d) / (np.conj(d) - np.conj(b) * w)
-    coef1 = np.conj(c) / (np.conj(c) - np.conj(a) * w) if abs(c) else np.zeros_like(w)
-    return coef1, coef2 - coef1, phi_sigma_w
-
-
 def _comp_sides(m: LinearFractionalMap, C: Conjugation, w, z):
     """Both sides of C_phi C_phi* C K_w(z) = C C_phi* C_phi K_w(z), reading C
     only through conj_apply_kernel (ValueError when any |w| or |z| >= 1).
 
-    lhs = weight K_{phi(point)}(phi(z)) for C K_w = weight K_point.  The rhs
-    applies C to C_phi* C_phi K_w = sum_i coef_i K_{v_i} (_comp_expansion)
-    and uses (C K_v)(z) = <C K_z, K_v> = (C K_z)(v): with C K_z = u K_eta it
-    is u sum_i coef_i / (1 - conj(eta) v_i), v_i in {phi(0), phi(sigma(w))}.
+    lhs = weight K_{phi(point)}(phi(z)) for C K_w = weight K_point.  Cowen's
+    C_phi* = T_g C_sigma T_h* gives C_phi* C_phi K_w = coef1 K_{v1}
+    + (G - coef1) K_{v2} with v1 = phi(0), v2 = phi(sigma(w)),
+    G = dbar / (dbar - bbar w) and coef1 = cbar / (cbar - abar w).  With
+    (C K_v)(z) = <C K_z, K_v> = (C K_z)(v) and C K_z = u K_eta, the rhs is
+    u [G / (1 - ebar v2) + ebar coef1 (v1 - v2) / ((1 - ebar v1)(1 - ebar v2))],
+    ebar = conj(eta), where coef1 (v1 - v2) = (ad - bc) cbar / (d D) and
+    D = (abar c - bbar d) w + |d|^2 - |c|^2 is v2's denominator.  This cancels
+    coef1's removable pole at w0 = conj(c/a), where sigma(w) = 0: since
+    D = (dbar - bbar w)(c sigma(w) + d), it has no zero in the open disk for a
+    self-map, and the rhs is finite on the whole bidisk.
     """
-    coef1, coef2, phi_sigma_w = _comp_expansion(m, w)
+    a, b, c, d = m.coefficients()
     weight, point = conj_apply_kernel(C, w)
     lhs = weight / (1.0 - np.conj(lft_eval(m, point)) * lft_eval(m, z))
     u, eta = conj_apply_kernel(C, z)
     eta_bar = np.conj(eta)
-    rhs = coef1 / (1.0 - eta_bar * (m.b / m.d)) + coef2 / (1.0 - eta_bar * phi_sigma_w)
+    D = (np.conj(a) * c - np.conj(b) * d) * w + abs(d) ** 2 - abs(c) ** 2
+    v2 = ((abs(a) ** 2 - abs(b) ** 2) * w + b * np.conj(d) - a * np.conj(c)) / D
+    G = np.conj(d) / (np.conj(d) - np.conj(b) * w)
+    k1, k2 = 1.0 - eta_bar * (b / d), 1.0 - eta_bar * v2   # 1 / K_{v_i}(eta)
+    rhs = G / k2 + eta_bar * (m.det * np.conj(c) / (d * D)) / (k1 * k2)
     return lhs, u * rhs
 
 
@@ -257,14 +243,13 @@ def _kernel_grid(grid_n: int) -> tuple:
 
 def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
                     beta: complex = 1.0, grid_n: int = GRID_N) -> float:
-    """max over the (w, z) grid of |lhs - rhs| for the case's identity.
+    """max over every (w, z) pair of the grid of |lhs - rhs| for the case's
+    identity; no pair is excluded.
 
-    The composition cases exclude the grid w within SINGULAR_RTOL of
-    w0 = conj(c/a) (_comp_singular).  The ring radii are distinct and no two
-    grid points lie within 2 SINGULAR_RTOL of each other, so at most one w,
-    3 grid_n of the (3 grid_n)^2 pairs, is excluded.
+    The composition sides are finite on the open bidisk: _comp_sides writes
+    the rhs with the removable pole at w0 = conj(c/a) cancelled.
 
-    The weighted cases exclude nothing.  Each side is num / D with
+    Each weighted side is num / D with
     num = |beta|^2 |d|^2 (times sqrt(1 - |p|^2) for JW_p), non-zero since
     beta != 0 and |d| > |c| for a self-map, and D a polynomial in (w, z).  The
     side is (X K_w)(z) for a bounded operator X, finite and continuous on the
@@ -275,8 +260,7 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     if case.weighted:
         num, D1, D2 = _weighted_parts(m, beta, conj, W, Z)
         return float(np.abs(num / D1 - num / D2).max())
-    valid = ~_comp_singular(m, W)
-    lhs, rhs = _comp_sides(m, conj, W[valid], Z[valid])
+    lhs, rhs = _comp_sides(m, conj, W, Z)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -496,7 +480,7 @@ class VerificationReport:
     matrix_residuals: list          # [(N, residual)], increasing N
     matrix_keep: list               # [(N, keep)]: the kept block size at each N
     params: dict
-    grid: dict                      # includes excluded_pairs: 0, or 3 grid_n
+    grid: dict                      # rings, points_per_ring and pairs, all evaluated
     margin: float = math.nan        # predicate_margin of the instance
     warnings: list = field(default_factory=list)
     consistent: bool = True
@@ -612,9 +596,7 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         matrix_keep=sizes,
         params=params,
         grid={"rings": list(GRID_RADII), "points_per_ring": grid_n,
-              "pairs": (len(GRID_RADII) * grid_n) ** 2,
-              "excluded_pairs": 0 if case.weighted else int(np.count_nonzero(
-                  _comp_singular(m, _kernel_grid(grid_n)[0])))},
+              "pairs": (len(GRID_RADII) * grid_n) ** 2},
         margin=float(predicate_margin(case, m, conj)),
         consistent=bool(consistent),
         timing_s=time.perf_counter() - t0,

@@ -240,13 +240,13 @@ def stable_keep(N: int, m: LinearFractionalMap | None = None,
     rate (1+|p|)/(1-|p|), and when it wraps an inner symbol the reaches
     compound, so the rates multiply.  Rows beyond N/rate are corrupted by
     truncation; the residual block is capped at N/(1.25 rate), never above
-    N/2 and never below 4.
+    N/2 and never below 4.  m is taken to be a self-map, as its callers have
+    already checked (cnormal.check_instance), so it is not tested again here.
     """
     rate = 1.0
-    if m is not None and lft_is_self_map(m):
-        centre, radius = image_disk(m)
-        if abs(centre) + radius > 0.98:   # sup |phi| over the disk
-            rate *= boundary_derivative_sup(m)
+    disk = image_disk(m) if m is not None else None
+    if disk is not None and abs(disk[0]) + disk[1] > 0.98:   # sup |phi| over the disk
+        rate *= boundary_derivative_sup(m)
     if isinstance(C, JWp):
         rate *= (1.0 + abs(C.p)) / (1.0 - abs(C.p))
     return max(4, min(N // 2, int(N / (1.25 * rate))))

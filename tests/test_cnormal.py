@@ -33,7 +33,7 @@ from cnops.cnormal import (
     weighted_jw_quadruples,
 )
 from cnops.conjugations import JMu, JWp
-from cnops.errors import HypothesisViolationError, PoleError
+from cnops.errors import HypothesisViolationError
 from cnops.hardy import kernel_series, series_eval
 from cnops.moebius import LinearFractionalMap, cowen_triple, lft_eval, sigma_at_zero
 from cnops.operators import composition_matrix, conjugation_operator
@@ -109,11 +109,51 @@ class TestCompJmuSides:
         assert lhs == pytest.approx(lhs_m, abs=1e-9)
         assert rhs == pytest.approx(rhs_m, abs=1e-9)
 
-    def test_singular_set_raises(self):
-        # w on the set conj(a) w = conj(c)
-        m = LinearFractionalMap(1.0, 0.0, 0.5, 1.04)
-        with pytest.raises(PoleError):
-            eval_sides_comp_jmu(m, 1.0, 0.5, 0.3)
+    @pytest.mark.parametrize("conj", [JMu(1.0), JWp(0.3)], ids=["jmu", "jw"])
+    def test_removable_pole_is_finite(self, conj):
+        # at w0 = conj(c/a), where sigma(w0) = 0, both sides are finite.
+        # (1, 0, 0.5, 1.04) is not a self-map, so the matrix route cannot take
+        # it; there the sides are finite and continuous through w0.  On the
+        # self-map (0.5, 0, 0.25, 1), with the same w0 = 0.5, they agree with
+        # the matrix route.
+        def sides(m, w, z):
+            if isinstance(conj, JMu):
+                return eval_sides_comp_jmu(m, conj.mu, w, z)
+            return eval_sides_comp_jw(m, conj.p, w, z)
+
+        at_w0 = sides(LinearFractionalMap(1.0, 0.0, 0.5, 1.04), 0.5, 0.3)
+        beside = sides(LinearFractionalMap(1.0, 0.0, 0.5, 1.04), 0.5 + 1e-9j, 0.3)
+        assert np.all(np.isfinite(at_w0))
+        assert np.allclose(at_w0, beside, rtol=1e-7, atol=0)
+        m = LinearFractionalMap(0.5, 0.0, 0.25, 1.0)
+        lhs, rhs = sides(m, 0.5, 0.3)
+        lhs_m, rhs_m = matrix_route_sides(m, conj, 0.5, 0.3)
+        assert np.isfinite(lhs) and np.isfinite(rhs)
+        assert lhs == pytest.approx(lhs_m, abs=1e-9)
+        assert rhs == pytest.approx(rhs_m, abs=1e-9)
+
+    @pytest.mark.parametrize("distance", [1e-4, 1.5e-6])
+    def test_right_side_keeps_its_digits_near_the_pole(self, distance):
+        # the two-term form coef1 K_{phi(0)} + (G - coef1) K_{phi(sigma(w))}
+        # cancels digits near w0 = conj(c/a); the closed form must not
+        from cnops.conjugations import conj_apply_kernel
+
+        mp = pytest.importorskip("mpmath")
+        m = LinearFractionalMap(0.5, 0.2, 0.3 * np.exp(0.7j), 1.0)
+        mu, z = np.exp(0.5j), 0.4 - 0.3j
+        w = np.conj(m.c / m.a) + distance * np.exp(0.3j)
+        _, rhs = eval_sides_comp_jmu(m, mu, w, z)
+        u, eta = conj_apply_kernel(JMu(mu), z)
+        with mp.workdps(50):
+            a, b, c, d, w_, e = (mp.mpc(complex(x))
+                                 for x in (*m.coefficients(), w, np.conj(eta)))
+            v1 = b / d
+            v2 = (((abs(a) ** 2 - abs(b) ** 2) * w_ + b * mp.conj(d) - a * mp.conj(c))
+                  / ((mp.conj(a) * c - mp.conj(b) * d) * w_ + abs(d) ** 2 - abs(c) ** 2))
+            G = mp.conj(d) / (mp.conj(d) - mp.conj(b) * w_)
+            coef1 = mp.conj(c) / (mp.conj(c) - mp.conj(a) * w_)
+            exact = mp.mpc(complex(u)) * (coef1 / (1 - e * v1) + (G - coef1) / (1 - e * v2))
+        assert abs(complex(rhs) - complex(exact)) <= 1e-14 * abs(complex(exact))
 
 
 class TestCompJwSides:
@@ -439,16 +479,19 @@ class TestKernelResidual:
 
     @pytest.mark.parametrize("case", [CaseId.COMP_JMU, CaseId.COMP_JW])
     @pytest.mark.parametrize("k", [0, 17, 35])
-    def test_split_point_on_the_grid_excludes_one_row(self, case, k):
-        # w0 = conj(c/a) is exactly the grid point k, so its one row of 3 grid_n
-        # pairs is excluded and the rest still give a finite residual
+    def test_split_point_on_the_grid_is_evaluated(self, case, k):
+        # w0 = conj(c/a) is exactly the grid point k; its row of 3 grid_n pairs
+        # is evaluated with all the others, and every side is finite
         w0 = ring_grid(12)[k]
         m = LinearFractionalMap(0.5, 0.0, 0.5 * np.conj(w0), 1.0)
         conj = JMu(1j) if case is CaseId.COMP_JMU else JWp(0.3)
+        W, Z = np.meshgrid(ring_grid(12), ring_grid(12), indexing="ij")
+        lhs, rhs = cnormal._comp_sides(m, conj, W, Z)
+        assert np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))
+        full = float(np.abs(lhs - rhs).max())
+        assert kernel_residual(case, m, conj, grid_n=12) == full
         r = verify(case, m, conj, grid_n=12, truncations=(32,))
-        assert r.grid["excluded_pairs"] == 3 * 12
-        assert np.isfinite(r.kernel_residual) and r.kernel_residual == kernel_residual(
-            case, m, conj, grid_n=12)
+        assert r.kernel_residual == full
         assert not r.verdict and r.consistent
 
     def test_scale_invariance(self):
@@ -656,6 +699,30 @@ class TestVerify:
         assert r.kernel_residual < 1e-12
         assert all(res < 1e-10 for _, res in r.matrix_residuals)
 
+    @pytest.mark.parametrize("m", [GENERIC, LinearFractionalMap(np.exp(0.7j), 0, 0, 1)],
+                             ids=["generic", "rotation"])
+    def test_self_map_test_runs_once(self, monkeypatch, m):
+        # check_instance validates phi once; stable_keep reads its image disk
+        # at each N without testing it again (the rotation's disk touches the
+        # circle, so its boundary rate is read too)
+        import sys
+
+        from cnops import moebius
+
+        original, calls = moebius.lft_is_self_map, []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cnops") and getattr(module, "lft_is_self_map", None) is original:
+                monkeypatch.setattr(module, "lft_is_self_map", counted)
+        r = verify(CaseId.COMP_JW, m, JWp(0.4))
+        assert calls == [m]
+        monkeypatch.undo()
+        assert verify(CaseId.COMP_JW, m, JWp(0.4)).matrix_keep == r.matrix_keep
+
     def test_hermitian_solved_p_consistent(self):
         m = hermitian_family(0.3, 0.2, 1.0).map
         p = hermitian_jw_solved_p(0.3, 0.2)
@@ -677,7 +744,7 @@ class TestVerify:
                           "consistent", "timing_s"}
         assert r.margin == 0.0
         assert d["grid"] == {"rings": [0.3, 0.6, 0.9], "points_per_ring": 12,
-                             "pairs": 1296, "excluded_pairs": 0}
+                             "pairs": 1296}
         assert [n for n, _ in r.matrix_residuals] == [32, 64]
         assert r.matrix_keep == [(32, 16), (64, 32)]
         assert json.loads(r.to_json())["matrix_keep"] == [[32, 16], [64, 32]]
@@ -756,11 +823,10 @@ class TestVerify:
     @pytest.mark.parametrize("conj", [JMu(1.0), JWp(0.5)])
     def test_weighted_near_boundary_pole(self, conj):
         # |d|^2 - |c|^2 is about 2e-12, so both sides reach about 1e12 on the
-        # grid; every side denominator is still non-zero, so nothing is excluded
+        # grid; every side denominator is still non-zero
         m = LinearFractionalMap(0.5, -0.4999999999995, -0.999999999999, 1)
         case = CaseId.WEIGHTED_JMU if isinstance(conj, JMu) else CaseId.WEIGHTED_JW
         r = verify(case, m, conj)
-        assert r.grid["excluded_pairs"] == 0
         assert np.isfinite(r.kernel_residual)
         assert all(np.isfinite(res) for _, res in r.matrix_residuals)
         assert not r.verdict and r.consistent
