@@ -18,7 +18,6 @@ routes, which must agree and which the verify() report records:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -41,7 +40,8 @@ from .moebius import (
 
 GRID_RADII = (0.3, 0.6, 0.9)
 GRID_N = 12                   # default points per ring of the kernel grid
-MAX_GRID_N = 512              # largest: (3 * 512)^2 grid pairs, 38 MB per complex array
+MAX_GRID_N = 512              # largest: (3 * 512)^2 grid pairs; kernel_residual then
+                              # allocates about five 38 MB arrays (four if weighted)
 SINGULAR_RTOL = 1e-6          # read by bench/workloads.py only; no cnops code reads it
 EXACT_TOL = 1e-12             # relative margin under which a composition case holds
 WEIGHTED_TOL = 1e-10          # relative margin under which a weighted case holds
@@ -228,23 +228,14 @@ def ring_grid(grid_n: int) -> np.ndarray:
     return np.concatenate(pts)
 
 
-@functools.lru_cache(maxsize=2)
-def _kernel_grid(grid_n: int) -> tuple:
-    """The (w, z) pairs of ring_grid(grid_n) as read-only meshgrid arrays W, Z.
-
-    Built once per grid_n and shared by every kernel_residual call; the two
-    most recent sizes are kept (at MAX_GRID_N the pair holds 77 MB).
-    """
-    pts = ring_grid(grid_n)
-    W, Z = np.meshgrid(pts, pts, indexing="ij")
-    W.flags.writeable = Z.flags.writeable = False
-    return W, Z
-
-
 def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
                     beta: complex = 1.0, grid_n: int = GRID_N) -> float:
     """max over every (w, z) pair of the grid of |lhs - rhs| for the case's
     identity; no pair is excluded.
+
+    The sides take w = pts[:, None] and z = pts[None, :], pts = ring_grid(grid_n),
+    so each factor of w alone or z alone is computed on the 3 grid_n points and
+    only the final combination is broadcast onto the pairs; nothing is cached.
 
     The composition sides are finite on the open bidisk: _comp_sides writes
     the rhs with the removable pole at w0 = conj(c/a) cancelled.
@@ -256,11 +247,12 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     open bidisk, while num / D is unbounded near any zero of D; so D has no
     zero there.
     """
-    W, Z = _kernel_grid(grid_n)
+    pts = ring_grid(grid_n)
+    w, z = pts[:, None], pts[None, :]
     if case.weighted:
-        num, D1, D2 = _weighted_parts(m, beta, conj, W, Z)
+        num, D1, D2 = _weighted_parts(m, beta, conj, w, z)
         return float(np.abs(num / D1 - num / D2).max())
-    lhs, rhs = _comp_sides(m, conj, W, Z)
+    lhs, rhs = _comp_sides(m, conj, w, z)
     return float(np.abs(lhs - rhs).max())
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,13 @@ from cnops.cnormal import (
 from cnops.conjugations import JMu, JWp
 from cnops.errors import HypothesisViolationError
 from cnops.hardy import kernel_series, series_eval
-from cnops.moebius import LinearFractionalMap, cowen_triple, lft_eval, sigma_at_zero
+from cnops.moebius import (
+    LinearFractionalMap,
+    cowen_triple,
+    lft_eval,
+    lft_is_self_map,
+    sigma_at_zero,
+)
 from cnops.operators import composition_matrix, conjugation_operator
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
@@ -92,7 +99,8 @@ class TestCompJmuSides:
 
     def test_lower_triangular_symbol_disagrees(self):
         # b = 0, c != 0 is not normal: the sides split somewhere on a grid
-        m = LinearFractionalMap(1, 0, 0.5, 1.04)  # self-map variant of z/(z/2+1)
+        m = LinearFractionalMap(0.5, 0, 0.25, 1)  # phi(z) = 2z/(z + 4)
+        assert lft_is_self_map(m)
         pts = 0.8 * np.exp(2j * np.pi * np.arange(10) / 10)
         W, Z = np.meshgrid(pts, pts)
         lhs, rhs = eval_sides_comp_jmu(m, 1.0, W, Z)
@@ -465,17 +473,42 @@ class TestKernelResidual:
         with pytest.raises(ValueError):
             ring_grid(4)
 
-    def test_cached_grid_rejects_writes(self):
-        from cnops.cnormal import _kernel_grid
+    @pytest.mark.parametrize("case,conj,beta", [
+        (CaseId.COMP_JMU, JMu(np.exp(0.4j)), 1.0),
+        (CaseId.COMP_JW, JWp(0.3 + 0.2j), 1.0),
+        (CaseId.WEIGHTED_JMU, JMu(np.exp(0.4j)), 0.7 * np.exp(0.4j)),
+        (CaseId.WEIGHTED_JW, JWp(0.3 + 0.2j), 0.7 * np.exp(0.4j)),
+    ])
+    @pytest.mark.parametrize("grid_n", [8, 12, 40])
+    def test_equals_the_public_sides_on_the_meshgrid(self, case, conj, beta, grid_n):
+        # the sides evaluated on the grid's two axes and broadcast onto the
+        # pairs give bit for bit the residual of the full meshgrids
+        W, Z = np.meshgrid(ring_grid(grid_n), ring_grid(grid_n), indexing="ij")
+        param = conj.mu if isinstance(conj, JMu) else conj.p
+        if case is CaseId.COMP_JMU:
+            lhs, rhs = eval_sides_comp_jmu(GENERIC, param, W, Z)
+        elif case is CaseId.COMP_JW:
+            lhs, rhs = eval_sides_comp_jw(GENERIC, param, W, Z)
+        elif case is CaseId.WEIGHTED_JMU:
+            lhs, rhs = eval_sides_weighted_jmu(GENERIC, beta, param, W, Z)
+        else:
+            lhs, rhs = eval_sides_weighted_jw(GENERIC, beta, param, W, Z)
+        assert kernel_residual(case, GENERIC, conj, beta=beta, grid_n=grid_n) == \
+            float(np.abs(lhs - rhs).max())
 
-        W, Z = _kernel_grid(10)
-        assert _kernel_grid(10)[0] is W
-        W_ref, Z_ref = np.meshgrid(ring_grid(10), ring_grid(10), indexing="ij")
-        assert np.array_equal(W, W_ref) and np.array_equal(Z, Z_ref)
-        for arr in (W, Z):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 0.0
-        assert np.array_equal(W, W_ref) and np.array_equal(Z, Z_ref)
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_largest_grid_peaks_at_six_full_size_arrays(self, case):
+        # each factor of w or z alone lives on the 3 grid_n ring points; only
+        # the final combination fills (3 grid_n)^2 complex pairs
+        conj = JMu(np.exp(0.4j)) if case.conj_type is JMu else JWp(0.3 + 0.2j)
+        full = (3 * cnormal.MAX_GRID_N) ** 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            kernel_residual(case, GENERIC, conj, beta=0.7, grid_n=cnormal.MAX_GRID_N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * full
 
     @pytest.mark.parametrize("case", [CaseId.COMP_JMU, CaseId.COMP_JW])
     @pytest.mark.parametrize("k", [0, 17, 35])
@@ -509,7 +542,7 @@ class TestKernelResidual:
 class TestPredicates:
     def test_comp_jmu(self):
         assert predicate_comp_jmu(LinearFractionalMap(0.7, 0, 0, 1))
-        assert not predicate_comp_jmu(LinearFractionalMap(1, 0, 0.5, 1.04))
+        assert not predicate_comp_jmu(LinearFractionalMap(0.5, 0, 0.25, 1))
         assert not predicate_comp_jmu(GENERIC)
 
     def test_comp_jw(self):
