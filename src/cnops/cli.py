@@ -8,9 +8,11 @@ verify    same selectors plus --grid/--trunc/--out/--format; runs the
 sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
           --grid/--trunc/--out/--format; seeded sampling of maps,
           conjugation parameters and (weighted) a unimodular beta for the
-          selected case, so it takes no --map or --beta; one row per sample,
-          margin-aware: constructed instances satisfy the case equalities
-          exactly, rejected ones violate them by at least 1e-3 relative.
+          selected case, so it takes no --map or --beta.  One row per
+          sample, its verify report (CSV: csv_row; JSON: the report's fields
+          without timing_s, plus sample).  Sampling is margin-aware:
+          constructed instances satisfy the case equalities exactly, rejected
+          ones violate them by at least 1e-3 relative.
           exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
 
 Each command returns its text and exit code to main, which alone maps errors
@@ -33,17 +35,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import cnormal
-from .cnormal import CaseId, predicate_margin, verify
+from .cnormal import CSV_HEADER, CaseId, predicate_margin, verify
 from .conjugations import FAMILIES, Conjugation, JMu, JWp, parse_conjugation
 from .errors import CnopsError
 from .moebius import LinearFractionalMap, parse_complex, parse_map
 from .operators import STANDARD_TRUNCATIONS
 
-CSV_HEADER = "sample,case,verdict,kernel_residual,matrix_residual_max_n,consistent"
 FALSE_MARGIN = 1e-3
 
 
@@ -200,35 +202,19 @@ def sample_case(case: CaseId, rng: np.random.Generator, index: int):
 
 def run_sweep(case: CaseId, samples: int, seed: int, grid_n: int = cnormal.GRID_N,
               truncations=STANDARD_TRUNCATIONS, fixed_conj: Conjugation | None = None):
-    """Evaluate `samples` seeded draws; returns (reports, extras, agreement_rate).
+    """Verify `samples` seeded draws; returns (reports, agreement_rate).
 
-    extras[i] carries the beta-independence delta for weighted cases (the
-    kernel residual is recomputed with a second unimodular beta) and is empty
-    for the composition cases; each report carries its own margin.
+    Each report is verify's for its draw and carries everything a sweep row
+    writes, its margin included.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(samples)
-
-    def one(i: int):
-        rng = np.random.default_rng(seeds[i])
-        m, conj, beta = sample_case(case, rng, i)
-        if fixed_conj is not None:
-            conj = fixed_conj
-        report = verify(case, m, conj, beta=beta, grid_n=grid_n,
-                        truncations=truncations)
-        extra = {}
-        if case.weighted:
-            beta2 = _unimodular(rng)
-            r2 = cnormal.kernel_residual(case, m, conj, beta=beta2, grid_n=grid_n)
-            extra["beta_residual_delta"] = abs(report.kernel_residual - r2)
-        return report, extra
-
-    results = [one(i) for i in range(samples)]
-    reports = [r for r, _ in results]
-    extras = [e for _, e in results]
-    agreement = sum(r.consistent for r in reports) / samples
-    return reports, extras, agreement
+    reports = []
+    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+        m, conj, beta = sample_case(case, np.random.default_rng(seq), i)
+        reports.append(verify(case, m, conj if fixed_conj is None else fixed_conj,
+                              beta=beta, grid_n=grid_n, truncations=truncations))
+    return reports, sum(r.consistent for r in reports) / samples
 
 
 def sweep_csv(reports, agreement: float) -> str:
@@ -238,9 +224,9 @@ def sweep_csv(reports, agreement: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_json(reports, extras, agreement: float) -> str:
-    rows = [cnormal.finite_json_dict({**r.to_json_dict(), **x, "sample": i})
-            for i, (r, x) in enumerate(zip(reports, extras))]
+def sweep_json(reports, agreement: float) -> str:
+    rows = [cnormal.finite_json_dict({**asdict(r), "sample": i})
+            for i, r in enumerate(reports)]
     for row in rows:
         del row["timing_s"]   # wall-clock time would make the file non-reproducible
     return json.dumps({
@@ -300,10 +286,10 @@ def cmd_sweep(args) -> tuple[str, int]:
     if conj_type is None:
         fixed_conj = parse_conjugation(args.conj_text)
         conj_type = type(fixed_conj)
-    reports, extras, agreement = run_sweep(
+    reports, agreement = run_sweep(
         _case(conj_type, args.weighted), args.samples, args.seed,
         grid_n=args.grid_n, truncations=args.truncations, fixed_conj=fixed_conj)
-    text = (sweep_json(reports, extras, agreement) if args.format == "json"
+    text = (sweep_json(reports, agreement) if args.format == "json"
             else sweep_csv(reports, agreement))
     return text, 0 if agreement == 1.0 else 1
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -211,13 +212,23 @@ def eval_sides_weighted_jw(m: LinearFractionalMap, beta: complex, p: complex, w,
 # kernel-grid residual oracle
 # --------------------------------------------------------------------------
 
+def _integer(value, name: str) -> int:
+    """value as an int (operator.index, so numpy integers pass); ValueError
+    for a float or any other non-integral value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def ring_grid(grid_n: int) -> np.ndarray:
     """Deterministic points on concentric rings of radius <= 0.9.
 
-    grid_n angles per ring (8 to MAX_GRID_N), offset ring-to-ring by the
-    golden angle so that no two rings share a ray (keeps accidental symmetry
-    out of the grid).
+    grid_n angles per ring, an integer from 8 to MAX_GRID_N, offset
+    ring-to-ring by the golden angle so that no two rings share a ray (keeps
+    accidental symmetry out of the grid).
     """
+    grid_n = _integer(grid_n, "grid_n")
     if not 8 <= grid_n <= MAX_GRID_N:
         raise ValueError(f"grid_n must be at least 8 and at most {MAX_GRID_N}, got {grid_n}")
     pts = []
@@ -464,6 +475,9 @@ def predicate_normal_bdyfix_jw_dsq_variant(m: LinearFractionalMap, p: complex) -
 # verification report
 # --------------------------------------------------------------------------
 
+CSV_HEADER = "sample,case,verdict,kernel_residual,matrix_residual_max_n,consistent"
+
+
 @dataclass
 class VerificationReport:
     case: str
@@ -478,11 +492,8 @@ class VerificationReport:
     consistent: bool = True
     timing_s: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(finite_json_dict(self.to_json_dict()), indent=2, sort_keys=True)
+        return json.dumps(finite_json_dict(asdict(self)), indent=2, sort_keys=True)
 
     def csv_row(self, sample: int) -> str:
         max_n = max((r for _, r in self.matrix_residuals), default=float("nan"))
@@ -544,11 +555,13 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     times beta conj(mu)^i, and R's first keep columns are those columns'
     first keep rows; for JW_p, column i of X holds the coefficients of
     psi (w o phi)(h o phi)^i for its basis images C e_i = w h^i.
-    Every truncation must lie in [MIN_TRUNCATION, MAX_TRUNCATION], and the
-    input must pass check_instance (ValueError otherwise).
+    grid_n and every truncation must be integers, each truncation in
+    [MIN_TRUNCATION, MAX_TRUNCATION], and the input must pass check_instance
+    (ValueError otherwise).
     """
     t0 = time.perf_counter()
-    truncations = sorted(int(n) for n in truncations)
+    grid_n = _integer(grid_n, "grid_n")
+    truncations = sorted(_integer(n, "truncations") for n in truncations)
     if not (truncations and MIN_TRUNCATION <= truncations[0]
             and truncations[-1] <= MAX_TRUNCATION):
         raise ValueError(f"truncations must be non-empty and each at least {MIN_TRUNCATION} "

@@ -11,10 +11,10 @@ involution exactly because lambda p = conj(p).  Its coefficient action
 (operators.conj_apply_series) goes through the truncated operator matrix, so
 it carries truncation error; the kernel action below is closed-form and exact.
 
-Both families are also given by their basis images C e_i = w h^i
-(basis_image_series), which the matrix oracle reads for JW_p: for
-T = T_psi C_phi, column i of the matrix of T C holds the coefficients of
-T (C e_i) = psi (w o phi)(h o phi)^i, exactly and with no truncated factor.
+JW_p is also given by its basis images C e_i = w h^i (basis_image_series),
+which the matrix oracle reads: for T = T_psi C_phi, column i of the matrix of
+T C holds the coefficients of T (C e_i) = psi (w o phi)(h o phi)^i, exactly
+and with no truncated factor.  J_mu needs none: it is diagonal.
 
 An optional unimodular phase beta multiplies either action (the classification
 of conjugations of the form u(z) * conj(f(conj(v(z)))) allows it): family (i),
@@ -108,30 +108,24 @@ def conj_apply_kernel(C: Conjugation, w):
     return weight, eta
 
 
-def basis_image_series(C: Conjugation, m: LinearFractionalMap, N: int):
+def basis_image_series(C: JWp, m: LinearFractionalMap, N: int):
     """First N Taylor coefficients of w o phi and h o phi, where C e_i = w h^i.
 
     So (C e_i) o phi = (w o phi)(h o phi)^i, and at the identity map
-    hardy.power_matrix of the two series is the matrix of C.
-    JMu:  w = beta, h = conj(mu) z.
-    JWp:  w = beta sqrt(1-|p|^2)/(1 - p z) and
-          h = conj(lam) (conj(p) - z)/(1 - p z), that is xi_p and tau_p with
-          conjugated coefficients; w o phi = beta sqrt(1-|p|^2) (c z + d)/(e z + f)
-          with e = c - p a and f = d - p b, expanded here directly because its
-          determinant p (ad - bc) vanishes as p -> 0 while the series does not.
+    hardy.power_matrix of the two series is the matrix of C.  Here
+    w = beta sqrt(1-|p|^2)/(1 - p z) and h = conj(lam) (conj(p) - z)/(1 - p z),
+    that is xi_p and tau_p with conjugated coefficients;
+    w o phi = beta sqrt(1-|p|^2) (c z + d)/(e z + f) with e = c - p a and
+    f = d - p b, expanded here directly because its determinant p (ad - bc)
+    vanishes as p -> 0 while the series does not.
     """
-    if isinstance(C, JMu):
-        w = np.zeros(N, dtype=complex)
-        w[0] = C.beta
-        h = LinearFractionalMap(np.conj(C.mu), 0.0, 0.0, 1.0)
-    else:
-        a, b, c, d = m.coefficients()
-        e, f = c - C.p * a, d - C.p * b
-        g = (-e / f) ** np.arange(N) / f          # 1/(e z + f)
-        w = d * g
-        w[1:] += c * g[:-1]
-        w *= C.beta * np.sqrt(1.0 - abs(C.p) ** 2)
-        h = LinearFractionalMap(*np.conj(C.tau().coefficients()))
+    a, b, c, d = m.coefficients()
+    e, f = c - C.p * a, d - C.p * b
+    g = (-e / f) ** np.arange(N) / f          # 1/(e z + f)
+    w = d * g
+    w[1:] += c * g[:-1]
+    w *= C.beta * np.sqrt(1.0 - abs(C.p) ** 2)
+    h = LinearFractionalMap(*np.conj(C.tau().coefficients()))
     return w, hardy.lft_power_series(lft_compose(h, m), N)
 
 

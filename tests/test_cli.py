@@ -349,23 +349,19 @@ class TestSweep:
 
     def test_weighted_jw_hermitian_rows_true(self, capsys, tmp_path):
         # constructed (even-index) rows of the weighted JW sweep are all true
-        reports, _, agreement = run_sweep(CaseId.WEIGHTED_JW, 16, 5,
-                                          truncations=(32,))
+        reports, agreement = run_sweep(CaseId.WEIGHTED_JW, 16, 5,
+                                       truncations=(32,))
         assert agreement == 1.0
         assert all(reports[i].verdict for i in range(0, 16, 2))
         assert not any(reports[i].verdict for i in range(1, 16, 2))
 
-    def test_beta_independence_recorded(self):
-        _, extras, _ = run_sweep(CaseId.WEIGHTED_JMU, 6, 9, truncations=(32,))
-        assert all(e["beta_residual_delta"] < 1e-12 for e in extras)
-
     @pytest.mark.parametrize("case", list(CaseId))
     def test_margin_is_the_reports(self, case):
-        reports, extras, _ = run_sweep(case, 4, 9, truncations=(32,))
+        reports, _ = run_sweep(case, 4, 9, truncations=(32,))
         seeds = np.random.SeedSequence(9).spawn(4)
-        for i, (r, e) in enumerate(zip(reports, extras)):
+        for i, r in enumerate(reports):
             m, conj, _ = sample_case(case, np.random.default_rng(seeds[i]), i)
-            assert "margin" not in e and r.margin == cnormal.predicate_margin(case, m, conj)
+            assert r.margin == cnormal.predicate_margin(case, m, conj)
 
     @pytest.mark.parametrize("beta", ["5", "0"])
     def test_beta_is_rejected(self, capsys, beta):
@@ -400,12 +396,25 @@ class TestSweep:
         assert len(payload["rows"]) == 4
         assert payload["rows"][2]["sample"] == 2
 
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_json_rows_are_the_reports(self, capsys, case):
+        # a row is its report's fields without timing_s, plus its sample index
+        argv = ["sweep", "--conj", case.value.split("_")[1], "--samples", "4",
+                "--trunc", "32", "--format", "json"]
+        code, out, _ = run_main(capsys, argv + ["--weighted"] * case.weighted)
+        assert code == 0
+        fields = {f.name for f in dataclasses.fields(cnormal.VerificationReport)}
+        rows = json.loads(out)["rows"]
+        assert [r["case"] for r in rows] == [case.value] * 4
+        assert all(set(r) == fields - {"timing_s"} | {"sample"} for r in rows)
+
     def test_non_finite_json_is_null(self):
         # sweep JSON rows go through the same writer as verify's report
         report = cnormal.VerificationReport(
             case="comp_jmu", verdict=False, kernel_residual=float("nan"),
-            matrix_residuals=[(32, 0.5)], matrix_keep=[(32, 16)], params={}, grid={})
-        payload = json.loads(cli.sweep_json([report], [{"margin": float("inf")}], 1.0),
+            matrix_residuals=[(32, 0.5)], matrix_keep=[(32, 16)], params={}, grid={},
+            margin=float("inf"))
+        payload = json.loads(cli.sweep_json([report], 1.0),
                              parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
         row = payload["rows"][0]
         assert row["kernel_residual"] is None and row["margin"] is None
@@ -451,7 +460,7 @@ def sweep_48(case: CaseId):
 def sweep_rows(case: CaseId) -> str:
     """The seeded sweep without its residual columns, whose last bits depend
     on BLAS and libm; the margin has 8 significant digits, or is 0 at <= 1e-9."""
-    reports, _, _ = sweep_48(case)
+    reports, _ = sweep_48(case)
     rows = []
     for i, r in enumerate(reports):
         margin = "0" if r.margin <= 1e-9 else f"{r.margin:.8g}"
@@ -470,7 +479,7 @@ def test_seeded_sweep_is_pinned(case):
 def test_seeded_kernel_residuals_are_pinned(case):
     # true rows sit at rounding level (<= 1.4e-14) and false rows at >= 0.14, so
     # a change of the kernel oracle beyond rounding changes the digest
-    reports, _, _ = sweep_48(case)
+    reports, _ = sweep_48(case)
     rows = "\n".join("0" if r.kernel_residual <= 1e-12 else f"{r.kernel_residual:.6g}"
                      for r in reports)
     assert hashlib.sha256(rows.encode()).hexdigest() == KERNEL_48_SEED_42[case], rows

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -473,6 +474,14 @@ class TestKernelResidual:
         with pytest.raises(ValueError):
             ring_grid(4)
 
+    @pytest.mark.parametrize("grid_n", [8.5, 12.0, "12"])
+    def test_grid_size_must_be_an_integer(self, grid_n):
+        with pytest.raises(ValueError, match="integer"):
+            ring_grid(grid_n)
+
+    def test_numpy_integer_grid_size(self):
+        assert np.array_equal(ring_grid(np.int64(12)), ring_grid(12))
+
     @pytest.mark.parametrize("case,conj,beta", [
         (CaseId.COMP_JMU, JMu(np.exp(0.4j)), 1.0),
         (CaseId.COMP_JW, JWp(0.3 + 0.2j), 1.0),
@@ -771,7 +780,7 @@ class TestVerify:
     def test_report_shape(self):
         r = verify(CaseId.COMP_JMU, LinearFractionalMap(0.5, 0, 0, 1), JMu(1.0),
                    truncations=(32, 64))
-        d = r.to_json_dict()
+        d = dataclasses.asdict(r)
         assert set(d) == {"case", "verdict", "kernel_residual", "matrix_residuals",
                           "matrix_keep", "params", "grid", "margin", "warnings",
                           "consistent", "timing_s"}
@@ -796,6 +805,22 @@ class TestVerify:
     def test_rejects_truncations_below_eight(self, truncations):
         with pytest.raises(ValueError, match="at least 8"):
             verify(CaseId.COMP_JMU, GENERIC, JMu(1.0), truncations=truncations)
+
+    @pytest.mark.parametrize("sizes", [{"grid_n": 8.5}, {"truncations": (32.9, 64)},
+                                       {"truncations": (32.0,)}])
+    def test_rejects_non_integral_sizes(self, sizes):
+        # 8.5 points per ring would evaluate 27 points and report 650.25 pairs;
+        # a truncation of 32.9 would run at N = 32
+        with pytest.raises(ValueError, match="integer"):
+            verify(CaseId.COMP_JMU, GENERIC, JMu(1.0), **sizes)
+
+    def test_numpy_integer_sizes_are_reported_as_ints(self):
+        def payload(grid_n, truncations):
+            r = verify(CaseId.COMP_JMU, GENERIC, JMu(1.0), grid_n=grid_n,
+                       truncations=truncations)
+            return {k: v for k, v in json.loads(r.to_json()).items() if k != "timing_s"}
+
+        assert payload(np.int64(12), np.array([32, 64])) == payload(12, (32, 64))
 
     def test_smallest_truncation_runs(self):
         r = verify(CaseId.COMP_JW, GENERIC, JWp(0.4), truncations=(8,))

@@ -8,7 +8,7 @@ from cnops import cnormal
 from cnops.cnormal import CaseId, verify
 from cnops.conjugations import JMu, JWp, basis_image_series, jw_weighted_matrix
 from cnops.errors import NotSelfMapError
-from cnops.hardy import kernel_series, lft_power_series, power_matrix, series_multiply
+from cnops.hardy import kernel_series, lft_power_series, power_matrix
 from cnops.moebius import LinearFractionalMap
 from cnops.operators import (
     adjoint_via_cowen,
@@ -335,8 +335,10 @@ class TestJMuBlocks:
         X, R = kept_blocks(m, C, n, k, beta)
         first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
         assert np.array_equal(R, power_matrix(first[:k], lft_power_series(m, k), k, cols=n))
-        w_phi, h_phi = basis_image_series(C, m, n)
-        want = power_matrix(series_multiply(first, w_phi, n), h_phi, n, cols=k)
+        # C e_i = beta (conj(mu) z)^i, so column i of T C holds beta first (conj(mu) phi)^i
+        h_phi = lft_power_series(LinearFractionalMap(np.conj(C.mu) * m.a, np.conj(C.mu) * m.b,
+                                                     m.c, m.d), n)
+        want = C.beta * power_matrix(first, h_phi, n, cols=k)
         assert np.abs(X - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j)), JWp(0.3 - 0.5j, beta=1j)])
@@ -356,9 +358,8 @@ class TestJMuBlocks:
 
 class TestBasisImages:
     @pytest.mark.parametrize("C", [
-        family(x, beta=beta) for beta in (1.0, np.exp(1.1j))
-        for family, x in [(JMu, np.exp(0.9j)), (JWp, 0.4), (JWp, 0.3 + 0.25j),
-                          (JWp, -0.7j), (JWp, 0.85)]])
+        JWp(p, beta=beta) for beta in (1.0, np.exp(1.1j))
+        for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85)])
     def test_identity_map_gives_the_conjugation_matrix(self, C):
         # column i of M holds C e_i = w h^i
         w, h = basis_image_series(C, LinearFractionalMap(1, 0, 0, 1), 64)
