@@ -13,7 +13,6 @@ two conjugation families J_mu and J W_{xi_p, tau_p}:
 
 from .cnormal import (
     CaseId,
-    QuadrupleSet,
     VerificationReport,
     eval_sides_comp_jmu,
     eval_sides_comp_jw,
@@ -30,8 +29,6 @@ from .cnormal import (
     predicate_weighted_jmu,
     predicate_weighted_jw,
     verify,
-    weighted_jmu_quadruples,
-    weighted_jw_quadruples,
 )
 from .conjugations import JMu, JWp, conj_apply_kernel
 from .moebius import CowenTriple, LinearFractionalMap, cowen_triple
@@ -42,7 +39,6 @@ __all__ = [
     "JMu",
     "JWp",
     "LinearFractionalMap",
-    "QuadrupleSet",
     "VerificationReport",
     "conj_apply_kernel",
     "cowen_triple",
@@ -61,8 +57,6 @@ __all__ = [
     "predicate_weighted_jmu",
     "predicate_weighted_jw",
     "verify",
-    "weighted_jmu_quadruples",
-    "weighted_jw_quadruples",
 ]
 
 __version__ = "0.1.0"

@@ -6,8 +6,10 @@ routes, which must agree and which the verify() report records:
 
   * a coefficient predicate deciding the identity exactly;
   * the kernel oracle: both sides applied to K_w and evaluated at z, in closed
-    form.  For C_phi they read C only through conj_apply_kernel (_comp_sides);
-    for W each side is a numerator over its QuadrupleSet denominator;
+    form, reading C only through its kernel action conj_apply_kernel: for
+    C_phi with Cowen's adjoint formula (_comp_sides), for W with W's own
+    kernel actions W* K_x = conj(psi(x)) K_{phi(x)} and
+    W K_e = kappa(e) K_{sigma(e)} (_weighted_sides);
   * a matrix oracle: the defect of C T*T C - T T* on a leading kept block at
     each truncation N, formed from the exact leading block X of T C and from
     the block R = T[:keep] (operators.kept_block_residuals).  For J_mu, X is
@@ -42,7 +44,7 @@ from .moebius import (
 GRID_RADII = (0.3, 0.6, 0.9)
 GRID_N = 12                   # default points per ring of the kernel grid
 MAX_GRID_N = 512              # largest: (3 * 512)^2 grid pairs; kernel_residual then
-                              # allocates about five 38 MB arrays (four if weighted)
+                              # peaks at five 38 MB complex arrays (3.5 for W's sides)
 SINGULAR_RTOL = 1e-6          # read by bench/workloads.py only; no cnops code reads it
 EXACT_TOL = 1e-12             # relative margin under which a composition case holds
 WEIGHTED_TOL = 1e-10          # relative margin under which a weighted case holds
@@ -115,97 +117,47 @@ def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
     return _comp_sides(m, JWp(p), w, z)
 
 
-@dataclass(frozen=True)
-class QuadrupleSet:
-    """Denominator coefficients of both sides in a weighted case: side i is a
-    numerator over (Ai w + Bi) z + Ci w + Di, so the sides agree identically
-    iff the quadruples coincide."""
-
-    A1: complex
-    B1: complex
-    C1: complex
-    D1: complex
-    A2: complex
-    B2: complex
-    C2: complex
-    D2: complex
-
-    def differences(self):
-        return (self.A1 - self.A2, self.B1 - self.B2,
-                self.C1 - self.C2, self.D1 - self.D2)
-
-    def max_difference(self) -> float:
-        return max(abs(x) for x in self.differences())
-
-    def denominators(self, w, z):
-        """The two side denominators at (w, z), elementwise."""
-        return ((self.A1 * w + self.B1) * z + self.C1 * w + self.D1,
-                (self.A2 * w + self.B2) * z + self.C2 * w + self.D2)
-
-
-def weighted_jmu_quadruples(m: LinearFractionalMap, mu: complex) -> QuadrupleSet:
-    """The eight denominator coefficients against J_mu.
-
-    Side 1 is J_mu W W* K_w, side 2 is W* W J_mu K_w; both equal
-    |beta|^2 |d|^2 / ((A w + B) z + C w + D).  The differences are
-    ((|c|^2-|b|^2) mubar, L, conj(L) mubar, |c|^2-|b|^2) with L the linear
-    defect of predicate_weighted_jmu.
-    """
+def _kernel_denominator(m: LinearFractionalMap, x, y):
+    """conj(c x + d)(c y + d) - conj(a x + b)(a y + b), which is
+    (1 - conj(m(x)) m(y)) conj(c x + d)(c y + d), expanded in conj(x) and y so
+    that its coefficients cancel before any point is read."""
     a, b, c, d = m.coefficients()
-    mb = np.conj(complex(mu))
-    return QuadrupleSet(
-        A1=(abs(c) ** 2 - abs(a) ** 2) * mb,
-        B1=(np.conj(c) * d - np.conj(a) * b) * mb,
-        C1=c * np.conj(d) - a * np.conj(b),
-        D1=abs(d) ** 2 - abs(b) ** 2,
-        A2=-(abs(a) ** 2 - abs(b) ** 2) * mb,
-        B2=np.conj(a) * c - np.conj(b) * d,
-        C2=(a * np.conj(c) - b * np.conj(d)) * mb,
-        D2=abs(d) ** 2 - abs(c) ** 2,
-    )
+    return (abs(d) ** 2 - abs(b) ** 2 + (np.conj(d) * c - np.conj(b) * a) * y
+            + np.conj(x) * (np.conj(c) * d - np.conj(a) * b + (abs(c) ** 2 - abs(a) ** 2) * y))
 
 
-def weighted_jw_quadruples(m: LinearFractionalMap, p: complex) -> QuadrupleSet:
-    """The eight denominator coefficients against JW_p, with lam = conj(p)/p.
+def _weighted_sides(m: LinearFractionalMap, beta: complex, C: Conjugation, w, z):
+    """Both sides of C W W* K_w(z) = W* W C K_w(z) for W = T_psi C_phi with the
+    canonical weight psi = beta K_{sigma(0)} = beta d / (c z + d), reading C
+    only through conj_apply_kernel, C K_x = u_x K_{eta_x} (ValueError when any
+    |w| or |z| >= 1).
 
-    Side 1 is J W W* k_w, side 2 is W* W (JW) k_w; both equal
-    |beta|^2 |d|^2 sqrt(1-|p|^2) / ((A w + B) z + C w + D).
+    W* K_x = conj(psi(x)) K_{phi(x)}, and psi cancels the c z + d of K_e o phi,
+    so W K_e = kappa(e) K_{sigma(e)} with kappa(e) = beta d / (d - conj(e) b)
+    and sigma Cowen's adjoint symbol.  With (X K_w)(z) = <X K_w, K_z>,
+    lhs = <W* C K_z, W* K_w> = u_z conj(psi(eta_z)) psi(w) / (1 - conj(phi(eta_z)) phi(w))
+    and rhs = <W C K_w, W K_z> = u_w kappa(eta_w) conj(kappa(z)) / (1 - conj(sigma(eta_w)) sigma(z)).
+    The denominators of psi and kappa are those of phi and sigma (conjugated
+    for kappa), so each side is u |beta d|^2 over _kernel_denominator of phi
+    or sigma.  On (0.5, -0.4999999999995, -0.999999999999, 1), near both a
+    constant map and the circle, that keeps the sides to 5e-13 relative, where
+    the products of psi, kappa and 1 - conj(x) y are 4e-4 relative off.
     """
-    a, b, c, d = m.coefficients()
-    p = complex(p)
-    lb = p / np.conj(p)   # conj(lam) for lam = conj(p)/p
-    return QuadrupleSet(
-        A1=(a * np.conj(b) - c * np.conj(d)) * p + (abs(a) ** 2 - abs(c) ** 2) * lb,
-        B1=(abs(b) ** 2 - abs(d) ** 2) * p + (np.conj(a) * b - d * np.conj(c)) * lb,
-        C1=c * np.conj(d) - a * np.conj(b) + (abs(c) ** 2 - abs(a) ** 2) * p,
-        D1=abs(d) ** 2 - abs(b) ** 2 + (d * np.conj(c) - np.conj(a) * b) * p,
-        A2=(-np.conj(a) * c + np.conj(b) * d) * p + (abs(a) ** 2 - abs(b) ** 2) * lb,
-        B2=np.conj(a) * c - np.conj(b) * d - p * (abs(a) ** 2 - abs(b) ** 2),
-        C2=-(abs(d) ** 2 - abs(c) ** 2) * p + (b * np.conj(d) - a * np.conj(c)) * lb,
-        D2=abs(d) ** 2 - abs(c) ** 2 - p * (b * np.conj(d) - a * np.conj(c)),
-    )
-
-
-def _weighted_parts(m: LinearFractionalMap, beta: complex, C: Conjugation, w, z):
-    """Numerator and the two side denominators of W against C."""
-    num = abs(beta) ** 2 * abs(m.d) ** 2
-    if isinstance(C, JMu):
-        return (num, *weighted_jmu_quadruples(m, C.mu).denominators(w, z))
-    return (num * np.sqrt(1.0 - abs(C.p) ** 2),
-            *weighted_jw_quadruples(m, C.p).denominators(w, z))
+    u_z, eta_z = conj_apply_kernel(C, z)
+    u_w, eta_w = conj_apply_kernel(C, w)
+    scale = abs(beta * m.d) ** 2
+    return (u_z * scale / _kernel_denominator(m, eta_z, w),
+            u_w * scale / _kernel_denominator(cowen_triple(m).sigma, eta_w, z))
 
 
 def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
-    """Both sides for W = T_{beta K_{sigma(0)}} C_phi against J_mu
-    (weighted_jmu_quadruples)."""
-    num, D1, D2 = _weighted_parts(m, beta, JMu(mu), w, z)
-    return num / D1, num / D2
+    """Both sides for W = T_{beta K_{sigma(0)}} C_phi against J_mu (_weighted_sides)."""
+    return _weighted_sides(m, beta, JMu(mu), w, z)
 
 
 def eval_sides_weighted_jw(m: LinearFractionalMap, beta: complex, p: complex, w, z):
-    """Both sides for W against JW_p (weighted_jw_quadruples)."""
-    num, D1, D2 = _weighted_parts(m, beta, JWp(p), w, z)
-    return num / D1, num / D2
+    """Both sides for W against JW_p (_weighted_sides)."""
+    return _weighted_sides(m, beta, JWp(p), w, z)
 
 
 # --------------------------------------------------------------------------
@@ -251,19 +203,15 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     The composition sides are finite on the open bidisk: _comp_sides writes
     the rhs with the removable pole at w0 = conj(c/a) cancelled.
 
-    Each weighted side is num / D with
-    num = |beta|^2 |d|^2 (times sqrt(1 - |p|^2) for JW_p), non-zero since
-    beta != 0 and |d| > |c| for a self-map, and D a polynomial in (w, z).  The
-    side is (X K_w)(z) for a bounded operator X, finite and continuous on the
-    open bidisk, while num / D is unbounded near any zero of D; so D has no
-    zero there.
+    So are the weighted sides: for a self-map |d| exceeds |b| and |c|, so the
+    denominators of psi, kappa, phi and sigma have no zero on the closed disk,
+    and phi and sigma map the disk into itself, so no 1 - conj(x) y of their
+    kernel values vanishes.
     """
     pts = ring_grid(grid_n)
     w, z = pts[:, None], pts[None, :]
-    if case.weighted:
-        num, D1, D2 = _weighted_parts(m, beta, conj, w, z)
-        return float(np.abs(num / D1 - num / D2).max())
-    lhs, rhs = _comp_sides(m, conj, w, z)
+    lhs, rhs = (_weighted_sides(m, beta, conj, w, z) if case.weighted
+                else _comp_sides(m, conj, w, z))
     return float(np.abs(lhs - rhs).max())
 
 

@@ -30,11 +30,11 @@ from cnops.cnormal import (
     predicate_weighted_jmu,
     predicate_weighted_jw,
     verify,
-    weighted_jw_quadruples,
 )
 from cnops.conjugations import JMu, JWp
 from cnops.moebius import LinearFractionalMap, lft_is_self_map
 from cnops.operators import adjoint_via_cowen, composition_matrix, conj_axiom_residuals
+from reference import weighted_jw_quadruples
 
 SEED = 20250808
 

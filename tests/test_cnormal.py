@@ -31,8 +31,6 @@ from cnops.cnormal import (
     predicate_weighted_jw,
     ring_grid,
     verify,
-    weighted_jmu_quadruples,
-    weighted_jw_quadruples,
 )
 from cnops.conjugations import JMu, JWp
 from cnops.errors import HypothesisViolationError
@@ -45,8 +43,17 @@ from cnops.moebius import (
     sigma_at_zero,
 )
 from cnops.operators import composition_matrix, conjugation_operator
+from reference import quadruple_sides, weighted_jmu_quadruples, weighted_jw_quadruples
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
+
+
+def test_every_public_name_resolves():
+    import cnops
+
+    assert len(set(cnops.__all__)) == len(cnops.__all__)
+    for name in cnops.__all__:
+        assert hasattr(cnops, name), name
 
 
 def report_residuals(report):
@@ -230,11 +237,16 @@ class TestCompJwSides:
         assert rhs == pytest.approx(rhs_m, abs=1e-8)
 
 
-@pytest.mark.parametrize("evaluate,param", [(eval_sides_comp_jmu, np.exp(0.3j)),
-                                            (eval_sides_comp_jw, 0.4)])
+@pytest.mark.parametrize("evaluate,param", [
+    (eval_sides_comp_jmu, np.exp(0.3j)),
+    (eval_sides_comp_jw, 0.4),
+    (lambda m, mu, w, z: eval_sides_weighted_jmu(m, 0.7, mu, w, z), np.exp(0.3j)),
+    (lambda m, p, w, z: eval_sides_weighted_jw(m, 0.7, p, w, z), 0.4),
+], ids=["comp_jmu", "comp_jw", "weighted_jmu", "weighted_jw"])
 @pytest.mark.parametrize("z", [1.0, -1j, np.array([0.2, 1.5j])])
-def test_comp_sides_reject_points_outside_the_disk(evaluate, param, z):
-    # the right side reads C K_z through conj_apply_kernel, which needs |z| < 1
+def test_sides_reject_points_outside_the_disk(evaluate, param, z):
+    # every case's right side reads C K_z through conj_apply_kernel, which
+    # needs |z| < 1
     with pytest.raises(ValueError):
         evaluate(GENERIC, param, 0.3, z)
 
@@ -371,14 +383,6 @@ class TestWeightedJmuQuadruples:
         assert cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m_eq, JMu(mu)) == pytest.approx(
             abs(dB_eq) / m_eq.scale ** 2, rel=1e-12)
 
-    def test_sides_are_the_quadruple_form(self):
-        m, beta, mu = GENERIC, 0.7 * np.exp(0.4j), np.exp(1.3j)
-        W, Z = np.meshgrid(ring_grid(10), ring_grid(10))
-        D1, D2 = weighted_jmu_quadruples(m, mu).denominators(W, Z)
-        lhs, rhs = eval_sides_weighted_jmu(m, beta, mu, W, Z)
-        num = abs(beta) ** 2 * abs(m.d) ** 2
-        assert np.array_equal(lhs, num / D1) and np.array_equal(rhs, num / D2)
-
 
 class TestWeightedJwQuadruples:
     def test_chain_agreement(self):
@@ -426,6 +430,27 @@ class TestWeightedJwQuadruples:
         # and the C, D differences are conjugate-linked to the same conditions
         assert abs(dD + np.conj(e1) / np.conj(p)) <= 1e-13 * s2
         assert abs(np.conj(p) * dC + np.conj(e2)) <= 1e-13 * s2
+
+
+@pytest.mark.parametrize("case", [CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW])
+def test_sides_are_the_quadruple_form(case):
+    # the sides come from W's kernel actions, not from the quadruples, so they
+    # match num / D to rounding, not bit for bit (at most 2.2e-15 relative on
+    # 200 sampler draws per case at grid 12).  The last map is near both a
+    # constant map and the circle: sides formed as products of psi, kappa and
+    # 1 - conj(x) y are 4e-4 relative off there
+    W, Z = np.meshgrid(ring_grid(10), ring_grid(10))
+    evaluate = eval_sides_weighted_jmu if case is CaseId.WEIGHTED_JMU else eval_sides_weighted_jw
+    seeds = np.random.SeedSequence(42).spawn(16)
+    instances = [sample_case(case, np.random.default_rng(seed), i)
+                 for i, seed in enumerate(seeds)]
+    instances.append((LinearFractionalMap(0.5, -0.4999999999995, -0.999999999999, 1),
+                      JMu(1.0) if case is CaseId.WEIGHTED_JMU else JWp(0.5), 0.7))
+    for m, conj, beta in instances:
+        param = conj.mu if isinstance(conj, JMu) else conj.p
+        for side, ref in zip(evaluate(m, beta, param, W, Z),
+                             quadruple_sides(m, beta, conj, W, Z), strict=True):
+            assert np.all(np.abs(side - ref) <= 1e-13 * np.abs(ref))
 
 
 # --------------------------------------------------------------------------
@@ -535,6 +560,27 @@ class TestKernelResidual:
         r = verify(case, m, conj, grid_n=12, truncations=(32,))
         assert r.kernel_residual == full
         assert not r.verdict and r.consistent
+
+    @pytest.mark.parametrize("case,m,conj", [
+        (CaseId.COMP_JMU, LinearFractionalMap(0.7, 0, 0, 1), JMu(1j)),
+        (CaseId.COMP_JW, LinearFractionalMap(np.exp(0.7j), 0, 0, 1), JWp(0.4)),
+        (CaseId.WEIGHTED_JMU, GENERIC, JMu(-1.0)),
+        (CaseId.WEIGHTED_JW, hermitian_family(0.3, 0.2, 1.0).map,
+         JWp(hermitian_jw_solved_p(0.3, 0.2))),
+    ], ids=[case.value for case in CaseId])
+    def test_reads_the_conjugation_only_through_its_kernel_action(self, monkeypatch,
+                                                                  case, m, conj):
+        # a true instance: with eta moved by 0.05 in C K_x = u_x K_{eta_x} the
+        # sides must split, which they would not if a side reached C otherwise
+        assert kernel_residual(case, m, conj) <= 1e-12
+        original = cnormal.conj_apply_kernel
+
+        def wrong_eta(C, x):
+            u, eta = original(C, x)
+            return u, eta + 0.05
+
+        monkeypatch.setattr(cnormal, "conj_apply_kernel", wrong_eta)
+        assert kernel_residual(case, m, conj) > cnormal.VERDICT_FALSE_MIN
 
     def test_scale_invariance(self):
         m = GENERIC
@@ -701,6 +747,26 @@ class TestNormalBdyfix:
         p = 0.8 + 0.4j
         assert predicate_normal_bdyfix(m, p, "jw")
         assert not predicate_normal_bdyfix_jw_dsq_variant(m, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generic_weighted_jw_holds_at_its_one_p(seed):
+    # for |b| != |c| the first JW_p equation (|b|^2 - |c|^2) p = K |p|^2 has
+    # the one non-zero root p* = Delta / conj(K), where the second equation
+    # vanishes too; the sweep's true weighted_jw draws all have |b| = |c|
+    g = np.random.default_rng(np.random.SeedSequence([21, seed]))
+    for _ in range(10):
+        m = random_self_map(g)
+        a, b, c, d = m.coefficients()
+        delta = abs(b) ** 2 - abs(c) ** 2
+        K = -np.conj(a) * c + np.conj(b) * d - a * np.conj(b) + c * np.conj(d)
+        p = delta / np.conj(K)
+        assert abs(abs(b) - abs(c)) > 1e-3 * m.scale and 0 < abs(p) < 1
+        conj = JWp(p)
+        assert cnormal.predicate_margin(CaseId.WEIGHTED_JW, m, conj) <= cnormal.WEIGHTED_TOL
+        r = verify(CaseId.WEIGHTED_JW, m, conj)
+        assert r.verdict and r.consistent
+        assert r.kernel_residual <= 1e-12
 
 
 # --------------------------------------------------------------------------
