@@ -183,12 +183,10 @@ def ring_grid(grid_n: int) -> np.ndarray:
     grid_n = _integer(grid_n, "grid_n")
     if not 8 <= grid_n <= MAX_GRID_N:
         raise ValueError(f"grid_n must be at least 8 and at most {MAX_GRID_N}, got {grid_n}")
-    pts = []
     golden = 2.0 * np.pi * 0.381966011250105
-    for k, r in enumerate(GRID_RADII):
-        ang = 2.0 * np.pi * np.arange(grid_n) / grid_n + k * golden
-        pts.append(r * np.exp(1j * ang))
-    return np.concatenate(pts)
+    ring = np.arange(len(GRID_RADII))[:, None]
+    ang = 2.0 * np.pi * np.arange(grid_n) / grid_n + ring * golden
+    return (np.array(GRID_RADII)[:, None] * np.exp(1j * ang)).ravel()
 
 
 def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,

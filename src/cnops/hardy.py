@@ -68,8 +68,12 @@ def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
     """N x cols matrix (cols defaults to N) whose column j holds the
     coefficients of first * f^j.
 
-    Column j is column j - 1 times f, truncated at degree N - 1 (the
-    np.convolve of series_multiply, entry for entry); entry n sums the same
+    Column j is column j - 1 times f, truncated at degree N - 1: an
+    np.convolve of column j - 1 with f cut after its last nonzero entry, so
+    a step costs N times that prefix (2 entries for an affine phi, c = 0;
+    geometric tails that underflow to zero at large N are cut too).  That is
+    series_multiply entry for entry when f has no trailing zeros or one
+    nonzero entry, and within rounding otherwise.  Entry n sums the same
     products at every N > n and reads only the leading n + 1 entries of
     first and f.  So the leading r rows of the result at any N > r equal
     power_matrix(first[:r], f[:r], r, cols) exactly, and the leading columns
@@ -81,6 +85,8 @@ def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
     """
     cols = N if cols is None else cols
     f = np.asarray(f, dtype=complex)[:N]
+    support = np.flatnonzero(f)
+    f = f[:support[-1] + 1 if support.size else 1]
     M = np.zeros((N, cols), dtype=complex, order="F")
     M[:, 0] = first
     for j in range(1, min(cols, N) if f[0] == 0 else cols):

@@ -507,6 +507,13 @@ class TestKernelResidual:
     def test_numpy_integer_grid_size(self):
         assert np.array_equal(ring_grid(np.int64(12)), ring_grid(12))
 
+    @pytest.mark.parametrize("grid_n", [8, 12, 40, 512])
+    def test_grid_equals_the_ring_by_ring_form(self, grid_n):
+        golden = 2.0 * np.pi * 0.381966011250105
+        rings = [r * np.exp(1j * (2.0 * np.pi * np.arange(grid_n) / grid_n + k * golden))
+                 for k, r in enumerate(cnormal.GRID_RADII)]
+        assert np.array_equal(ring_grid(grid_n), np.concatenate(rings))
+
     @pytest.mark.parametrize("case,conj,beta", [
         (CaseId.COMP_JMU, JMu(np.exp(0.4j)), 1.0),
         (CaseId.COMP_JW, JWp(0.3 + 0.2j), 1.0),

@@ -135,6 +135,9 @@ def series_multiply_chain(first, f, N, cols):
     return out
 
 
+AFFINE = LinearFractionalMap(0.5, 0.3, 0, 1)   # phi = 0.5 z + 0.3: c = 0, b != 0
+
+
 def chain_inputs(g, N):
     """(first, f) pairs with f(0) != 0 and with f(0) = 0 (maps fixing 0)."""
     e0 = np.eye(N, 1).ravel()
@@ -183,6 +186,25 @@ class TestPowerMatrix:
             C = JWp(g.uniform(0.1, 0.9) * np.exp(2j * np.pi * g.uniform()))
             first, f = C.xi_series(N), lft_power_series(C.tau(), N)
             assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
+        first, f = np.eye(N, 1).ravel(), lft_power_series(AFFINE, N)
+        assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
+
+    @pytest.mark.parametrize("N", [16, 48])
+    def test_each_step_convolves_the_nonzero_prefix_of_f(self, N, monkeypatch):
+        # an affine phi (c = 0) has two nonzero coefficients; a dense f has N
+        lengths, convolve = [], np.convolve
+
+        def recording_convolve(a, v):
+            lengths.append((len(a), len(v)))
+            return convolve(a, v)
+
+        g = np.random.default_rng(N + 4)
+        monkeypatch.setattr(np, "convolve", recording_convolve)
+        power_matrix(np.eye(N, 1).ravel(), lft_power_series(AFFINE, N), N)
+        assert lengths == [(N, 2)] * (N - 1)
+        lengths.clear()
+        power_matrix(np.eye(N, 1).ravel(), lft_power_series(random_self_map(g), N), N)
+        assert lengths == [(N, N)] * (N - 1)
 
     @pytest.mark.parametrize("N", [32, 128])
     def test_leading_blocks_are_bit_exact(self, N):
@@ -195,7 +217,8 @@ class TestPowerMatrix:
                   (g.standard_normal(N) + 1j * g.standard_normal(N),
                    g.standard_normal(N) + 1j * g.standard_normal(N)),
                   (g.standard_normal(N) + 1j * g.standard_normal(N),
-                   lft_power_series(LinearFractionalMap(0.9 * np.exp(0.7j), 0, 0, 1), N))]
+                   lft_power_series(LinearFractionalMap(0.9 * np.exp(0.7j), 0, 0, 1), N)),
+                  (np.eye(N, 1).ravel(), lft_power_series(AFFINE, N))]
         for first, f in inputs:
             full = power_matrix(first, f, N)
             for r in (1, 5, N // 3, N // 2):
