@@ -31,17 +31,16 @@ from .cnormal import (
     verify,
 )
 from .conjugations import JMu, JWp, conj_apply_kernel
-from .moebius import CowenTriple, LinearFractionalMap, cowen_triple
+from .moebius import LinearFractionalMap, adjoint_symbol
 
 __all__ = [
     "CaseId",
-    "CowenTriple",
     "JMu",
     "JWp",
     "LinearFractionalMap",
     "VerificationReport",
+    "adjoint_symbol",
     "conj_apply_kernel",
-    "cowen_triple",
     "eval_sides_comp_jmu",
     "eval_sides_comp_jw",
     "eval_sides_weighted_jmu",

@@ -21,8 +21,10 @@ one "error: ..." line on stderr and nothing on stdout.  Bad input includes a
 map that is not a self-map of the disk, a beta for the weighted operator whose
 |beta|^2 is 0 or not finite (cnormal.check_instance), a --trunc size outside
 [8, 4096] (cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
-(cnormal.ring_grid) and an --out path that cannot be written.  The text ends
-in exactly one newline, and stdout gets the same bytes as the --out file.
+(cnormal.ring_grid) and an --out path that cannot be written, whether
+_check_writable rejects it before the run or the write itself fails.  The
+text ends in exactly one newline, and stdout gets the same bytes as the
+--out file.
 
 Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
 index order and written in that order, so identical configs produce
@@ -376,8 +378,12 @@ def main(argv=None) -> int:
         return 2
     text = text.rstrip("\n") + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:   # e.g. a file name too long, or a full device
+            print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -13,7 +13,7 @@ routes, which must agree and which the verify() report records:
   * a matrix oracle: the defect of C T*T C - T T* on a leading kept block at
     each truncation N, formed from the exact leading block X of T C and from
     the block R = T[:keep] (operators.kept_block_residuals).  For J_mu, X is
-    T's first keep columns times beta conj(mu)^i, and R's first keep columns
+    T's first keep columns times conj(mu)^i, and R's first keep columns
     are those columns' first keep rows; for JW_p, X has columns
     psi (w o phi)(h o phi)^i for its basis images C e_i = w h^i.
 """
@@ -34,7 +34,7 @@ from .conjugations import FAMILIES, Conjugation, JMu, JWp, conj_apply_kernel
 from .errors import HypothesisViolationError
 from .moebius import (
     LinearFractionalMap,
-    cowen_triple,
+    adjoint_symbol,
     has_boundary_fixed_point,
     lft_compose,
     lft_eval,
@@ -147,7 +147,7 @@ def _weighted_sides(m: LinearFractionalMap, beta: complex, C: Conjugation, w, z)
     u_w, eta_w = conj_apply_kernel(C, w)
     scale = abs(beta * m.d) ** 2
     return (u_z * scale / _kernel_denominator(m, eta_z, w),
-            u_w * scale / _kernel_denominator(cowen_triple(m).sigma, eta_w, z))
+            u_w * scale / _kernel_denominator(adjoint_symbol(m), eta_w, z))
 
 
 def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
@@ -284,7 +284,7 @@ def predicate_weighted_jw(m: LinearFractionalMap, p: complex) -> bool:
 def is_disk_automorphism(m: LinearFractionalMap) -> bool:
     """True iff sigma o phi is proportional to the identity (within
     WEIGHTED_TOL) and both phi and its inverse pass the self-map test."""
-    comp = lft_compose(cowen_triple(m).sigma, m)
+    comp = lft_compose(adjoint_symbol(m), m)
     s2 = m.scale ** 2
     off = max(abs(comp.b), abs(comp.c), abs(comp.a - comp.d))
     if off > WEIGHTED_TOL * s2:
@@ -498,7 +498,7 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     matrix_keep lists keep at each N): X^T conj(X) - R R* with X the exact
     leading N x keep block of T C and R = T[:keep, :N]
     (operators.kept_block_residuals).  For J_mu, X is T's first keep columns
-    times beta conj(mu)^i, and R's first keep columns are those columns'
+    times conj(mu)^i, and R's first keep columns are those columns'
     first keep rows; for JW_p, column i of X holds the coefficients of
     psi (w o phi)(h o phi)^i for its basis images C e_i = w h^i.
     grid_n and every truncation must be integers, each truncation in

@@ -15,12 +15,6 @@ JW_p is also given by its basis images C e_i = w h^i (basis_image_series),
 which the matrix oracle reads: for T = T_psi C_phi, column i of the matrix of
 T C holds the coefficients of T (C e_i) = psi (w o phi)(h o phi)^i, exactly
 and with no truncated factor.  J_mu needs none: it is diagonal.
-
-An optional unimodular phase beta multiplies either action (the classification
-of conjugations of the form u(z) * conj(f(conj(v(z)))) allows it): family (i),
-u = beta and v(z) = mu z, is JMu(mu, beta); family (ii),
-u = beta sqrt(1-|p|^2)/(1-p z) and v(z) = (p/conj(p)) (conj(p)-z)/(1-p z),
-is JWp(p, beta).
 """
 
 from __future__ import annotations
@@ -36,38 +30,28 @@ from .moebius import LinearFractionalMap, lft_compose
 UNIMODULAR_TOL = 1e-14
 
 
-def _check_unimodular(value: complex, name: str):
-    if abs(abs(value) - 1.0) > UNIMODULAR_TOL:
-        raise ValueError(f"|{name}| must be 1, got |{name}| = {abs(value)}")
-
-
 @dataclass(frozen=True)
 class JMu:
-    """Conjugation f(z) -> beta * conj(f(mu conj(z))), |mu| = |beta| = 1."""
+    """Conjugation f(z) -> conj(f(mu conj(z))), |mu| = 1."""
 
     mu: complex
-    beta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         object.__setattr__(self, "mu", complex(self.mu))
-        object.__setattr__(self, "beta", complex(self.beta))
-        _check_unimodular(self.mu, "mu")
-        _check_unimodular(self.beta, "beta")
+        if not abs(abs(self.mu) - 1.0) <= UNIMODULAR_TOL:   # NaN fails too
+            raise ValueError(f"|mu| must be 1, got |mu| = {abs(self.mu)}")
 
 
 @dataclass(frozen=True)
 class JWp:
-    """Conjugation J W_{xi_p, tau_p} (times a phase beta), 0 < |p| < 1."""
+    """Conjugation J W_{xi_p, tau_p}, 0 < |p| < 1."""
 
     p: complex
-    beta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "beta", complex(self.beta))
         if not 0.0 < abs(self.p) < 1.0:
             raise ValueError(f"p must lie in the punctured open disk, got {self.p}")
-        _check_unimodular(self.beta, "beta")
 
     @property
     def lam(self) -> complex:
@@ -92,8 +76,8 @@ FAMILIES = {"jmu": JMu, "jw": JWp}   # the family names of conjugation specs
 def conj_apply_kernel(C: Conjugation, w):
     """Image of the reproducing kernel K_w as (weight, point): C K_w = weight K_point.
 
-    JMu:  C K_w = beta K_{mu conj(w)}.
-    JWp:  C K_w = beta sqrt(1-|p|^2)/(1 - w p) * K_eta with
+    JMu:  C K_w = K_{mu conj(w)}.
+    JWp:  C K_w = sqrt(1-|p|^2)/(1 - w p) * K_eta with
           eta = (conj(p) - conj(w) lam) / (1 - conj(w p)).
     Elementwise over an array of w; raises ValueError if any |w| >= 1.
     """
@@ -101,9 +85,9 @@ def conj_apply_kernel(C: Conjugation, w):
     if np.any(np.abs(w) >= 1.0):
         raise ValueError("kernel points must lie in the open disk")
     if isinstance(C, JMu):
-        return C.beta * np.ones_like(w), C.mu * np.conj(w)
+        return np.ones_like(w), C.mu * np.conj(w)
     p, lam = C.p, C.lam
-    weight = C.beta * np.sqrt(1.0 - abs(p) ** 2) / (1.0 - w * p)
+    weight = np.sqrt(1.0 - abs(p) ** 2) / (1.0 - w * p)
     eta = (np.conj(p) - np.conj(w) * lam) / (1.0 - np.conj(w * p))
     return weight, eta
 
@@ -113,9 +97,9 @@ def basis_image_series(C: JWp, m: LinearFractionalMap, N: int):
 
     So (C e_i) o phi = (w o phi)(h o phi)^i, and at the identity map
     hardy.power_matrix of the two series is the matrix of C.  Here
-    w = beta sqrt(1-|p|^2)/(1 - p z) and h = conj(lam) (conj(p) - z)/(1 - p z),
+    w = sqrt(1-|p|^2)/(1 - p z) and h = conj(lam) (conj(p) - z)/(1 - p z),
     that is xi_p and tau_p with conjugated coefficients;
-    w o phi = beta sqrt(1-|p|^2) (c z + d)/(e z + f) with e = c - p a and
+    w o phi = sqrt(1-|p|^2) (c z + d)/(e z + f) with e = c - p a and
     f = d - p b, expanded here directly because its determinant p (ad - bc)
     vanishes as p -> 0 while the series does not.
     """
@@ -124,7 +108,7 @@ def basis_image_series(C: JWp, m: LinearFractionalMap, N: int):
     g = (-e / f) ** np.arange(N) / f          # 1/(e z + f)
     w = d * g
     w[1:] += c * g[:-1]
-    w *= C.beta * np.sqrt(1.0 - abs(C.p) ** 2)
+    w *= np.sqrt(1.0 - abs(C.p) ** 2)
     h = LinearFractionalMap(*np.conj(C.tau().coefficients()))
     return w, hardy.lft_power_series(lft_compose(h, m), N)
 

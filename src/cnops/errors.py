@@ -17,10 +17,6 @@ class PoleError(CnopsError, ZeroDivisionError):
     """Evaluation at (or too close to) a pole of a rational expression."""
 
 
-class SingularKernelError(CnopsError, ZeroDivisionError):
-    """Reproducing-kernel evaluation with 1 - conj(w)*z numerically zero."""
-
-
 class NotExpandableError(CnopsError, ValueError):
     """A series expansion is requested for a symbol with a pole in the closed disk."""
 

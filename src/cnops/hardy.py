@@ -9,23 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotExpandableError, SingularKernelError
+from .errors import NotExpandableError
 from .moebius import LinearFractionalMap
-
-
-def kernel_eval(w, z):
-    """K_w(z) = 1 / (1 - conj(w) z).
-
-    Vectorized over w and z; raises SingularKernelError when the denominator
-    is numerically zero anywhere.
-    """
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    den = 1.0 - np.conj(w) * z
-    if np.any(np.abs(den) < 1e-14):
-        raise SingularKernelError("1 - conj(w) z vanishes")
-    out = 1.0 / den
-    return out if out.ndim else complex(out)
 
 
 def kernel_series(w: complex, N: int) -> np.ndarray:
@@ -92,25 +77,3 @@ def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
     for j in range(1, min(cols, N) if f[0] == 0 else cols):
         M[:, j] = np.convolve(M[:, j - 1], f)[:N]
     return M
-
-
-def series_eval(f: np.ndarray, z):
-    """Evaluate the truncated series at z (Horner)."""
-    f = np.asarray(f, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for coeff in f[::-1]:
-        out = out * z + coeff
-    return out if out.ndim else complex(out)
-
-
-def inner_product(f: np.ndarray, g: np.ndarray) -> complex:
-    """<f, g> = sum_n f_n conj(g_n); the shorter vector is zero-padded."""
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    n = min(len(f), len(g))
-    return complex(np.sum(f[:n] * np.conj(g[:n])))
-
-
-def norm(f: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(f, dtype=complex)))

@@ -61,28 +61,6 @@ class LinearFractionalMap:
         return self.a, self.b, self.c, self.d
 
 
-@dataclass(frozen=True)
-class CowenTriple:
-    """Adjoint triple for C_phi* = T_g C_sigma T_h*.
-
-    sigma(z) = (conj(a) z - conj(c)) / (-conj(b) z + conj(d)),
-    g(z) = 1 / (g_den1 z + g_den0)  with  g_den1 = -conj(b), g_den0 = conj(d),
-    h(z) = h1 z + h0               with  h1 = c, h0 = d.
-    """
-
-    sigma: LinearFractionalMap
-    g_den0: complex
-    g_den1: complex
-    h0: complex
-    h1: complex
-
-    def g(self, z):
-        return 1.0 / (self.g_den1 * z + self.g_den0)
-
-    def h(self, z):
-        return self.h1 * z + self.h0
-
-
 def lft_eval(m: LinearFractionalMap, z):
     """Evaluate phi(z); raises PoleError when c z + d vanishes numerically.
 
@@ -170,11 +148,14 @@ def has_boundary_fixed_point(m: LinearFractionalMap) -> bool:
     return fp.is_identity or any(k == "boundary" for k in fp.kinds)
 
 
-def cowen_triple(m: LinearFractionalMap) -> CowenTriple:
-    """sigma = (conj(a) z - conj(c)) / (-conj(b) z + conj(d)), g = 1/(-conj(b) z + conj(d)), h = c z + d."""
+def adjoint_symbol(m: LinearFractionalMap) -> LinearFractionalMap:
+    """Cowen's adjoint symbol sigma = (conj(a) z - conj(c)) / (-conj(b) z + conj(d)).
+
+    Cowen's formula C_phi* = T_g C_sigma T_h* completes it with
+    g = 1/(-conj(b) z + conj(d)) and h = c z + d.
+    """
     a, b, c, d = m.coefficients()
-    sigma = LinearFractionalMap(np.conj(a), -np.conj(c), -np.conj(b), np.conj(d))
-    return CowenTriple(sigma=sigma, g_den0=np.conj(d), g_den1=-np.conj(b), h0=d, h1=c)
+    return LinearFractionalMap(np.conj(a), -np.conj(c), -np.conj(b), np.conj(d))
 
 
 def sigma_at_zero(m: LinearFractionalMap) -> complex:

@@ -18,8 +18,8 @@ from .conjugations import Conjugation, JMu, JWp, basis_image_series, jw_weighted
 from .errors import NotSelfMapError
 from .moebius import (
     LinearFractionalMap,
+    adjoint_symbol,
     boundary_derivative_sup,
-    cowen_triple,
     image_disk,
     lft_is_self_map,
     sigma_at_zero,
@@ -74,7 +74,7 @@ def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
     """
     if not lft_is_self_map(m):
         raise NotSelfMapError(f"{m} is not a validated self-map")
-    sigma = cowen_triple(m).sigma
+    sigma = adjoint_symbol(m)
     if not lft_is_self_map(sigma):
         warnings.warn(f"adjoint symbol {sigma} is not a self-map; "
                       "truncation may diverge", RuntimeWarning, stacklevel=2)
@@ -89,13 +89,13 @@ def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
 def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     """Truncated matrix M of a conjugation spec, which acts as x -> M conj(x).
 
-    JMu: M = beta diag(conj(mu)^n), an exact representation.
-    JWp: M = beta conj(W) with W the truncated matrix of W_{xi_p, tau_p}
-    (the action x -> beta conj(W x) rewritten as x -> M conj(x)).
+    JMu: M = diag(conj(mu)^n), an exact representation.
+    JWp: M = conj(W) with W the truncated matrix of W_{xi_p, tau_p}
+    (the action x -> conj(W x) rewritten as x -> M conj(x)).
     """
     if isinstance(C, JMu):
-        return C.beta * np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)
-    return C.beta * np.conj(jw_weighted_matrix(C, N))
+        return np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)
+    return np.conj(jw_weighted_matrix(C, N))
 
 
 def conj_apply_series(C: Conjugation, f: np.ndarray, N: int) -> np.ndarray:
@@ -134,8 +134,7 @@ def conj_axiom_residuals(C: Conjugation, N: int, sample_count: int,
     for x, y in zip(xs, xs[1:] + xs[:1]):
         cx = conj_apply_series(C, x, N)
         cy = conj_apply_series(C, y, N)
-        antiunitary = max(antiunitary,
-                          abs(hardy.inner_product(cx, cy) - hardy.inner_product(y, x)))
+        antiunitary = max(antiunitary, abs(np.vdot(cy, cx) - np.vdot(x, y)))
     return involution, antiunitary
 
 
@@ -182,8 +181,8 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
     T (C e_i).  X is the leading block of the matrix of T C itself, not the
     product of the truncations of T and of C's matrix:
 
-    J_mu is diagonal, C e_i = beta conj(mu)^i e_i, so X is T's first k
-    columns times beta conj(mu)^i, and R's first k columns are those
+    J_mu is diagonal, C e_i = conj(mu)^i e_i, so X is T's first k
+    columns times conj(mu)^i, and R's first k columns are those
     columns' first k rows.  Past column k, R continues the same chain on k
     rows; when phi(0) = 0, first phi^j has order at least j, so those
     columns are zero and are not built.
@@ -198,7 +197,7 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
     first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
     if isinstance(C, JMu):
         P = hardy.power_matrix(first, phi, n, cols=k)
-        X = P * (C.beta * np.conj(C.mu) ** np.arange(k))
+        X = P * np.conj(C.mu) ** np.arange(k)
         R = np.zeros((k, n), dtype=complex, order="F")
         R[:, :k] = P[:k]
         if phi[0] != 0:

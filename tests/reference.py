@@ -87,9 +87,8 @@ def weighted_jw_quadruples(m, p: complex) -> QuadrupleSet:
 
 
 def quadruple_sides(m, beta: complex, C, w, z):
-    """Both weighted sides as num / D from the quadruples; the phase of C
-    multiplies both."""
-    num = C.beta * abs(beta) ** 2 * abs(m.d) ** 2
+    """Both weighted sides as num / D from the quadruples."""
+    num = abs(beta) ** 2 * abs(m.d) ** 2
     if isinstance(C, JMu):
         D1, D2 = weighted_jmu_quadruples(m, C.mu).denominators(w, z)
     else:

@@ -261,6 +261,19 @@ class TestMain:
         assert out.encode() == out_path.read_bytes()
         assert out.endswith("\n") and not out.endswith("\n\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--map", "0.7,0,0,1", "--conj", "jmu:1i", "--trunc", "32"],
+        ["sweep", "--conj", "jw", "--samples", "4", "--seed", "3", "--trunc", "32"],
+    ])
+    def test_failed_write_exits_2(self, capsys, tmp_path, argv):
+        # the directory is writable, so only the write itself fails: a file
+        # name of 300 bytes is longer than common file systems allow
+        out_path = tmp_path / ("x" * 300)
+        code, out, err = run_main(capsys, argv + ["--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_module_entry_point(self, capsys):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [os.path.dirname(os.path.dirname(cnops.__file__)),

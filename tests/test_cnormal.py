@@ -34,10 +34,10 @@ from cnops.cnormal import (
 )
 from cnops.conjugations import JMu, JWp
 from cnops.errors import HypothesisViolationError
-from cnops.hardy import kernel_series, series_eval
+from cnops.hardy import kernel_series
 from cnops.moebius import (
     LinearFractionalMap,
-    cowen_triple,
+    adjoint_symbol,
     lft_eval,
     lft_is_self_map,
     sigma_at_zero,
@@ -75,8 +75,8 @@ def matrix_route_sides(m, conj, w, z, N=256):
     T = composition_matrix(m, N)
     M = conjugation_operator(conj, N)
     kw = kernel_series(w, N)
-    lhs = series_eval(T @ (T.conj().T @ (M @ np.conj(kw))), z)
-    rhs = series_eval(M @ np.conj(T.conj().T @ (T @ kw)), z)
+    lhs = np.polynomial.polynomial.polyval(z, T @ (T.conj().T @ (M @ np.conj(kw))))
+    rhs = np.polynomial.polynomial.polyval(z, M @ np.conj(T.conj().T @ (T @ kw)))
     return lhs, rhs
 
 
@@ -187,14 +187,13 @@ class TestCompJwSides:
     def test_identity_map_reproduces_conjugated_kernel(self):
         # C_phi = I: both sides must equal (JW K_w)(z) itself
         from cnops.conjugations import conj_apply_kernel
-        from cnops.hardy import kernel_eval
 
         p = 0.3 + 0.25j
         m = LinearFractionalMap(1, 0, 0, 1)
         w, z = 0.35 - 0.2j, 0.5 + 0.1j
         lhs, rhs = eval_sides_comp_jw(m, p, w, z)
         weight, point = conj_apply_kernel(JWp(p), w)
-        expected = weight * kernel_eval(point, z)
+        expected = weight / (1 - np.conj(point) * z)
         assert lhs == pytest.approx(expected, abs=1e-14)
         assert rhs == pytest.approx(expected, abs=1e-14)
 
@@ -259,7 +258,7 @@ def chain_weighted_jmu(m, beta, mu, w, z):
     """lhs/rhs from the raw kernel-product chains (no algebraic combination)."""
     a, b, c, d = m.coefficients()
     s0 = sigma_at_zero(m)
-    sig = cowen_triple(m).sigma
+    sig = adjoint_symbol(m)
     lhs = (abs(beta) ** 2
            / (1 - np.conj(s0) * w)
            * np.conj(1.0 / (1 - np.conj(s0) * mu * np.conj(z)))
@@ -276,7 +275,7 @@ def chain_weighted_jw(m, beta, p, w, z):
     a, b, c, d = m.coefficients()
     lam = np.conj(p) / p
     s0 = sigma_at_zero(m)
-    sig = cowen_triple(m).sigma
+    sig = adjoint_symbol(m)
     root = np.sqrt(1 - abs(p) ** 2)
     tz = np.conj(lam) * (np.conj(p) - z) / (1 - p * z)     # conj(tau_p(conj z))
     phw = lft_eval(m, w)
@@ -458,28 +457,6 @@ def test_sides_are_the_quadruple_form(case):
 # --------------------------------------------------------------------------
 
 class TestKernelResidual:
-    @pytest.mark.parametrize("case,conj,phased", [
-        (CaseId.COMP_JW, JWp(0.3 + 0.2j), JWp(0.3 + 0.2j, np.exp(1.1j))),
-        (CaseId.COMP_JMU, JMu(np.exp(0.4j)), JMu(np.exp(0.4j), np.exp(0.7j))),
-        (CaseId.WEIGHTED_JW, JWp(0.3 + 0.2j), JWp(0.3 + 0.2j, np.exp(1.1j))),
-        (CaseId.WEIGHTED_JMU, JMu(np.exp(0.4j)), JMu(np.exp(0.4j), np.exp(0.7j))),
-    ])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_composition_residual_ignores_the_conjugation_phase(self, case, conj,
-                                                                phased, seed):
-        # the phase cancels in C X C; true rows are rounding noise of O(1) sides,
-        # so the change is measured against max(1, residual)
-        g = np.random.default_rng(seed)
-        maps = [random_self_map(g, max_offset=0.4), LinearFractionalMap(np.exp(0.7j), 0, 0, 1),
-                LinearFractionalMap(0.6 * np.exp(0.2j), 0, 0, 1)]
-        for m in maps:
-            r = kernel_residual(case, m, conj)
-            assert abs(kernel_residual(case, m, phased) - r) <= 1e-15 * max(1.0, r)
-            plain, other = verify(case, m, conj), verify(case, m, phased)
-            assert (other.verdict, other.consistent) == (plain.verdict, plain.consistent)
-            for r0, r1 in zip(report_residuals(plain), report_residuals(other), strict=True):
-                assert abs(r1 - r0) <= 1e-12 + 1e-9 * r0
-
     def test_normal_dilation_jmu(self):
         # nonconstant dilations only: alpha = 0 is a degenerate quadruple
         for alpha in (0.05, 0.7, 0.99 * np.exp(2.1j)):
@@ -797,7 +774,7 @@ def test_weighted_adjoint_kernel_action(seed):
     for w in (0.3, -0.4 + 0.45j):
         kw = kernel_series(w, N)
         lhs = np.sum((W @ f) * np.conj(kw))                   # <W f, K_w>
-        psi_w = series_eval(psi, w)
+        psi_w = np.polynomial.polynomial.polyval(w, psi)
         rhs = np.sum(f * np.conj(np.conj(psi_w) * kernel_series(lft_eval(m, w), N)))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 

@@ -7,8 +7,8 @@ from cnops.errors import DegenerateMapError, PoleError
 from cnops.moebius import (
     SELF_MAP_TOL,
     LinearFractionalMap,
+    adjoint_symbol,
     boundary_derivative_sup,
-    cowen_triple,
     image_disk,
     lft_compose,
     lft_eval,
@@ -203,18 +203,12 @@ class TestCompose:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-class TestCowenTriple:
+class TestAdjointSymbol:
     def test_dilation(self):
-        t = cowen_triple(HALF)
-        assert proportional(t.sigma, HALF)
-        assert t.g(0.3) == pytest.approx(0.5)
-        assert t.h(0.7) == pytest.approx(2.0)
+        assert proportional(adjoint_symbol(HALF), HALF)
 
     def test_generic_coefficients(self):
-        t = cowen_triple(GENERIC)
-        assert t.sigma.coefficients() == (0.5, -0.25, -0.25, 1.0)
-        assert t.g_den0 == 1.0 and t.g_den1 == -0.25
-        assert (t.h0, t.h1) == (1.0, 0.25)
+        assert adjoint_symbol(GENERIC).coefficients() == (0.5, -0.25, -0.25, 1.0)
 
     def test_unitary_family_sigma_zero(self):
         q = 0.5
@@ -225,7 +219,7 @@ class TestCowenTriple:
     def test_sigma_involution(self, seed):
         g = np.random.default_rng(seed)
         m = LinearFractionalMap(*(g.standard_normal(4) + 1j * g.standard_normal(4)))
-        again = cowen_triple(cowen_triple(m).sigma).sigma
+        again = adjoint_symbol(adjoint_symbol(m))
         assert again.coefficients() == m.coefficients()
 
 

@@ -188,10 +188,10 @@ class TestConjugationOperator:
     @pytest.mark.parametrize("N", [32, 64, 128, 256])
     def test_matrix_is_symmetric(self, N):
         # <Cx, y> = <Cy, x> gives M = M^T, which cnormal_residual_matrix uses
-        M = conjugation_operator(JMu(np.exp(0.9j), beta=np.exp(0.3j)), N)
+        M = conjugation_operator(JMu(np.exp(0.9j)), N)
         assert np.array_equal(M, M.T)
         for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85, 0.1):
-            M = conjugation_operator(JWp(p, beta=np.exp(1.1j)), N)
+            M = conjugation_operator(JWp(p), N)
             assert np.abs(M - M.T).max() <= 1e-14
 
 
@@ -240,10 +240,10 @@ class TestCnormalResidualMatrix:
             assert abs(got - want) <= 8 * N * np.finfo(float).eps * max(1.0, want)
 
     @pytest.mark.parametrize("case,conj", [
-        (CaseId.COMP_JMU, JMu(np.exp(0.9j), beta=np.exp(0.3j))),
+        (CaseId.COMP_JMU, JMu(np.exp(0.9j))),
         (CaseId.WEIGHTED_JMU, JMu(-1.0)),
         (CaseId.COMP_JW, JWp(0.4)),
-        (CaseId.WEIGHTED_JW, JWp(0.3 - 0.5j, beta=1j)),
+        (CaseId.WEIGHTED_JW, JWp(0.3 - 0.5j)),
     ])
     @pytest.mark.parametrize("m", [GENERIC, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1),
                                    AUTOMORPHISM])
@@ -328,20 +328,20 @@ class TestJMuBlocks:
     @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
     def test_one_chain_gives_both_blocks(self, m, beta):
         # R is the k-row chain of T[:k] bit for bit; X is T's first k columns
-        # times beta conj(mu)^i, the basis-image chain of T C to rounding
-        C = JMu(np.exp(0.9j), beta=np.exp(0.3j))
+        # times conj(mu)^i, the basis-image chain of T C to rounding
+        C = JMu(np.exp(0.9j))
         n = REF_ROWS
         k = stable_keep(n, m=m, C=C)
         X, R = kept_blocks(m, C, n, k, beta)
         first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
         assert np.array_equal(R, power_matrix(first[:k], lft_power_series(m, k), k, cols=n))
-        # C e_i = beta (conj(mu) z)^i, so column i of T C holds beta first (conj(mu) phi)^i
+        # C e_i = (conj(mu) z)^i, so column i of T C holds first (conj(mu) phi)^i
         h_phi = lft_power_series(LinearFractionalMap(np.conj(C.mu) * m.a, np.conj(C.mu) * m.b,
                                                      m.c, m.d), n)
-        want = C.beta * power_matrix(first, h_phi, n, cols=k)
+        want = power_matrix(first, h_phi, n, cols=k)
         assert np.abs(X - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j)), JWp(0.3 - 0.5j, beta=1j)])
+    @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j)), JWp(0.3 - 0.5j)])
     @pytest.mark.parametrize("m", [FIXES_ORIGIN, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1)])
     @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
     def test_zero_columns_are_skipped(self, conj, m, beta):
@@ -357,15 +357,13 @@ class TestJMuBlocks:
 
 
 class TestBasisImages:
-    @pytest.mark.parametrize("C", [
-        JWp(p, beta=beta) for beta in (1.0, np.exp(1.1j))
-        for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85)])
+    @pytest.mark.parametrize("C", [JWp(p) for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85)])
     def test_identity_map_gives_the_conjugation_matrix(self, C):
         # column i of M holds C e_i = w h^i
         w, h = basis_image_series(C, LinearFractionalMap(1, 0, 0, 1), 64)
         assert np.abs(power_matrix(w, h, 64) - conjugation_operator(C, 64)).max() <= 1e-14
 
-    @pytest.mark.parametrize("conj", [JWp(0.4), JWp(0.3 - 0.5j, beta=1j)])
+    @pytest.mark.parametrize("conj", [JWp(0.4), JWp(0.3 - 0.5j)])
     @pytest.mark.parametrize("m", [GENERIC, AUTOMORPHISM])
     @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
     def test_column_block_is_the_block_of_t_times_c(self, conj, m, beta):
