@@ -38,6 +38,12 @@ class TestSpecs:
         with pytest.raises(ValueError):
             JWp(p)
 
+    @pytest.mark.parametrize("p", [np.nan, complex(0.5, np.nan), np.inf])
+    def test_jwp_rejects_non_finite(self, p):
+        # the chained 0 < |p| < 1 is False for a NaN |p|, so NaN is rejected
+        with pytest.raises(ValueError):
+            JWp(p)
+
     @pytest.mark.parametrize("p", [0.4, 0.3 + 0.25j, -0.7j])
     def test_lambda_solves_its_equation(self, p):
         C = JWp(p)

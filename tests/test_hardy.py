@@ -16,6 +16,16 @@ disk_points = st.builds(
 
 
 class TestKernel:
+    def test_kernel_at_origin_is_one(self):
+        # K_0 = 1: the first coefficient only
+        for N in (1, 8, 64):
+            assert np.array_equal(kernel_series(0.0, N), np.eye(N, 1).ravel())
+
+    def test_half_half(self):
+        # K_w(w) = 1/(1 - |w|^2) = 4/3 at w = 1/2
+        assert np.polynomial.polynomial.polyval(0.5, kernel_series(0.5, 64)) == pytest.approx(
+            4.0 / 3.0, abs=1e-15)
+
     def test_reproducing_property(self, rng):
         # <f, K_w> recovers f(w) exactly for polynomials of degree < N
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)

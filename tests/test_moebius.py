@@ -98,7 +98,7 @@ def boundary_sup_modulus(m, n=4096, rounds=3):
 
 def reference_is_self_map(m) -> bool:
     """The boundary-grid test the closed form replaced, made dense."""
-    if abs(m.c) > 0 and abs(m.d / m.c) <= 1.0:
+    if abs(m.d) <= abs(m.c):         # pole -d/c in the closed disk; no d/c, which overflows
         return False
     return boundary_sup_modulus(m) <= 1.0 + SELF_MAP_TOL
 

@@ -268,6 +268,31 @@ class TestCnormalResidualMatrix:
                 want = kept_block_residual(X[:N], T[:k])
             assert abs(value - want) <= 1e-13 * max(1.0, want)
 
+    @pytest.mark.parametrize("case,conj", [
+        (CaseId.COMP_JMU, JMu(np.exp(0.4j))),
+        (CaseId.WEIGHTED_JMU, JMu(np.exp(0.4j))),
+        (CaseId.COMP_JW, JWp(0.3 + 0.2j)),
+        (CaseId.WEIGHTED_JW, JWp(0.3 + 0.2j)),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_ignores_a_conjugation_phase(self, case, conj, seed):
+        # lam C is a conjugation for unimodular lam, with matrix lam M, and
+        # (lam C) X (lam C) = |lam|^2 C X C: a phase never changes the answer
+        g = np.random.default_rng(seed)
+        lam = np.exp(2j * np.pi * g.uniform())
+        N = 64
+        M = conjugation_operator(conj, N)
+        for m in (random_self_map(g, max_offset=0.4), LinearFractionalMap(np.exp(0.7j), 0, 0, 1),
+                  LinearFractionalMap(0.6 * np.exp(0.2j), 0, 0, 1)):
+            if case.weighted:
+                T = weighted_composition_matrix(canonical_weight_series(m, 0.7 + 0.2j, N), m, N)
+            else:
+                T = composition_matrix(m, N)
+            for keep in (1, 5, 16, 32):
+                want = cnormal_residual_matrix(T, M, keep)
+                got = cnormal_residual_matrix(T, lam * M, keep)
+                assert abs(got - want) <= 8 * N * np.finfo(float).eps * max(1.0, want)
+
     def test_dimension_mismatch(self):
         T = np.eye(8, dtype=complex)
         C = conjugation_operator(JMu(1.0), 16)
@@ -357,7 +382,8 @@ class TestJMuBlocks:
 
 
 class TestBasisImages:
-    @pytest.mark.parametrize("C", [JWp(p) for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85)])
+    @pytest.mark.parametrize("C", [JWp(p) for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85,
+                                                    -0.5, 0.1, 0.6 - 0.6j, 0.2 + 0.7j)])
     def test_identity_map_gives_the_conjugation_matrix(self, C):
         # column i of M holds C e_i = w h^i
         w, h = basis_image_series(C, LinearFractionalMap(1, 0, 0, 1), 64)
