@@ -6,10 +6,10 @@ routes, which must agree and which the verify() report records:
 
   * a coefficient predicate deciding the identity exactly;
   * the kernel oracle: both sides applied to K_w and evaluated at z, in closed
-    form, reading C only through its kernel action conj_apply_kernel: for
-    C_phi with Cowen's adjoint formula (_comp_sides), for W with W's own
-    kernel actions W* K_x = conj(psi(x)) K_{phi(x)} and
-    W K_e = kappa(e) K_{sigma(e)} (_weighted_sides);
+    form, reading C only through its kernel action conj_apply_kernel and
+    T = T_g C_phi only through its kernel actions T* K_x = conj(g(x)) K_{phi(x)}
+    and T K_e = g (c z + d) / (d - b conj(e)) K_{sigma(e)}, with g = 1 for
+    C_phi and g = psi for W (_sides);
   * a matrix oracle: the defect of C T*T C - T T* on a leading kept block at
     each truncation N, formed from the exact leading block X of T C and from
     the block R = T[:keep] (operators.kept_block_residuals).  For J_mu, X is
@@ -78,45 +78,6 @@ class CaseId(str, Enum):
 # closed-form side evaluators (vectorized over w, z)
 # --------------------------------------------------------------------------
 
-def _comp_sides(m: LinearFractionalMap, C: Conjugation, w, z):
-    """Both sides of C_phi C_phi* C K_w(z) = C C_phi* C_phi K_w(z), reading C
-    only through conj_apply_kernel (ValueError when any |w| or |z| >= 1).
-
-    lhs = weight K_{phi(point)}(phi(z)) for C K_w = weight K_point.  Cowen's
-    C_phi* = T_g C_sigma T_h* gives C_phi* C_phi K_w = coef1 K_{v1}
-    + (G - coef1) K_{v2} with v1 = phi(0), v2 = phi(sigma(w)),
-    G = dbar / (dbar - bbar w) and coef1 = cbar / (cbar - abar w).  With
-    (C K_v)(z) = <C K_z, K_v> = (C K_z)(v) and C K_z = u K_eta, the rhs is
-    u [G / (1 - ebar v2) + ebar coef1 (v1 - v2) / ((1 - ebar v1)(1 - ebar v2))],
-    ebar = conj(eta), where coef1 (v1 - v2) = (ad - bc) cbar / (d D) and
-    D = (abar c - bbar d) w + |d|^2 - |c|^2 is v2's denominator.  This cancels
-    coef1's removable pole at w0 = conj(c/a), where sigma(w) = 0: since
-    D = (dbar - bbar w)(c sigma(w) + d), it has no zero in the open disk for a
-    self-map, and the rhs is finite on the whole bidisk.
-    """
-    a, b, c, d = m.coefficients()
-    weight, point = conj_apply_kernel(C, w)
-    lhs = weight / (1.0 - np.conj(lft_eval(m, point)) * lft_eval(m, z))
-    u, eta = conj_apply_kernel(C, z)
-    eta_bar = np.conj(eta)
-    D = (np.conj(a) * c - np.conj(b) * d) * w + abs(d) ** 2 - abs(c) ** 2
-    v2 = ((abs(a) ** 2 - abs(b) ** 2) * w + b * np.conj(d) - a * np.conj(c)) / D
-    G = np.conj(d) / (np.conj(d) - np.conj(b) * w)
-    k1, k2 = 1.0 - eta_bar * (b / d), 1.0 - eta_bar * v2   # 1 / K_{v_i}(eta)
-    rhs = G / k2 + eta_bar * (m.det * np.conj(c) / (d * D)) / (k1 * k2)
-    return lhs, u * rhs
-
-
-def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
-    """Both sides of the composition-case identity for J_mu (_comp_sides)."""
-    return _comp_sides(m, JMu(mu), w, z)
-
-
-def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
-    """Both sides of the composition-case identity for JW_p (_comp_sides)."""
-    return _comp_sides(m, JWp(p), w, z)
-
-
 def _kernel_denominator(m: LinearFractionalMap, x, y):
     """conj(c x + d)(c y + d) - conj(a x + b)(a y + b), which is
     (1 - conj(m(x)) m(y)) conj(c x + d)(c y + d), expanded in conj(x) and y so
@@ -126,38 +87,60 @@ def _kernel_denominator(m: LinearFractionalMap, x, y):
             + np.conj(x) * (np.conj(c) * d - np.conj(a) * b + (abs(c) ** 2 - abs(a) ** 2) * y))
 
 
-def _weighted_sides(m: LinearFractionalMap, beta: complex, C: Conjugation, w, z):
-    """Both sides of C W W* K_w(z) = W* W C K_w(z) for W = T_psi C_phi with the
-    canonical weight psi = beta K_{sigma(0)} = beta d / (c z + d), reading C
-    only through conj_apply_kernel, C K_x = u_x K_{eta_x} (ValueError when any
-    |w| or |z| >= 1).
+def _sides(m: LinearFractionalMap, C: Conjugation, w, z, beta=None):
+    """Both sides of C T T* K_w(z) = T* T C K_w(z) for T = T_g C_phi, with
+    g = 1 (C_phi, beta None) or g = psi = beta d / (c z + d) (W), reading C
+    only through conj_apply_kernel, C K_x = u_x K_{eta_x} (ValueError when
+    any |w| or |z| >= 1).
 
-    W* K_x = conj(psi(x)) K_{phi(x)}, and psi cancels the c z + d of K_e o phi,
-    so W K_e = kappa(e) K_{sigma(e)} with kappa(e) = beta d / (d - conj(e) b)
-    and sigma Cowen's adjoint symbol.  With (X K_w)(z) = <X K_w, K_z>,
-    lhs = <W* C K_z, W* K_w> = u_z conj(psi(eta_z)) psi(w) / (1 - conj(phi(eta_z)) phi(w))
-    and rhs = <W C K_w, W K_z> = u_w kappa(eta_w) conj(kappa(z)) / (1 - conj(sigma(eta_w)) sigma(z)).
-    The denominators of psi and kappa are those of phi and sigma (conjugated
-    for kappa), so each side is u |beta d|^2 over _kernel_denominator of phi
-    or sigma.  On (0.5, -0.4999999999995, -0.999999999999, 1), near both a
-    constant map and the circle, that keeps the sides to 5e-13 relative, where
-    the products of psi, kappa and 1 - conj(x) y are 4e-4 relative off.
+    T* K_x = conj(g(x)) K_{phi(x)} and T K_e = G / (d - b conj(e)) K_{sigma(e)},
+    G = g (c z + d) and sigma Cowen's adjoint symbol.  With
+    (X K_w)(z) = <X K_w, K_z>, lhs = <T* C K_z, T* K_w>
+    = u_z conj(G(eta_z)) G(w) / _kernel_denominator(phi, eta_z, w), and
+    rhs = <T C K_w, T K_z>.  For W, G = beta d and
+    rhs = u_w |beta d|^2 / _kernel_denominator(sigma, eta_w, z).  For C_phi,
+    G = c z + d, <(c z + d) K_x, (c z + d) K_y>
+    = (c + d conj(x))(conj(c) + conj(d) y) / (1 - conj(x) y) + |d|^2 and
+    c + d conj(sigma(e)) = conj(e)(ad - bc) / (d - b conj(e)), so
+    rhs = u_w (|d|^2 + conj(eta_w) z |ad - bc|^2 / _kernel_denominator(sigma, eta_w, z))
+    / ((d - b conj(eta_w)) conj(d - b conj(z))).  No side has a removable pole.
+    On (0.5, -0.4999999999995, -0.999999999999, 1), near both a constant map
+    and the circle, every side stays within 5e-13 relative of its exact value,
+    where the product form 1 - conj(phi(x)) phi(y) is 4e-4 off for W and
+    1.4e-5 for C_phi.
     """
+    a, b, c, d = m.coefficients()
     u_z, eta_z = conj_apply_kernel(C, z)
     u_w, eta_w = conj_apply_kernel(C, w)
-    scale = abs(beta * m.d) ** 2
-    return (u_z * scale / _kernel_denominator(m, eta_z, w),
-            u_w * scale / _kernel_denominator(adjoint_symbol(m), eta_w, z))
+    sigma_den = _kernel_denominator(adjoint_symbol(m), eta_w, z)
+    if beta is not None:
+        scale = abs(beta * d) ** 2
+        return u_z * scale / _kernel_denominator(m, eta_z, w), u_w * scale / sigma_den
+    lhs = u_z * np.conj(c * eta_z + d) * (c * w + d) / _kernel_denominator(m, eta_z, w)
+    rhs = (np.conj(eta_w) * abs(m.det) ** 2) * z / sigma_den + abs(d) ** 2
+    return lhs, u_w / (d - b * np.conj(eta_w)) * rhs / np.conj(d - b * np.conj(z))
+
+
+def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
+    """Both sides of C_phi C_phi* J_mu K_w(z) = J_mu C_phi* C_phi K_w(z)
+    (_sides at (z, w))."""
+    return _sides(m, JMu(mu), z, w)
+
+
+def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
+    """Both sides of C_phi C_phi* JW_p K_w(z) = JW_p C_phi* C_phi K_w(z)
+    (_sides at (z, w))."""
+    return _sides(m, JWp(p), z, w)
 
 
 def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
-    """Both sides for W = T_{beta K_{sigma(0)}} C_phi against J_mu (_weighted_sides)."""
-    return _weighted_sides(m, beta, JMu(mu), w, z)
+    """Both sides for W = T_{beta K_{sigma(0)}} C_phi against J_mu (_sides)."""
+    return _sides(m, JMu(mu), w, z, beta)
 
 
 def eval_sides_weighted_jw(m: LinearFractionalMap, beta: complex, p: complex, w, z):
-    """Both sides for W against JW_p (_weighted_sides)."""
-    return _weighted_sides(m, beta, JWp(p), w, z)
+    """Both sides for W against JW_p (_sides)."""
+    return _sides(m, JWp(p), w, z, beta)
 
 
 # --------------------------------------------------------------------------
@@ -198,18 +181,14 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     so each factor of w alone or z alone is computed on the 3 grid_n points and
     only the final combination is broadcast onto the pairs; nothing is cached.
 
-    The composition sides are finite on the open bidisk: _comp_sides writes
-    the rhs with the removable pole at w0 = conj(c/a) cancelled.
-
-    So are the weighted sides: for a self-map |d| exceeds |b| and |c|, so the
-    denominators of psi, kappa, phi and sigma have no zero on the closed disk,
-    and phi and sigma map the disk into itself, so no 1 - conj(x) y of their
-    kernel values vanishes.
+    Every side is finite on the open bidisk: for a self-map |d| exceeds |b|
+    and |c|, so c z + d and d - b conj(z) have no zero on the closed disk,
+    and phi and sigma map the disk into itself, so neither
+    _kernel_denominator vanishes.
     """
     pts = ring_grid(grid_n)
-    w, z = pts[:, None], pts[None, :]
-    lhs, rhs = (_weighted_sides(m, beta, conj, w, z) if case.weighted
-                else _comp_sides(m, conj, w, z))
+    lhs, rhs = _sides(m, conj, pts[:, None], pts[None, :],
+                      beta if case.weighted else None)
     return float(np.abs(lhs - rhs).max())
 
 

@@ -23,12 +23,12 @@ def lft_power_series(m: LinearFractionalMap, N: int) -> np.ndarray:
 
     p0 = b/d, p1 = (a - c p0)/d, and p_n = -(c/d) p_{n-1} for n >= 2, so the
     tail is geometric with ratio -c/d.  Requires the pole strictly outside the
-    closed disk (|d/c| > 1, or c = 0).
+    closed disk, |d| > |c|, tested without dividing by c.
     """
     a, b, c, d = m.coefficients()
     if abs(d) <= 1e-14 * m.scale:
         raise NotExpandableError("pole at the origin: d = 0")
-    if abs(c) > 0 and abs(-d / c) <= 1.0:
+    if abs(d) <= abs(c):
         raise NotExpandableError(f"pole -d/c = {-d / c} inside the closed disk")
     p = np.zeros(N, dtype=complex)
     p[0] = b / d

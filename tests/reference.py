@@ -4,7 +4,7 @@ For W = T_{beta K_{sigma(0)}} C_phi each side of C W W* K_w(z) = W* W C K_w(z)
 is a numerator over (A w + B) z + C w + D, so the sides agree identically iff
 the two quadruples coincide; their differences are the defects of the weighted
 predicates.  cnops evaluates the sides from W's kernel actions instead
-(cnormal._weighted_sides); the tests hold both routes, and the predicates, to
+(cnormal._sides); the tests hold both routes, and the predicates, to
 this form.
 """
 

@@ -98,6 +98,20 @@ class TestVerify:
         report = json.loads(out)
         assert report["verdict"] is False and report["consistent"] is True
 
+    @pytest.mark.parametrize("conj,weighted,verdict", [
+        ("jmu:1", False, True), ("jw:0.4", False, False),
+        ("jmu:1", True, True), ("jw:0.4", True, False),
+    ])
+    def test_subnormal_c_is_no_contradiction(self, capsys, conj, weighted, verdict):
+        # phi(z) = 1i z / (1.1e-308i z + 1.5 + 1.5i) is a self-map, all but
+        # affine; its power series is taken without dividing by c
+        argv = ["verify", "--map", "1i,0,0+1.1125369292536007e-308i,1.5+1.5i",
+                "--conj", conj, "--trunc", "32,64"] + ["--weighted"] * weighted
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] is verdict and report["consistent"] is True
+
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, _, _ = run_main(capsys, [

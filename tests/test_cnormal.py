@@ -80,6 +80,29 @@ def matrix_route_sides(m, conj, w, z, N=256):
     return lhs, rhs
 
 
+def cowen_sides(mp, m, conj, w, z):
+    """(C_phi C_phi* C K_w)(z) and (C C_phi* C_phi K_w)(z) in mpmath at 50
+    digits, the right side from Cowen's C_phi* = T_g C_sigma T_h*:
+    C_phi* C_phi K_w = coef1 K_{v1} + (G - coef1) K_{v2} with v1 = phi(0),
+    v2 = phi(sigma(w)), G = dbar / (dbar - bbar w) and
+    coef1 = cbar / (cbar - abar w), a derivation apart from cnops' own.
+    C K_x = u_x K_{eta_x} is read at the floats conj_apply_kernel gives."""
+    from cnops.conjugations import conj_apply_kernel
+
+    (u_w, eta_w), (u_z, eta_z) = conj_apply_kernel(conj, w), conj_apply_kernel(conj, z)
+    with mp.workdps(50):
+        a, b, c, d, w, z, u_w, eta_w, u_z, eta_z = (
+            mp.mpc(complex(x)) for x in (*m.coefficients(), w, z, u_w, eta_w, u_z, eta_z))
+        phi = lambda x: (a * x + b) / (c * x + d)
+        sigma = lambda x: (mp.conj(a) * x - mp.conj(c)) / (-mp.conj(b) * x + mp.conj(d))
+        lhs = u_w / (1 - mp.conj(phi(eta_w)) * phi(z))
+        v1, v2, e = b / d, phi(sigma(w)), mp.conj(eta_z)
+        G = mp.conj(d) / (mp.conj(d) - mp.conj(b) * w)
+        coef1 = mp.conj(c) / (mp.conj(c) - mp.conj(a) * w)
+        rhs = u_z * (coef1 / (1 - e * v1) + (G - coef1) / (1 - e * v2))
+        return complex(lhs), complex(rhs)
+
+
 class TestCompJmuSides:
     def test_half_map_real_mu(self):
         # both sides collapse to K_{phi(w)}(phi(z)) = 1/(1 - 0.15*0.2)
@@ -150,26 +173,16 @@ class TestCompJmuSides:
 
     @pytest.mark.parametrize("distance", [1e-4, 1.5e-6])
     def test_right_side_keeps_its_digits_near_the_pole(self, distance):
-        # the two-term form coef1 K_{phi(0)} + (G - coef1) K_{phi(sigma(w))}
-        # cancels digits near w0 = conj(c/a); the closed form must not
-        from cnops.conjugations import conj_apply_kernel
-
+        # Cowen's two-term form has a removable pole at w0 = conj(c/a), where
+        # sigma(w) = 0; in floats it cancels digits there.  The sides are
+        # written from T K_e, which has no such pole, and must keep them
         mp = pytest.importorskip("mpmath")
         m = LinearFractionalMap(0.5, 0.2, 0.3 * np.exp(0.7j), 1.0)
         mu, z = np.exp(0.5j), 0.4 - 0.3j
         w = np.conj(m.c / m.a) + distance * np.exp(0.3j)
         _, rhs = eval_sides_comp_jmu(m, mu, w, z)
-        u, eta = conj_apply_kernel(JMu(mu), z)
-        with mp.workdps(50):
-            a, b, c, d, w_, e = (mp.mpc(complex(x))
-                                 for x in (*m.coefficients(), w, np.conj(eta)))
-            v1 = b / d
-            v2 = (((abs(a) ** 2 - abs(b) ** 2) * w_ + b * mp.conj(d) - a * mp.conj(c))
-                  / ((mp.conj(a) * c - mp.conj(b) * d) * w_ + abs(d) ** 2 - abs(c) ** 2))
-            G = mp.conj(d) / (mp.conj(d) - mp.conj(b) * w_)
-            coef1 = mp.conj(c) / (mp.conj(c) - mp.conj(a) * w_)
-            exact = mp.mpc(complex(u)) * (coef1 / (1 - e * v1) + (G - coef1) / (1 - e * v2))
-        assert abs(complex(rhs) - complex(exact)) <= 1e-14 * abs(complex(exact))
+        _, exact = cowen_sides(mp, m, JMu(mu), w, z)
+        assert abs(complex(rhs) - exact) <= 1e-14 * abs(exact)
 
 
 class TestCompJwSides:
@@ -234,6 +247,41 @@ class TestCompJwSides:
         lhs_m, rhs_m = matrix_route_sides(m, JWp(p), w, z)
         assert lhs == pytest.approx(lhs_m, abs=1e-8)
         assert rhs == pytest.approx(rhs_m, abs=1e-8)
+
+
+@pytest.mark.parametrize("evaluate,conj", [
+    (eval_sides_comp_jmu, JMu(np.exp(0.3j))),
+    (eval_sides_comp_jw, JWp(0.4 + 0.2j)),
+], ids=["comp_jmu", "comp_jw"])
+def test_sides_keep_their_digits_near_a_constant_map(evaluate, conj):
+    # near both a constant map and the circle, the product form
+    # 1 - conj(phi(x)) phi(y) is 1.4e-5 relative off here
+    mp = pytest.importorskip("mpmath")
+    m = LinearFractionalMap(0.5, -0.4999999999995, -0.999999999999, 1)
+    param = conj.mu if isinstance(conj, JMu) else conj.p
+    pts = ring_grid(8)
+    worst = 0.0
+    for w in pts:
+        for z in pts:
+            for side, exact in zip(evaluate(m, param, w, z), cowen_sides(mp, m, conj, w, z)):
+                worst = max(worst, abs(complex(side) - exact) / abs(exact))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("comp,weighted,param", [
+    (eval_sides_comp_jmu, eval_sides_weighted_jmu, np.exp(0.3j)),
+    (eval_sides_comp_jw, eval_sides_weighted_jw, 0.4 + 0.2j),
+], ids=["jmu", "jw"])
+@pytest.mark.parametrize("m", [LinearFractionalMap(0.6 * np.exp(0.5j), 0.3 - 0.1j, 0, 1),
+                               LinearFractionalMap(0.7j, 0, 0, 1)], ids=["affine", "dilation"])
+def test_composition_sides_are_the_weighted_ones_at_beta_1_with_w_and_z_swapped(
+        comp, weighted, param, m):
+    # for c = 0 the canonical weight is beta, so W = C_phi at beta = 1, and
+    # (C_phi C_phi* C K_w)(z) = (C C_phi C_phi* K_z)(w): the composition
+    # sides are stated for C T T* = T* T C with w and z swapped
+    W, Z = np.meshgrid(ring_grid(12), ring_grid(12), indexing="ij")
+    for got, want in zip(comp(m, param, W, Z), weighted(m, 1.0, param, Z, W)):
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 @pytest.mark.parametrize("evaluate,param", [
@@ -535,9 +583,13 @@ class TestKernelResidual:
         # is evaluated with all the others, and every side is finite
         w0 = ring_grid(12)[k]
         m = LinearFractionalMap(0.5, 0.0, 0.5 * np.conj(w0), 1.0)
-        conj = JMu(1j) if case is CaseId.COMP_JMU else JWp(0.3)
         W, Z = np.meshgrid(ring_grid(12), ring_grid(12), indexing="ij")
-        lhs, rhs = cnormal._comp_sides(m, conj, W, Z)
+        if case is CaseId.COMP_JMU:
+            conj = JMu(1j)
+            lhs, rhs = eval_sides_comp_jmu(m, conj.mu, W, Z)
+        else:
+            conj = JWp(0.3)
+            lhs, rhs = eval_sides_comp_jw(m, conj.p, W, Z)
         assert np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))
         full = float(np.abs(lhs - rhs).max())
         assert kernel_residual(case, m, conj, grid_n=12) == full

@@ -59,6 +59,14 @@ class TestPowerSeries:
         with pytest.raises(NotExpandableError):
             lft_power_series(LinearFractionalMap(1, 0, 2, 1), 8)
 
+    def test_subnormal_c_gives_the_affine_series(self):
+        # the pole test compares |d| with |c| and divides by neither, so a
+        # subnormal c raises no OverflowError; the tail underflows to ~0
+        m = LinearFractionalMap(1j, 0, 1.1125369292536007e-308j, 1.5 + 1.5j)
+        p = lft_power_series(m, 4)
+        assert p[0] == 0 and p[1] == pytest.approx(m.a / m.d, abs=1e-16)
+        assert np.all(np.abs(p[2:]) <= 1e-300)
+
     def test_tail_ratio(self, rng):
         m = LinearFractionalMap(0.5, 0.25, 0.25, 1)
         p = lft_power_series(m, 40)
