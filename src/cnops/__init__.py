@@ -14,20 +14,13 @@ two conjugation families J_mu and J W_{xi_p, tau_p}:
 from .cnormal import (
     CaseId,
     VerificationReport,
+    case_predicate,
     eval_sides_comp_jmu,
     eval_sides_comp_jw,
     eval_sides_weighted_jmu,
     eval_sides_weighted_jw,
     kernel_residual,
-    predicate_comp_jmu,
-    predicate_comp_jw,
-    predicate_hermitian_jmu,
-    predicate_hermitian_jw,
     predicate_margin,
-    predicate_normal_bdyfix,
-    predicate_unitary_wco,
-    predicate_weighted_jmu,
-    predicate_weighted_jw,
     verify,
 )
 from .conjugations import JMu, JWp, conj_apply_kernel
@@ -40,21 +33,14 @@ __all__ = [
     "LinearFractionalMap",
     "VerificationReport",
     "adjoint_symbol",
+    "case_predicate",
     "conj_apply_kernel",
     "eval_sides_comp_jmu",
     "eval_sides_comp_jw",
     "eval_sides_weighted_jmu",
     "eval_sides_weighted_jw",
     "kernel_residual",
-    "predicate_comp_jmu",
-    "predicate_comp_jw",
-    "predicate_hermitian_jmu",
-    "predicate_hermitian_jw",
     "predicate_margin",
-    "predicate_normal_bdyfix",
-    "predicate_unitary_wco",
-    "predicate_weighted_jmu",
-    "predicate_weighted_jw",
     "verify",
 ]
 

@@ -45,7 +45,7 @@ from . import cnormal
 from .cnormal import CSV_HEADER, CaseId, predicate_margin, verify
 from .conjugations import FAMILIES, Conjugation, JMu, JWp, parse_conjugation
 from .errors import CnopsError
-from .moebius import LinearFractionalMap, parse_complex, parse_map
+from .moebius import LinearFractionalMap, lft_is_self_map, parse_complex, parse_map
 from .operators import STANDARD_TRUNCATIONS
 
 FALSE_MARGIN = 1e-3
@@ -94,17 +94,17 @@ def _hermitian_map(rng, need_solvable_p=False):
         else:
             a0 = _disk_point(rng, 0.05, 0.5)
         a1 = rng.uniform(-0.4, 0.5)
-        fam = cnormal.hermitian_family(a0, a1, 1.0)
-        if not fam.is_self_map:
+        m = cnormal.hermitian_family(a0, a1)
+        if not lft_is_self_map(m):
             continue
         if not need_solvable_p:
-            return fam.map, a0, a1, None
+            return m, a0, a1, None
         try:
             p = cnormal.hermitian_jw_solved_p(a0, a1)
         except ValueError:
             continue
         if 0.02 < p < 0.98:
-            return fam.map, a0, a1, p
+            return m, a0, a1, p
 
 
 def _real_symmetric_map(rng) -> LinearFractionalMap:

@@ -31,15 +31,7 @@ import numpy as np
 
 from . import operators
 from .conjugations import FAMILIES, Conjugation, JMu, JWp, conj_apply_kernel
-from .errors import HypothesisViolationError
-from .moebius import (
-    LinearFractionalMap,
-    adjoint_symbol,
-    has_boundary_fixed_point,
-    lft_compose,
-    lft_eval,
-    lft_is_self_map,
-)
+from .moebius import LinearFractionalMap, adjoint_symbol, lft_is_self_map
 
 GRID_RADII = (0.3, 0.6, 0.9)
 GRID_N = 12                   # default points per ring of the kernel grid
@@ -226,6 +218,15 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
     if case is CaseId.COMP_JW:
         return max(abs(b) / s, abs(c) / s, abs(abs(a / d) - 1.0))
     if case is CaseId.WEIGHTED_JMU:
+        # |b| = |c| follows from lin = 0 on a self-map, so _modulus_margin is
+        # redundant; it stays so that no margin moves.  With
+        # X = conj(a) c - conj(b) d and Y = conj(c) d - conj(a) b,
+        # lin = Y conj(mu) - X and |X|^2 - |Y|^2 = (|a|^2 - |d|^2)(|c|^2 - |b|^2)
+        # identically.  lin = 0 with |mu| = 1 gives |X| = |Y|, so |b| = |c| or
+        # |a| = |d|.  If |a| = |d|, normalise d = 1; the self-map test
+        # |b - a conj(c)| + |a - bc| <= 1 - |c|^2 (moebius.image_disk) gives
+        # ||b| - |c|| <= |b - a conj(c)| <= 1 - |c|^2 - |a - bc|
+        # <= |c| (|b| - |c|), and |c| < 1 forces |b| = |c| again.
         lin = ((np.conj(c) * d - np.conj(a) * b) * np.conj(conj.mu)
                - (np.conj(a) * c - np.conj(b) * d))
         return max(_modulus_margin(m), abs(lin) / s ** 2)
@@ -239,102 +240,25 @@ def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation | Non
     return predicate_margin(case, m, conj) <= (WEIGHTED_TOL if case.weighted else EXACT_TOL)
 
 
-def predicate_comp_jmu(m: LinearFractionalMap) -> bool:
-    """C_phi is J_mu-normal iff it is normal: b = 0 and c = 0 (projectively)."""
-    return case_predicate(CaseId.COMP_JMU, m, None)
-
-
-def predicate_comp_jw(m: LinearFractionalMap, p: complex) -> bool:
-    """C_phi is JW_p-normal iff it is an isometry: phi(z) = alpha z, |alpha| = 1."""
-    return case_predicate(CaseId.COMP_JW, m, JWp(p))
-
-
-def predicate_weighted_jmu(m: LinearFractionalMap, mu: complex) -> bool:
-    """|b| = |c| and (cbar d - abar b) conj(mu) = abar c - bbar d."""
-    return case_predicate(CaseId.WEIGHTED_JMU, m, JMu(mu))
-
-
-def predicate_weighted_jw(m: LinearFractionalMap, p: complex) -> bool:
-    """(|b|^2-|c|^2) p = (-abar c + bbar d - a bbar + c dbar)|p|^2 and
-    (|a|^2-|d|^2)|p|^2 = (abar c - bbar d) conj(p) - (abar b - cbar d) p."""
-    return case_predicate(CaseId.WEIGHTED_JW, m, JWp(p))
-
-
-def is_disk_automorphism(m: LinearFractionalMap) -> bool:
-    """True iff sigma o phi is proportional to the identity (within
-    WEIGHTED_TOL) and both phi and its inverse pass the self-map test."""
-    comp = lft_compose(adjoint_symbol(m), m)
-    s2 = m.scale ** 2
-    off = max(abs(comp.b), abs(comp.c), abs(comp.a - comp.d))
-    if off > WEIGHTED_TOL * s2:
-        return False
-    return lft_is_self_map(m) and lft_is_self_map(m.inverse())
-
-
-def predicate_unitary_wco(m: LinearFractionalMap, gamma: complex, q: complex) -> bool:
-    """W with weight gamma K_q / ||K_q|| is unitary iff phi is an automorphism,
-    |gamma| = 1 and phi(q) = 0."""
-    gamma, q = complex(gamma), complex(q)
-    if abs(q) >= 1.0:
-        raise ValueError("q must lie in the open disk")
-    if abs(abs(gamma) - 1.0) > EXACT_TOL:
-        return False
-    if not is_disk_automorphism(m):
-        return False
-    return abs(lft_eval(m, q)) <= WEIGHTED_TOL
-
-
-@dataclass(frozen=True)
-class HermitianFamily:
-    """Normalized data of the Hermitian weighted-composition family."""
-
-    map: LinearFractionalMap
-    beta: complex
-    is_self_map: bool
-
-
-def _hermitian_params(a0: complex, a1: float, a2: float = 0.0):
-    """(a0, a1, a2) as (complex, float, float); ValueError unless a0 lies in
-    the open disk and a1, a2 are real."""
+def _hermitian_params(a0: complex, a1: float):
+    """(a0, a1) as (complex, float); ValueError unless a0 lies in the open
+    disk and a1 is real."""
     a0 = complex(a0)
     if abs(a0) >= 1.0:
         raise ValueError("a0 must lie in the open disk")
-    for name, val in (("a1", a1), ("a2", a2)):
-        if abs(complex(val).imag) > 0.0:
-            raise ValueError(f"{name} must be real, got {val}")
-    return a0, float(np.real(a1)), float(np.real(a2))
+    if abs(complex(a1).imag) > 0.0:
+        raise ValueError(f"a1 must be real, got {a1}")
+    return a0, float(np.real(a1))
 
 
-def hermitian_family(a0: complex, a1: float, a2: float) -> HermitianFamily:
-    """Map phi(z) = a0 + a1 z/(1 - conj(a0) z) and weight a2/(1 - conj(a0) z).
+def hermitian_family(a0: complex, a1: float) -> LinearFractionalMap:
+    """Map phi(z) = a0 + a1 z/(1 - conj(a0) z) of the Hermitian family.
 
-    Normalized coefficients: (a, b, c, d) = (a1 - |a0|^2, a0, -conj(a0), 1)
-    and beta = a2.  a1, a2 must be real; a0 must lie in the open disk.
+    Normalized coefficients: (a, b, c, d) = (a1 - |a0|^2, a0, -conj(a0), 1).
+    a1 must be real; a0 must lie in the open disk.
     """
-    a0, a1, a2 = _hermitian_params(a0, a1, a2)
-    m = LinearFractionalMap(a1 - abs(a0) ** 2, a0, -np.conj(a0), 1.0)
-    return HermitianFamily(map=m, beta=a2, is_self_map=lft_is_self_map(m))
-
-
-def predicate_hermitian_jmu(a0: complex, a1: float, mu: complex) -> bool:
-    """(a0 - conj(a0) mu)(1 + a1 - |a0|^2) = 0 within 1e-12.
-
-    Equivalent to predicate_weighted_jmu on the family map for every valid
-    (a0, a1, mu); the second factor is 1 + a, a = a1 - |a0|^2.
-    """
-    a0, a1, _ = _hermitian_params(a0, a1)
-    mu = complex(mu)
-    return abs((a0 - np.conj(a0) * mu) * (1.0 + a1 - abs(a0) ** 2)) <= EXACT_TOL
-
-
-def predicate_hermitian_jw(a0: complex, a1: float, p: complex) -> bool:
-    """[(a1-|a0|^2)^2 - 1]|p|^2 = -(a1 - |a0|^2 + 1) 2 Re(a0 p) within 1e-10."""
-    a0, a1, _ = _hermitian_params(a0, a1)
-    p = complex(p)
-    a = a1 - abs(a0) ** 2
-    lhs = (a * a - 1.0) * abs(p) ** 2
-    rhs = -(a + 1.0) * 2.0 * np.real(a0 * p)
-    return abs(lhs - rhs) <= WEIGHTED_TOL
+    a0, a1 = _hermitian_params(a0, a1)
+    return LinearFractionalMap(a1 - abs(a0) ** 2, a0, -np.conj(a0), 1.0)
 
 
 def hermitian_jw_solved_p(a0: float, a1: float) -> float:
@@ -351,49 +275,6 @@ def hermitian_jw_solved_p(a0: float, a1: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"solved p = {p} is not in (0, 1)")
     return p
-
-
-def predicate_normal_bdyfix(m: LinearFractionalMap, param: complex, which: str) -> bool:
-    """Conjugation-normality predicates under the normal-family hypotheses.
-
-    Requires a boundary fixed point and |b| = |c| (else
-    HypothesisViolationError).  which = "jmu": the single condition
-    (cbar d - abar b) conj(mu) = abar c - bbar d.  which = "jw": the pair
-    a bbar - c dbar = bbar d - abar c and
-    (|a|^2 - |d|^2)|p|^2 = 2 Re((a cbar - b dbar) p); the cross-term is
-    b dbar (a |d|^2 variant in circulation is not equivalent, see
-    predicate_normal_bdyfix_jw_dsq_variant).
-    """
-    if _modulus_margin(m) > WEIGHTED_TOL:
-        raise HypothesisViolationError("|b| = |c| hypothesis fails")
-    if not has_boundary_fixed_point(m):
-        raise HypothesisViolationError("no boundary fixed point")
-    if which == "jmu":
-        return predicate_weighted_jmu(m, param)   # |b| = |c| already holds
-    if which != "jw":
-        raise ValueError("which must be 'jmu' or 'jw'")
-    return _bdyfix_jw_margin(m, param, m.b * np.conj(m.d)) <= WEIGHTED_TOL
-
-
-def _bdyfix_jw_margin(m: LinearFractionalMap, p: complex, cross: complex) -> float:
-    """Relative defect of the normal-family JW pair with cross-term `cross`:
-    a bbar - c dbar = bbar d - abar c and
-    (|a|^2 - |d|^2)|p|^2 = 2 Re((a cbar - cross) p)."""
-    a, b, c, d = m.coefficients()
-    p = complex(p)
-    first = a * np.conj(b) - c * np.conj(d) - (np.conj(b) * d - np.conj(a) * c)
-    second = ((abs(a) ** 2 - abs(d) ** 2) * abs(p) ** 2
-              - 2.0 * np.real((a * np.conj(c) - cross) * p))
-    return max(abs(first), abs(second)) / m.scale ** 2
-
-
-def predicate_normal_bdyfix_jw_dsq_variant(m: LinearFractionalMap, p: complex) -> bool:
-    """Misprinted variant with |d|^2 in place of the b dbar cross-term.
-
-    Not equivalent to the derived condition; kept so the discrepancy stays
-    documented by a failing-equivalence regression test.
-    """
-    return _bdyfix_jw_margin(m, p, m.d * np.conj(m.d)) <= WEIGHTED_TOL
 
 
 # --------------------------------------------------------------------------

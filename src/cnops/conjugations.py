@@ -8,8 +8,8 @@ JW_p is plain coefficient conjugation composed with the weighted composition
 operator of weight xi_p(z) = sqrt(1-|p|^2)/(1 - conj(p) z) and automorphism
 tau_p(z) = lambda (p - z)/(1 - conj(p) z), lambda = conj(p)/p.  It is an
 involution exactly because lambda p = conj(p).  Its coefficient action
-(operators.conj_apply_series) goes through the truncated operator matrix, so
-it carries truncation error; the kernel action below is closed-form and exact.
+through the truncated operator matrix (operators.conjugation_operator) carries
+truncation error; the kernel action below is closed-form and exact.
 
 JW_p is also given by its basis images C e_i = w h^i (basis_image_series),
 which the matrix oracle reads: for T = T_psi C_phi, column i of the matrix of

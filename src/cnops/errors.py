@@ -19,7 +19,3 @@ class PoleError(CnopsError, ZeroDivisionError):
 
 class NotExpandableError(CnopsError, ValueError):
     """A series expansion is requested for a symbol with a pole in the closed disk."""
-
-
-class HypothesisViolationError(CnopsError, ValueError):
-    """Input violates a structural hypothesis (boundary fixed point, |b|=|c|, ...)."""

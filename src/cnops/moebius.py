@@ -17,7 +17,6 @@ from .errors import DegenerateMapError, PoleError
 
 DET_RTOL = 1e-14          # |ad - bc| <= DET_RTOL * scale^2 means degenerate
 SELF_MAP_TOL = 1e-12      # sup |phi| on the closed disk may exceed 1 by this
-BOUNDARY_FP_TOL = 1e-10   # ||z| - 1| below this classifies a fixed point as boundary
 
 
 @dataclass(frozen=True)
@@ -90,64 +89,6 @@ def lft_is_self_map(m: LinearFractionalMap) -> bool:
     return disk is not None and abs(disk[0]) + disk[1] <= 1.0 + SELF_MAP_TOL
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    points: tuple
-    kinds: tuple          # "interior" | "boundary" | "exterior", aligned with points
-    is_identity: bool = False
-
-
-def _classify(z: complex) -> str:
-    r = abs(z)
-    if abs(r - 1.0) <= BOUNDARY_FP_TOL:
-        return "boundary"
-    return "interior" if r < 1.0 else "exterior"
-
-
-def lft_fixed_points(m: LinearFractionalMap) -> FixedPointResult:
-    """Roots of c z^2 + (d - a) z - b = 0, classified by modulus.
-
-    The identity map fixes everything and is reported through the
-    ``is_identity`` flag with an empty root list; c = 0, a = d, b != 0 has no
-    fixed point in the plane.
-    """
-    a, b, c, d = m.coefficients()
-    s = m.scale
-    tol = 1e-14 * s
-    if abs(b) <= tol and abs(c) <= tol and abs(d - a) <= tol:
-        return FixedPointResult((), (), is_identity=True)
-    if abs(c) <= tol:
-        if abs(d - a) <= tol:
-            return FixedPointResult((), ())
-        z0 = b / (d - a)
-        return FixedPointResult((z0,), (_classify(z0),))
-    beta = d - a
-    disc_sq = beta * beta + 4.0 * c * b
-    if abs(disc_sq) <= 1e-13 * s * s:
-        # numerically double root; the formula root -beta/(2c) is exact while
-        # the split pair would be sqrt(eps) off
-        roots = [-beta / (2.0 * c)]
-    else:
-        # stable quadratic: take the root avoiding cancellation, recover the
-        # other from the product -b/c (or the sum when b = 0)
-        disc = np.sqrt(complex(disc_sq))
-        if abs(-beta + disc) >= abs(-beta - disc):
-            r1 = (-beta + disc) / (2.0 * c)
-        else:
-            r1 = (-beta - disc) / (2.0 * c)
-        if abs(b) > tol and abs(r1) > 0:
-            roots = [r1, (-b / c) / r1]
-        else:
-            roots = [r1, (a - d) / c - r1]
-    pts = tuple(complex(r) for r in roots)
-    return FixedPointResult(pts, tuple(_classify(r) for r in pts))
-
-
-def has_boundary_fixed_point(m: LinearFractionalMap) -> bool:
-    fp = lft_fixed_points(m)
-    return fp.is_identity or any(k == "boundary" for k in fp.kinds)
-
-
 def adjoint_symbol(m: LinearFractionalMap) -> LinearFractionalMap:
     """Cowen's adjoint symbol sigma = (conj(a) z - conj(c)) / (-conj(b) z + conj(d)).
 
@@ -170,15 +111,6 @@ def lft_compose(m1: LinearFractionalMap, m2: LinearFractionalMap) -> LinearFract
     c = m1.c * m2.a + m1.d * m2.c
     d = m1.c * m2.b + m1.d * m2.d
     return LinearFractionalMap(a, b, c, d)   # constructor rejects degenerate products
-
-
-def proportional(m1: LinearFractionalMap, m2: LinearFractionalMap) -> bool:
-    """Projective equality of coefficient quadruples, to a relative 1e-12."""
-    v1 = np.array(m1.coefficients())
-    v2 = np.array(m2.coefficients())
-    k = int(np.argmax(np.abs(v2)))
-    t = v1[k] / v2[k]
-    return bool(np.abs(v1 - t * v2).max() <= 1e-12 * max(np.abs(v1).max(), abs(t) * np.abs(v2).max()))
 
 
 def boundary_derivative_sup(m: LinearFractionalMap) -> float:

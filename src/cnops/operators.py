@@ -8,8 +8,6 @@ of T_g C_phi equals the product of the N x N truncations.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -18,7 +16,6 @@ from .conjugations import Conjugation, JMu, JWp, basis_image_series, jw_weighted
 from .errors import NotSelfMapError
 from .moebius import (
     LinearFractionalMap,
-    adjoint_symbol,
     boundary_derivative_sup,
     image_disk,
     lft_is_self_map,
@@ -64,28 +61,6 @@ def canonical_weight_series(m: LinearFractionalMap, beta: complex, N: int) -> np
     return complex(beta) * hardy.kernel_series(sigma_at_zero(m), N)
 
 
-def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
-    """C_phi* = T_g C_sigma T_h*: column n is g (conj(d) sigma^n + conj(c) sigma^(n-1)).
-
-    g = 1/(conj(d) - conj(b) z) = K_{b/d}/conj(d), and one power_matrix of
-    (g, sigma) holds every g sigma^n, so the result is the exact truncation
-    of C_phi*.  Raises when sigma has its pole in the closed disk; warns when
-    sigma fails the self-map test (its powers may then grow under truncation).
-    """
-    if not lft_is_self_map(m):
-        raise NotSelfMapError(f"{m} is not a validated self-map")
-    sigma = adjoint_symbol(m)
-    if not lft_is_self_map(sigma):
-        warnings.warn(f"adjoint symbol {sigma} is not a self-map; "
-                      "truncation may diverge", RuntimeWarning, stacklevel=2)
-    _, b, c, d = m.coefficients()
-    g = hardy.kernel_series(b / d, N) / np.conj(d)
-    P = hardy.power_matrix(g, hardy.lft_power_series(sigma, N), N)
-    A = np.conj(d) * P
-    A[:, 1:] += np.conj(c) * P[:, :-1]
-    return A
-
-
 def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     """Truncated matrix M of a conjugation spec, which acts as x -> M conj(x).
 
@@ -96,46 +71,6 @@ def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     if isinstance(C, JMu):
         return np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)
     return np.conj(jw_weighted_matrix(C, N))
-
-
-def conj_apply_series(C: Conjugation, f: np.ndarray, N: int) -> np.ndarray:
-    """Coefficients of C f from the leading N coefficients of f (zero-padded):
-    conjugation_operator(C, N) @ conj(f).
-
-    JMu is exact.  For JWp, entries near the tail carry truncation error
-    (geometrically small on the leading block for inputs with decaying
-    coefficients).
-    """
-    f = np.asarray(f, dtype=complex)[:N]
-    return conjugation_operator(C, N) @ np.conj(np.pad(f, (0, N - len(f))))
-
-
-def conj_axiom_residuals(C: Conjugation, N: int, sample_count: int,
-                         rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Involution and antiunitarity defects of the truncated action.
-
-    Test vectors are random complex gaussians damped by 0.35^n, so the
-    measured defect reflects truncation of the action rather than the tail
-    mass of the inputs; the involution defect is taken on the leading N/2
-    coefficients, the antiunitary defect |<Cx, Cy> - <y, x>| on full length-N
-    vectors.
-    """
-    if N < 32:
-        raise ValueError("N must be at least 32")
-    rng = rng or np.random.default_rng(0)
-    damp = 0.35 ** np.arange(N)
-    xs = [(rng.standard_normal(N) + 1j * rng.standard_normal(N)) * damp
-          for _ in range(sample_count)]
-    involution = 0.0
-    for x in xs:
-        ccx = conj_apply_series(C, conj_apply_series(C, x, N), N)
-        involution = max(involution, float(np.abs((ccx - x)[: N // 2]).max()))
-    antiunitary = 0.0
-    for x, y in zip(xs, xs[1:] + xs[:1]):
-        cx = conj_apply_series(C, x, N)
-        cy = conj_apply_series(C, y, N)
-        antiunitary = max(antiunitary, abs(np.vdot(cy, cx) - np.vdot(x, y)))
-    return involution, antiunitary
 
 
 def kept_block_residual(X: np.ndarray, R: np.ndarray) -> float:

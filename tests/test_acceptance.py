@@ -17,24 +17,25 @@ from cnops import cnormal
 from cnops.cli import run_sweep
 from cnops.cnormal import (
     CaseId,
+    case_predicate,
     hermitian_family,
     hermitian_jw_solved_p,
     kernel_residual,
-    predicate_comp_jmu,
-    predicate_comp_jw,
+    verify,
+)
+from cnops.conjugations import JMu, JWp
+from cnops.moebius import LinearFractionalMap, lft_is_self_map
+from cnops.operators import composition_matrix
+from reference import (
+    adjoint_via_cowen,
+    conj_axiom_residuals,
     predicate_hermitian_jmu,
     predicate_hermitian_jw,
     predicate_normal_bdyfix,
     predicate_normal_bdyfix_jw_dsq_variant,
     predicate_unitary_wco,
-    predicate_weighted_jmu,
-    predicate_weighted_jw,
-    verify,
+    weighted_jw_quadruples,
 )
-from cnops.conjugations import JMu, JWp
-from cnops.moebius import LinearFractionalMap, lft_is_self_map
-from cnops.operators import adjoint_via_cowen, composition_matrix, conj_axiom_residuals
-from reference import weighted_jw_quadruples
 
 SEED = 20250808
 
@@ -114,7 +115,7 @@ def test_criterion_4_comp_jw():
             continue
         count += 1
         p = rng.uniform(0.1, 0.6) * unimodular(rng)
-        ok &= not predicate_comp_jw(m, p)
+        ok &= not case_predicate(CaseId.COMP_JW, m, JWp(p))
         ok &= kernel_residual(CaseId.COMP_JW, m, JWp(p)) > 1e-7
     count = 0
     while count < 100:
@@ -125,7 +126,7 @@ def test_criterion_4_comp_jw():
             continue
         count += 1
         p = rng.uniform(0.1, 0.6) * unimodular(rng)
-        ok &= not predicate_comp_jw(m, p)
+        ok &= not case_predicate(CaseId.COMP_JW, m, JWp(p))
         ok &= kernel_residual(CaseId.COMP_JW, m, JWp(p)) > 1e-7
     assert report("4", ok, "composition/JW isometry dichotomy")
 
@@ -160,17 +161,16 @@ def test_criterion_6_weighted_jw():
         if i % 4 == 0:   # constructed true instances among the draws
             a0 = rng.uniform(0.05, 0.4)
             a1 = rng.uniform(-0.3, 0.4)
-            fam = hermitian_family(a0, a1, 1.0)
+            m = hermitian_family(a0, a1)
             a = a1 - a0 ** 2
             p = 2 * a0 / (1 - a)
-            if not (fam.is_self_map and 0 < p < 1):
+            if not (lft_is_self_map(m) and 0 < p < 1):
                 continue
-            m = fam.map
         else:
             m = random_self_map(rng)
             p = rng.uniform(0.05, 0.9) * unimodular(rng)
         quad_equal = weighted_jw_quadruples(m, p).max_difference() <= 1e-10 * m.scale ** 2
-        ok &= quad_equal == predicate_weighted_jw(m, p)
+        ok &= quad_equal == case_predicate(CaseId.WEIGHTED_JW, m, JWp(p))
     reports, agreement = run_sweep(CaseId.WEIGHTED_JW, 300, SEED + 6,
                                    truncations=(32,))
     ok &= agreement == 1.0
@@ -187,7 +187,7 @@ def test_criterion_7a_unitary_family_jmu():
         m = unitary_family(q, gamma1)
         beta = gamma2 * np.sqrt(1 - abs(q) ** 2)
         ok &= predicate_unitary_wco(m, gamma1 * np.exp(0j), q)
-        ok &= predicate_weighted_jmu(m, mu)
+        ok &= case_predicate(CaseId.WEIGHTED_JMU, m, JMu(mu))
         ok &= kernel_residual(CaseId.WEIGHTED_JMU, m, JMu(mu), beta=beta) < 1e-12
     assert report("7a", ok, "unitary family is JMu-normal")
 
@@ -210,7 +210,7 @@ def test_criterion_7b_unitary_family_jw():
         beta = unimodular(rng) * np.sqrt(1 - abs(q) ** 2)
         for _ in range(20):
             p = rng.uniform(0.05, 0.9) * unimodular(rng)
-            ok &= not predicate_weighted_jw(m, p)
+            ok &= not case_predicate(CaseId.WEIGHTED_JW, m, JWp(p))
             ok &= kernel_residual(CaseId.WEIGHTED_JW, m, JWp(p), beta=beta) > 1e-7
         if not ok:
             break
@@ -226,8 +226,8 @@ def test_criterion_7c_hermitian_agreement():
     while count < 200:
         a0 = rng.uniform(0.0, 0.5) * unimodular(rng)
         a1 = rng.uniform(-0.45, 0.55)
-        fam = hermitian_family(a0, a1, 1.0)
-        if not fam.is_self_map:
+        m = hermitian_family(a0, a1)
+        if not lft_is_self_map(m):
             continue
         count += 1
         mu = unimodular(rng)
@@ -238,8 +238,10 @@ def test_criterion_7c_hermitian_agreement():
                 p = hermitian_jw_solved_p(a0.real, a1)
             except ValueError:
                 pass
-        ok &= predicate_hermitian_jmu(a0, a1, mu) == predicate_weighted_jmu(fam.map, mu)
-        ok &= predicate_hermitian_jw(a0, a1, p) == predicate_weighted_jw(fam.map, p)
+        ok &= (predicate_hermitian_jmu(a0, a1, mu)
+               == case_predicate(CaseId.WEIGHTED_JMU, m, JMu(mu)))
+        ok &= (predicate_hermitian_jw(a0, a1, p)
+               == case_predicate(CaseId.WEIGHTED_JW, m, JWp(p)))
     assert report("7c", ok, "Hermitian family predicates agree with generic ones")
 
 
@@ -256,23 +258,17 @@ def test_criterion_8_scale_invariance():
         (CaseId.WEIGHTED_JMU, LinearFractionalMap(0.5, 0.25, 0.25, 1), JMu(-1.0), 1.0),
         (CaseId.WEIGHTED_JMU, random_self_map(rng), JMu(unimodular(rng)),
          0.7 * unimodular(rng)),
-        (CaseId.WEIGHTED_JW, hermitian_family(0.3, 0.2, 1.0).map,
+        (CaseId.WEIGHTED_JW, hermitian_family(0.3, 0.2),
          JWp(hermitian_jw_solved_p(0.3, 0.2)), 1.0),
         (CaseId.WEIGHTED_JW, random_self_map(rng), JWp(0.5 * unimodular(rng)), 1.0),
     ]
-    preds = {
-        CaseId.COMP_JMU: lambda m, c: predicate_comp_jmu(m),
-        CaseId.COMP_JW: lambda m, c: predicate_comp_jw(m, c.p),
-        CaseId.WEIGHTED_JMU: lambda m, c: predicate_weighted_jmu(m, c.mu),
-        CaseId.WEIGHTED_JW: lambda m, c: predicate_weighted_jw(m, c.p),
-    }
     for case, m, conj, beta in instances:
-        base_verdict = preds[case](m, conj)
+        base_verdict = case_predicate(case, m, conj)
         base_res = kernel_residual(case, m, conj, beta=beta)
         for _ in range(8):
             t = rng.uniform(0.1, 10.0) * unimodular(rng)
             mt = m.rescaled(t)
-            ok &= preds[case](mt, conj) == base_verdict
+            ok &= case_predicate(case, mt, conj) == base_verdict
             res = kernel_residual(case, mt, conj, beta=beta)
             # relative agreement; residuals at rounding level count as equal
             ok &= (abs(res - base_res) <= 1e-10 * max(base_res, res)
@@ -293,7 +289,7 @@ def _normal_family_map(rng) -> LinearFractionalMap:
         b = rng.uniform(0.1, 0.8)
         return LinearFractionalMap(1.0, b * zeta, b * np.conj(zeta), 1.0)
     a0 = rng.uniform(0.05, 0.45)
-    return hermitian_family(a0, (1 - a0) ** 2, 1.0).map
+    return hermitian_family(a0, (1 - a0) ** 2)
 
 
 def test_criterion_9_cross_term_regression():
@@ -309,11 +305,11 @@ def test_criterion_9_cross_term_regression():
     # constructed true instances: boundary-fixed Hermitian maps with p on the
     # circle |p|^2 = Re p solving the condition
     for a0, p in ((0.3, 0.8 + 0.4j), (0.2, 0.5 + 0.5j), (0.45, 0.9 + 0.3j)):
-        samples.append((hermitian_family(a0, (1 - a0) ** 2, 1.0).map, p))
+        samples.append((hermitian_family(a0, (1 - a0) ** 2), p))
     assert len(samples) == 100
     for m, p in samples:
         derived = predicate_normal_bdyfix(m, p, "jw")
-        ok &= derived == predicate_weighted_jw(m, p)
+        ok &= derived == case_predicate(CaseId.WEIGHTED_JW, m, JWp(p))
         if derived != predicate_normal_bdyfix_jw_dsq_variant(m, p):
             disagreements += 1
     ok &= disagreements >= 1

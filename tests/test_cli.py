@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import hashlib
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 
 import cnops
-from cnops import cli, cnormal
+from cnops import cli, cnormal, operators
 from cnops.cli import CSV_HEADER, main, run_sweep, sample_case
 from cnops.cnormal import CaseId
+from cnops.conjugations import JMu, JWp
 from cnops.errors import PoleError
+from cnops.moebius import LinearFractionalMap
 from cnops.operators import STANDARD_TRUNCATIONS
 
 
@@ -510,3 +514,60 @@ def test_seeded_kernel_residuals_are_pinned(case):
     rows = "\n".join("0" if r.kernel_residual <= 1e-12 else f"{r.kernel_residual:.6g}"
                      for r in reports)
     assert hashlib.sha256(rows.encode()).hexdigest() == KERNEL_48_SEED_42[case], rows
+
+
+# --------------------------------------------------------------------------
+# every package function has a caller
+# --------------------------------------------------------------------------
+
+# Module-level functions of cnops that neither the commands nor the builders
+# the benchmark's layer probe calls reach, each with its reason to stay.
+UNREACHED = {
+    # the benchmark's excluded_pair_fraction metric reads these sides, and
+    # the tests compare them with the quadruple form; they go with that metric
+    "cnormal.eval_sides_comp_jmu",
+    "cnormal.eval_sides_comp_jw",
+    "cnormal.eval_sides_weighted_jmu",
+    "cnormal.eval_sides_weighted_jw",
+    # LinearFractionalMap.__call__, which nothing in the package calls
+    "moebius.lft_eval",
+}
+
+
+def test_every_package_function_is_reached(tmp_path, capsys):
+    # a function only tests call is a reference and belongs in tests/reference.py
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    m = LinearFractionalMap(0.5, 0.25, 0.25, 1)
+    sys.setprofile(profile)
+    try:
+        for conj in ("jmu", "jw"):
+            for weighted in ([], ["--weighted"]):
+                main(["sweep", "--conj", conj, *weighted, "--samples", "8", "--trunc", "8,16",
+                      "--format", "json", "--out", str(tmp_path / "sweep.json")])
+        main(["sweep", "--conj", "jw", "--samples", "1", "--trunc", "8",
+              "--out", str(tmp_path / "sweep.csv")])   # sweep_csv
+        main(["verify", "--map", "0.5,0.25,0.25,1", "--conj", "jmu:-1", "--weighted",
+              "--trunc", "8,16", "--out", str(tmp_path / "verify.json")])
+        main(["classify", "--map", "0.5,0.25,0.25,1", "--conj", "jw:0.4"])
+        # the builders bench/layers.py probes, which verify does not call
+        psi = operators.canonical_weight_series(m, 1.0, 16)
+        T = operators.weighted_composition_matrix(psi, m, 16)
+        for C in (JMu(-1), JWp(0.4)):
+            operators.cnormal_residual_matrix(T, operators.conjugation_operator(C, 16), 4)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    missed = set()
+    for info in pkgutil.iter_modules(cnops.__path__):
+        module = importlib.import_module(f"cnops.{info.name}")
+        missed.update(f"{info.name}.{name}" for name, fn in vars(module).items()
+                      if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                      and fn.__code__ not in reached)
+    unexplained = sorted(missed - UNREACHED)
+    assert not unexplained, f"nothing in cnops calls {unexplained}"
+    assert sorted(UNREACHED - missed) == [], "reached now: drop them from UNREACHED"

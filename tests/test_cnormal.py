@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_self_map
 from cnops import cnormal
@@ -11,6 +13,7 @@ from cnops.cli import sample_case
 from cnops.cnormal import (
     CaseId,
     VerificationReport,
+    case_predicate,
     check_instance,
     eval_sides_comp_jmu,
     eval_sides_comp_jw,
@@ -18,22 +21,11 @@ from cnops.cnormal import (
     eval_sides_weighted_jw,
     hermitian_family,
     hermitian_jw_solved_p,
-    is_disk_automorphism,
     kernel_residual,
-    predicate_comp_jmu,
-    predicate_comp_jw,
-    predicate_hermitian_jmu,
-    predicate_hermitian_jw,
-    predicate_normal_bdyfix,
-    predicate_normal_bdyfix_jw_dsq_variant,
-    predicate_unitary_wco,
-    predicate_weighted_jmu,
-    predicate_weighted_jw,
     ring_grid,
     verify,
 )
 from cnops.conjugations import JMu, JWp
-from cnops.errors import HypothesisViolationError
 from cnops.hardy import kernel_series
 from cnops.moebius import (
     LinearFractionalMap,
@@ -43,7 +35,18 @@ from cnops.moebius import (
     sigma_at_zero,
 )
 from cnops.operators import composition_matrix, conjugation_operator
-from reference import quadruple_sides, weighted_jmu_quadruples, weighted_jw_quadruples
+from reference import (
+    HypothesisViolationError,
+    is_disk_automorphism,
+    predicate_hermitian_jmu,
+    predicate_hermitian_jw,
+    predicate_normal_bdyfix,
+    predicate_normal_bdyfix_jw_dsq_variant,
+    predicate_unitary_wco,
+    quadruple_sides,
+    weighted_jmu_quadruples,
+    weighted_jw_quadruples,
+)
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
 
@@ -396,7 +399,7 @@ class TestWeightedJmuQuadruples:
         rng = np.random.default_rng(np.random.SeedSequence([5, index]))
         m, conj, _ = sample_case(CaseId.WEIGHTED_JMU, rng, index)
         q = weighted_jmu_quadruples(m, conj.mu)
-        holds = predicate_weighted_jmu(m, conj.mu)
+        holds = case_predicate(CaseId.WEIGHTED_JMU, m, conj)
         assert holds == (index % 2 == 0)
         assert (q.max_difference() <= 1e-10 * m.scale ** 2) == holds
 
@@ -405,7 +408,7 @@ class TestWeightedJmuQuadruples:
     def test_random_instances_coincide_iff_predicate(self, seed, true):
         m, mu = random_weighted_jmu_instance(np.random.default_rng(seed), true)
         q = weighted_jmu_quadruples(m, mu)
-        assert predicate_weighted_jmu(m, mu) == true
+        assert case_predicate(CaseId.WEIGHTED_JMU, m, JMu(mu)) == true
         assert (q.max_difference() <= 1e-10 * m.scale ** 2) == true
 
     @pytest.mark.parametrize("seed", range(6))
@@ -444,14 +447,14 @@ class TestWeightedJwQuadruples:
     def test_hermitian_solved_p(self):
         p = hermitian_jw_solved_p(0.3, 0.2)
         assert p == pytest.approx(0.6741573033707865)
-        m = hermitian_family(0.3, 0.2, 1.0).map
+        m = hermitian_family(0.3, 0.2)
         assert m.b == 0.3 and m.c == -0.3 and m.d == 1.0
         assert m.a == pytest.approx(0.11)
         q = weighted_jw_quadruples(m, p)
         assert q.max_difference() <= 1e-10
 
     def test_hermitian_wrong_p_fails(self):
-        m = hermitian_family(0.3, 0.2, 1.0).map
+        m = hermitian_family(0.3, 0.2)
         q = weighted_jw_quadruples(m, 0.3)
         assert q.max_difference() > 1e-3
 
@@ -601,7 +604,7 @@ class TestKernelResidual:
         (CaseId.COMP_JMU, LinearFractionalMap(0.7, 0, 0, 1), JMu(1j)),
         (CaseId.COMP_JW, LinearFractionalMap(np.exp(0.7j), 0, 0, 1), JWp(0.4)),
         (CaseId.WEIGHTED_JMU, GENERIC, JMu(-1.0)),
-        (CaseId.WEIGHTED_JW, hermitian_family(0.3, 0.2, 1.0).map,
+        (CaseId.WEIGHTED_JW, hermitian_family(0.3, 0.2),
          JWp(hermitian_jw_solved_p(0.3, 0.2))),
     ], ids=[case.value for case in CaseId])
     def test_reads_the_conjugation_only_through_its_kernel_action(self, monkeypatch,
@@ -632,32 +635,32 @@ class TestKernelResidual:
 
 class TestPredicates:
     def test_comp_jmu(self):
-        assert predicate_comp_jmu(LinearFractionalMap(0.7, 0, 0, 1))
-        assert not predicate_comp_jmu(LinearFractionalMap(0.5, 0, 0.25, 1))
-        assert not predicate_comp_jmu(GENERIC)
+        assert case_predicate(CaseId.COMP_JMU, LinearFractionalMap(0.7, 0, 0, 1), None)
+        assert not case_predicate(CaseId.COMP_JMU, LinearFractionalMap(0.5, 0, 0.25, 1), None)
+        assert not case_predicate(CaseId.COMP_JMU, GENERIC, None)
 
     def test_comp_jw(self):
-        assert predicate_comp_jw(LinearFractionalMap(np.exp(0.7j), 0, 0, 1), 0.4)
-        assert not predicate_comp_jw(LinearFractionalMap(0.5, 0, 0, 1), 0.4)
-        assert not predicate_comp_jw(GENERIC, 0.4)
+        assert case_predicate(CaseId.COMP_JW, LinearFractionalMap(np.exp(0.7j), 0, 0, 1), JWp(0.4))
+        assert not case_predicate(CaseId.COMP_JW, LinearFractionalMap(0.5, 0, 0, 1), JWp(0.4))
+        assert not case_predicate(CaseId.COMP_JW, GENERIC, JWp(0.4))
         with pytest.raises(ValueError):
-            predicate_comp_jw(GENERIC, 0.0)
+            case_predicate(CaseId.COMP_JW, GENERIC, JWp(0.0))
 
     def test_weighted_jmu(self):
-        assert predicate_weighted_jmu(GENERIC, -1.0)
-        assert not predicate_weighted_jmu(GENERIC, 1.0)
+        assert case_predicate(CaseId.WEIGHTED_JMU, GENERIC, JMu(-1.0))
+        assert not case_predicate(CaseId.WEIGHTED_JMU, GENERIC, JMu(1.0))
         for mu in (1.0, np.exp(0.9j)):
-            assert predicate_weighted_jmu(unitary_family(0.5), mu)
+            assert case_predicate(CaseId.WEIGHTED_JMU, unitary_family(0.5), JMu(mu))
 
     def test_weighted_jw(self):
-        m = hermitian_family(0.3, 0.2, 1.0).map
-        assert predicate_weighted_jw(m, hermitian_jw_solved_p(0.3, 0.2))
-        assert not predicate_weighted_jw(m, 0.3)
+        m = hermitian_family(0.3, 0.2)
+        assert case_predicate(CaseId.WEIGHTED_JW, m, JWp(hermitian_jw_solved_p(0.3, 0.2)))
+        assert not case_predicate(CaseId.WEIGHTED_JW, m, JWp(0.3))
         # unitary instances satisfy both equalities (the operator is unitary,
         # hence conjugation-normal for every conjugation)
-        assert predicate_weighted_jw(unitary_family(0.5), 1.0 / 3.0)
+        assert case_predicate(CaseId.WEIGHTED_JW, unitary_family(0.5), JWp(1.0 / 3.0))
         for p in (0.2, 0.5j):
-            assert predicate_weighted_jw(LinearFractionalMap(1, 0, 0, 1), p)
+            assert case_predicate(CaseId.WEIGHTED_JW, LinearFractionalMap(1, 0, 0, 1), JWp(p))
 
     def test_unitary_wco(self):
         m = unitary_family(0.5)
@@ -672,20 +675,18 @@ class TestPredicates:
         assert not is_disk_automorphism(GENERIC)
 
     def test_hermitian_family_construction(self):
-        fam = hermitian_family(0.3, 0.2, 1.0)
-        assert fam.map.coefficients() == (0.2 - 0.09, 0.3, -0.3, 1.0)
-        assert abs(fam.map.b) == abs(fam.map.c)
-        assert fam.beta == 1.0 and fam.is_self_map
+        m = hermitian_family(0.3, 0.2)
+        assert m.coefficients() == (0.2 - 0.09, 0.3, -0.3, 1.0)
+        assert abs(m.b) == abs(m.c)
+        assert lft_is_self_map(m)
 
     def test_hermitian_family_zero_center(self):
-        fam = hermitian_family(0.0, 0.5, 1.0)
-        assert fam.map.coefficients() == (0.5, 0.0, 0.0, 1.0)
+        m = hermitian_family(0.0, 0.5)
+        assert m.coefficients() == (0.5, 0.0, 0.0, 1.0)
 
     def test_hermitian_family_rejects_complex_slope(self):
         with pytest.raises(ValueError):
-            hermitian_family(0.3, 0.2 + 0.1j, 1.0)
-        with pytest.raises(ValueError):
-            hermitian_family(0.3, 0.2, 1j)
+            hermitian_family(0.3, 0.2 + 0.1j)
 
     @pytest.mark.parametrize("predicate,param", [(predicate_hermitian_jmu, 1.0),
                                                  (predicate_hermitian_jw, 0.5)])
@@ -695,7 +696,7 @@ class TestPredicates:
                                                            a0, a1, message):
         # the family has no map at |a0| >= 1, so its predicates give no verdict there
         with pytest.raises(ValueError, match=message):
-            hermitian_family(a0, a1, 1.0)
+            hermitian_family(a0, a1)
         with pytest.raises(ValueError, match=message):
             predicate(a0, a1, param)
 
@@ -711,7 +712,7 @@ class TestPredicates:
         a1 = abs(a0) ** 2 - 1.0
         for mu in (1.0, np.exp(2.2j)):
             assert predicate_hermitian_jmu(a0, a1, mu)
-            assert predicate_weighted_jmu(hermitian_family(a0, a1, 1.0).map, mu)
+            assert case_predicate(CaseId.WEIGHTED_JMU, hermitian_family(a0, a1), JMu(mu))
 
     def test_hermitian_jw(self):
         p = hermitian_jw_solved_p(0.3, 0.2)
@@ -726,13 +727,35 @@ class TestPredicates:
         while True:
             a0 = 0.5 * g.uniform() * np.exp(2j * np.pi * g.uniform())
             a1 = g.uniform(-0.4, 0.5)
-            fam = hermitian_family(a0, a1, 1.0)
-            if fam.is_self_map:
+            m = hermitian_family(a0, a1)
+            if lft_is_self_map(m):
                 break
         mu = np.exp(2j * np.pi * g.uniform())
         p = g.uniform(0.1, 0.9) * np.exp(2j * np.pi * g.uniform())
-        assert predicate_hermitian_jmu(a0, a1, mu) == predicate_weighted_jmu(fam.map, mu)
-        assert predicate_hermitian_jw(a0, a1, p) == predicate_weighted_jw(fam.map, p)
+        assert (predicate_hermitian_jmu(a0, a1, mu)
+                == case_predicate(CaseId.WEIGHTED_JMU, m, JMu(mu)))
+        assert (predicate_hermitian_jw(a0, a1, p)
+                == case_predicate(CaseId.WEIGHTED_JW, m, JWp(p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mu_angle=st.floats(0.0, 2 * np.pi),
+       log_t=st.floats(-3.0, 3.0), t_angle=st.floats(0.0, 2 * np.pi))
+def test_weighted_jmu_linear_defect_bounds_the_modulus_gap(seed, mu_angle, log_t, t_angle):
+    # predicate_margin's proof that lin = 0 forces |b| = |c| on a self-map:
+    # |X|^2 - |Y|^2 = (|a|^2 - |d|^2)(|c|^2 - |b|^2) and ||X| - |Y|| <= |lin|
+    m = random_self_map(np.random.default_rng(seed)).rescaled(10.0 ** log_t * np.exp(1j * t_angle))
+    mu = np.exp(1j * mu_angle)
+    a, b, c, d = m.coefficients()
+    s = m.scale
+    X = np.conj(a) * c - np.conj(b) * d
+    Y = np.conj(c) * d - np.conj(a) * b
+    lin = ((np.conj(c) * d - np.conj(a) * b) * np.conj(mu)
+           - (np.conj(a) * c - np.conj(b) * d))
+    gap = (abs(a) ** 2 - abs(d) ** 2) * (abs(c) ** 2 - abs(b) ** 2)
+    assert abs(abs(X) ** 2 - abs(Y) ** 2 - gap) <= 1e-12 * s ** 4
+    assert abs(abs(X) - abs(Y)) <= abs(lin) + 1e-12 * s ** 2
+
 
 class TestNormalBdyfix:
     def test_symmetric_map_true_both(self):
@@ -768,18 +791,18 @@ class TestNormalBdyfix:
     def test_matches_weighted_jw_under_hypotheses(self):
         # Hermitian maps with a boundary fixed point: a1 = (1 - a0)^2
         for a0 in (0.2, 0.35, 0.5):
-            m = hermitian_family(a0, (1 - a0) ** 2, 1.0).map
+            m = hermitian_family(a0, (1 - a0) ** 2)
             for p in (0.3, 0.8 + 0.4j, 0.5 - 0.2j):
                 if abs(p) >= 1:
                     continue
                 assert (predicate_normal_bdyfix(m, p, "jw")
-                        == predicate_weighted_jw(m, p))
+                        == case_predicate(CaseId.WEIGHTED_JW, m, JWp(p)))
 
     def test_dsq_variant_disagrees_somewhere(self):
         # p on |p|^2 = Re(p) solves the true condition for this family;
         # the misprinted |d|^2 variant rejects it
         a0 = 0.3
-        m = hermitian_family(a0, (1 - a0) ** 2, 1.0).map
+        m = hermitian_family(a0, (1 - a0) ** 2)
         p = 0.8 + 0.4j
         assert predicate_normal_bdyfix(m, p, "jw")
         assert not predicate_normal_bdyfix_jw_dsq_variant(m, p)
@@ -868,7 +891,7 @@ class TestVerify:
         assert verify(CaseId.COMP_JW, m, JWp(0.4)).matrix_keep == r.matrix_keep
 
     def test_hermitian_solved_p_consistent(self):
-        m = hermitian_family(0.3, 0.2, 1.0).map
+        m = hermitian_family(0.3, 0.2)
         p = hermitian_jw_solved_p(0.3, 0.2)
         r = verify(CaseId.WEIGHTED_JW, m, JWp(p), truncations=(32, 64, 128))
         assert r.verdict and r.consistent

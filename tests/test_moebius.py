@@ -12,13 +12,12 @@ from cnops.moebius import (
     image_disk,
     lft_compose,
     lft_eval,
-    lft_fixed_points,
     lft_is_self_map,
     parse_complex,
     parse_map,
-    proportional,
     sigma_at_zero,
 )
+from reference import lft_fixed_points, proportional
 
 IDENTITY = LinearFractionalMap(1, 0, 0, 1)
 HALF = LinearFractionalMap(1, 0, 0, 2)

@@ -11,7 +11,6 @@ from cnops.errors import NotSelfMapError
 from cnops.hardy import kernel_series, lft_power_series, power_matrix
 from cnops.moebius import LinearFractionalMap
 from cnops.operators import (
-    adjoint_via_cowen,
     analytic_toeplitz_matrix,
     canonical_weight_series,
     cnormal_residual_matrix,
@@ -23,6 +22,7 @@ from cnops.operators import (
     stable_keep,
     weighted_composition_matrix,
 )
+from reference import adjoint_via_cowen
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
 AUTOMORPHISM = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)

@@ -23,7 +23,7 @@ def snippet_values() -> dict:
 
 def test_library_snippet_gives_its_promised_values():
     values = snippet_values()
-    assert values["predicate_weighted_jmu(m, mu=-1)"] is True
+    assert values["case_predicate(CaseId.WEIGHTED_JMU, m, JMu(-1))"] is True
     assert values["predicate_margin(CaseId.WEIGHTED_JMU, m, JMu(1))"] == 0.25
     assert values["kernel_residual(CaseId.WEIGHTED_JMU, m, JMu(-1))"] < 1e-15
     assert values["report.consistent"] is True
