@@ -15,8 +15,6 @@ from .cnormal import (
     CaseId,
     VerificationReport,
     case_predicate,
-    eval_sides_comp_jmu,
-    eval_sides_comp_jw,
     eval_sides_weighted_jmu,
     eval_sides_weighted_jw,
     kernel_residual,
@@ -35,8 +33,6 @@ __all__ = [
     "adjoint_symbol",
     "case_predicate",
     "conj_apply_kernel",
-    "eval_sides_comp_jmu",
-    "eval_sides_comp_jw",
     "eval_sides_weighted_jmu",
     "eval_sides_weighted_jw",
     "kernel_residual",

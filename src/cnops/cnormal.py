@@ -113,18 +113,6 @@ def _sides(m: LinearFractionalMap, C: Conjugation, w, z, beta=None):
     return lhs, u_w / (d - b * np.conj(eta_w)) * rhs / np.conj(d - b * np.conj(z))
 
 
-def eval_sides_comp_jmu(m: LinearFractionalMap, mu: complex, w, z):
-    """Both sides of C_phi C_phi* J_mu K_w(z) = J_mu C_phi* C_phi K_w(z)
-    (_sides at (z, w))."""
-    return _sides(m, JMu(mu), z, w)
-
-
-def eval_sides_comp_jw(m: LinearFractionalMap, p: complex, w, z):
-    """Both sides of C_phi C_phi* JW_p K_w(z) = JW_p C_phi* C_phi K_w(z)
-    (_sides at (z, w))."""
-    return _sides(m, JWp(p), z, w)
-
-
 def eval_sides_weighted_jmu(m: LinearFractionalMap, beta: complex, mu: complex, w, z):
     """Both sides for W = T_{beta K_{sigma(0)}} C_phi against J_mu (_sides)."""
     return _sides(m, JMu(mu), w, z, beta)
@@ -188,21 +176,6 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
 # coefficient predicates
 # --------------------------------------------------------------------------
 
-def _modulus_margin(m: LinearFractionalMap) -> float:
-    """Relative defect of |b| = |c|."""
-    return abs(abs(m.b) - abs(m.c)) / m.scale
-
-
-def _weighted_jw_condition_values(m: LinearFractionalMap, p: complex):
-    a, b, c, d = m.coefficients()
-    p = complex(p)
-    e1 = ((abs(b) ** 2 - abs(c) ** 2) * p
-          - (-np.conj(a) * c + np.conj(b) * d - a * np.conj(b) + c * np.conj(d)) * abs(p) ** 2)
-    e2 = ((abs(a) ** 2 - abs(d) ** 2) * abs(p) ** 2
-          - ((np.conj(a) * c - np.conj(b) * d) * np.conj(p) - (np.conj(a) * b - np.conj(c) * d) * p))
-    return e1, e2
-
-
 def predicate_margin(case: CaseId, m: LinearFractionalMap,
                      conj: Conjugation | None) -> float:
     """Relative distance of the instance from the case's defining equalities.
@@ -210,6 +183,8 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
     Coefficient defects are divided by the matching power of m.scale, so the
     margin is invariant under rescaling (a, b, c, d).  The composition cases
     hold or fail for every conjugation parameter at once and ignore conj.
+    Each weighted case is one equation; the paper's other equality follows
+    from it on a self-map.
     """
     a, b, c, d = m.coefficients()
     s = m.scale
@@ -217,21 +192,31 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
         return max(abs(b), abs(c)) / s
     if case is CaseId.COMP_JW:
         return max(abs(b) / s, abs(c) / s, abs(abs(a / d) - 1.0))
+    # With A = |a|^2 - |d|^2, Delta = |b|^2 - |c|^2, X = conj(a) c - conj(b) d
+    # and Y = conj(a) b - conj(c) d, |X|^2 - |Y|^2 + A Delta = 0 identically.
+    # On a self-map A = 0 forces Delta = 0 and b conj(d) = a conj(c):
+    # normalise d = 1, so |a| = 1; the self-map test
+    # |b - a conj(c)| + |a - bc| <= 1 - |c|^2 (moebius.image_disk) gives
+    # ||b| - |c|| <= |b - a conj(c)|
+    # <= 1 - |c|^2 - |a - bc| <= |c| (|b| - |c|), and |c| < 1 forces both.
+    X = np.conj(a) * c - np.conj(b) * d
+    Y = np.conj(a) * b - np.conj(c) * d
     if case is CaseId.WEIGHTED_JMU:
-        # |b| = |c| follows from lin = 0 on a self-map, so _modulus_margin is
-        # redundant; it stays so that no margin moves.  With
-        # X = conj(a) c - conj(b) d and Y = conj(c) d - conj(a) b,
-        # lin = Y conj(mu) - X and |X|^2 - |Y|^2 = (|a|^2 - |d|^2)(|c|^2 - |b|^2)
-        # identically.  lin = 0 with |mu| = 1 gives |X| = |Y|, so |b| = |c| or
-        # |a| = |d|.  If |a| = |d|, normalise d = 1; the self-map test
-        # |b - a conj(c)| + |a - bc| <= 1 - |c|^2 (moebius.image_disk) gives
-        # ||b| - |c|| <= |b - a conj(c)| <= 1 - |c|^2 - |a - bc|
-        # <= |c| (|b| - |c|), and |c| < 1 forces |b| = |c| again.
-        lin = ((np.conj(c) * d - np.conj(a) * b) * np.conj(conj.mu)
-               - (np.conj(a) * c - np.conj(b) * d))
-        return max(_modulus_margin(m), abs(lin) / s ** 2)
-    e1, e2 = _weighted_jw_condition_values(m, conj.p)
-    return max(abs(e1), abs(e2)) / s ** 2
+        # The paper's lin = (conj(c) d - conj(a) b) conj(mu) - X is
+        # -(Y conj(mu) + X).  lin = 0 with |mu| = 1 gives |X| = |Y|, so
+        # A Delta = 0, and with the above Delta = 0: the paper's |b| = |c|
+        # follows and is not tested.
+        return float(abs(Y * np.conj(conj.mu) + X) / s ** 2)
+    # The paper's e1 = Delta p - K |p|^2 = 0, K = -X - conj(Y), follows from
+    # e2 = A |p|^2 + K conj(p) + 2 Re(Y p) = 0 and is not tested.  e2 = 0
+    # makes K conj(p) real, so p = t K with t real when K != 0, and there
+    # A e1 + K e2 = 0 identically, so e1 = 0 when A != 0.  If K = 0, then
+    # |K|^2 + 2 Re(Y K) + A Delta = 0 (an identity) gives A Delta = 0, so
+    # Delta = 0 as above and e1 = 0.  K != 0 with A = 0 does not occur on a
+    # self-map: there b conj(d) = a conj(c) and |a| = |d| give K = 0.
+    p = conj.p
+    e2 = (abs(a) ** 2 - abs(d) ** 2) * abs(p) ** 2 - (X * np.conj(p) - Y * p)
+    return float(abs(e2) / s ** 2)
 
 
 def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation | None) -> bool:
@@ -401,14 +386,14 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
         params["beta"] = [complex(beta).real, complex(beta).imag]
     return VerificationReport(
         case=case.value,
-        verdict=bool(verdict),
+        verdict=verdict,
         kernel_residual=float(k_res * s * s),
         matrix_residuals=[(N, r * s * s) for N, r in zip(truncations, residuals)],
         matrix_keep=sizes,
         params=params,
         grid={"rings": list(GRID_RADII), "points_per_ring": grid_n,
               "pairs": (len(GRID_RADII) * grid_n) ** 2},
-        margin=float(predicate_margin(case, m, conj)),
+        margin=predicate_margin(case, m, conj),
         consistent=bool(consistent),
         timing_s=time.perf_counter() - t0,
     )

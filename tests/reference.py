@@ -7,7 +7,8 @@ the two:
   * the quadruple form of the weighted kernel identity: each side of
     C W W* K_w(z) = W* W C K_w(z) is a numerator over (A w + B) z + C w + D,
     so the sides agree identically iff the two quadruples coincide; their
-    differences are the defects of the weighted predicates;
+    differences are the defects of the weighted predicates, and for JW_p the
+    paper's two equalities e1 and e2, of which predicate_margin reads e2;
   * the paper-form predicates: the Hermitian family, normal maps with a
     boundary fixed point (with the fixed points of a linear fractional map
     they need) and unitary weighted composition operators;
@@ -25,7 +26,6 @@ from cnops.cnormal import (
     WEIGHTED_TOL,
     CaseId,
     _hermitian_params,
-    _modulus_margin,
     case_predicate,
 )
 from cnops.conjugations import Conjugation, JMu
@@ -77,7 +77,7 @@ def weighted_jmu_quadruples(m, mu: complex) -> QuadrupleSet:
     Side 1 is J_mu W W* K_w, side 2 is W* W J_mu K_w; both equal
     |beta|^2 |d|^2 / ((A w + B) z + C w + D).  The differences are
     ((|c|^2-|b|^2) mubar, L, conj(L) mubar, |c|^2-|b|^2) with L the linear
-    defect of predicate_weighted_jmu.
+    defect that predicate_margin reads for weighted_jmu.
     """
     a, b, c, d = m.coefficients()
     mb = np.conj(complex(mu))
@@ -112,6 +112,24 @@ def weighted_jw_quadruples(m, p: complex) -> QuadrupleSet:
         C2=-(abs(d) ** 2 - abs(c) ** 2) * p + (b * np.conj(d) - a * np.conj(c)) * lb,
         D2=abs(d) ** 2 - abs(c) ** 2 - p * (b * np.conj(d) - a * np.conj(c)),
     )
+
+
+def weighted_jw_terms(m):
+    """(A, Delta, X, Y, K) of the paper's JW_p equalities: A = |a|^2 - |d|^2,
+    Delta = |b|^2 - |c|^2, X = conj(a) c - conj(b) d, Y = conj(a) b - conj(c) d
+    and K = -X - conj(Y)."""
+    a, b, c, d = m.coefficients()
+    X = np.conj(a) * c - np.conj(b) * d
+    Y = np.conj(a) * b - np.conj(c) * d
+    return abs(a) ** 2 - abs(d) ** 2, abs(b) ** 2 - abs(c) ** 2, X, Y, -X - np.conj(Y)
+
+
+def weighted_jw_equations(m, p: complex):
+    """The paper's two JW_p equalities as values (e1, e2), e1 = Delta p - K |p|^2
+    and e2 = A |p|^2 - X conj(p) + Y p (weighted_jw_terms).  predicate_margin
+    reads e2 alone, which forces e1 = 0 on a self-map."""
+    A, Delta, X, Y, K = weighted_jw_terms(m)
+    return Delta * p - K * abs(p) ** 2, A * abs(p) ** 2 - X * np.conj(p) + Y * p
 
 
 def quadruple_sides(m, beta: complex, C, w, z):
@@ -260,7 +278,7 @@ def predicate_normal_bdyfix(m: LinearFractionalMap, param: complex, which: str) 
     b dbar (a |d|^2 variant in circulation is not equivalent, see
     predicate_normal_bdyfix_jw_dsq_variant).
     """
-    if _modulus_margin(m) > WEIGHTED_TOL:
+    if abs(abs(m.b) - abs(m.c)) / m.scale > WEIGHTED_TOL:
         raise HypothesisViolationError("|b| = |c| hypothesis fails")
     if not has_boundary_fixed_point(m):
         raise HypothesisViolationError("no boundary fixed point")

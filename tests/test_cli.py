@@ -523,10 +523,9 @@ def test_seeded_kernel_residuals_are_pinned(case):
 # Module-level functions of cnops that neither the commands nor the builders
 # the benchmark's layer probe calls reach, each with its reason to stay.
 UNREACHED = {
-    # the benchmark's excluded_pair_fraction metric reads these sides, and
-    # the tests compare them with the quadruple form; they go with that metric
-    "cnormal.eval_sides_comp_jmu",
-    "cnormal.eval_sides_comp_jw",
+    # the benchmark's excluded_pair_fraction metric reads the weighted sides
+    # (the composition sides are cnormal._sides, which verify reaches); they
+    # go with that metric
     "cnormal.eval_sides_weighted_jmu",
     "cnormal.eval_sides_weighted_jw",
     # LinearFractionalMap.__call__, which nothing in the package calls

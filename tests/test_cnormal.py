@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from cnops.cnormal import (
     VerificationReport,
     case_predicate,
     check_instance,
-    eval_sides_comp_jmu,
-    eval_sides_comp_jw,
     eval_sides_weighted_jmu,
     eval_sides_weighted_jw,
     hermitian_family,
@@ -45,7 +44,9 @@ from reference import (
     predicate_unitary_wco,
     quadruple_sides,
     weighted_jmu_quadruples,
+    weighted_jw_equations,
     weighted_jw_quadruples,
+    weighted_jw_terms,
 )
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
@@ -106,11 +107,17 @@ def cowen_sides(mp, m, conj, w, z):
         return complex(lhs), complex(rhs)
 
 
+def comp_sides(m, conj, w, z):
+    """Both sides of C_phi C_phi* C K_w(z) = C C_phi* C_phi K_w(z): the
+    composition identity stated as T T* C = C T* T, which is _sides at (z, w)."""
+    return cnormal._sides(m, conj, z, w)
+
+
 class TestCompJmuSides:
     def test_half_map_real_mu(self):
         # both sides collapse to K_{phi(w)}(phi(z)) = 1/(1 - 0.15*0.2)
         m = LinearFractionalMap(1, 0, 0, 2)
-        lhs, rhs = eval_sides_comp_jmu(m, 1.0, 0.3, 0.4)
+        lhs, rhs = comp_sides(m, JMu(1.0), 0.3, 0.4)
         assert lhs == pytest.approx(1.0 / (1.0 - 0.03))
         assert rhs == pytest.approx(lhs)
 
@@ -118,7 +125,7 @@ class TestCompJmuSides:
         alpha, mu = 0.62 * np.exp(1.1j), np.exp(0.83j)
         m = LinearFractionalMap(alpha, 0, 0, 1)
         w, z = 0.3 + 0.2j, -0.4 + 0.1j
-        lhs, rhs = eval_sides_comp_jmu(m, mu, w, z)
+        lhs, rhs = comp_sides(m, JMu(mu), w, z)
         expected = 1.0 / (1.0 - abs(alpha) ** 2 * np.conj(mu) * w * z)
         assert lhs == pytest.approx(expected, abs=1e-14)
         assert rhs == pytest.approx(expected, abs=1e-14)
@@ -128,7 +135,7 @@ class TestCompJmuSides:
         # at w = 0 the right side is d/(d - b mu z) for real mu
         m = GENERIC
         for z in (0.3, -0.5 + 0.4j):
-            _, rhs = eval_sides_comp_jmu(m, mu, 0.0, z)
+            _, rhs = comp_sides(m, JMu(mu), 0.0, z)
             assert rhs == pytest.approx(m.d / (m.d - m.b * mu * z), abs=1e-13)
 
     def test_lower_triangular_symbol_disagrees(self):
@@ -137,7 +144,7 @@ class TestCompJmuSides:
         assert lft_is_self_map(m)
         pts = 0.8 * np.exp(2j * np.pi * np.arange(10) / 10)
         W, Z = np.meshgrid(pts, pts)
-        lhs, rhs = eval_sides_comp_jmu(m, 1.0, W, Z)
+        lhs, rhs = comp_sides(m, JMu(1.0), W, Z)
         assert np.abs(lhs - rhs).max() > 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
@@ -146,7 +153,7 @@ class TestCompJmuSides:
         m = random_self_map(g, max_offset=0.4)
         mu = np.exp(2j * np.pi * g.uniform())
         w, z = 0.5 * np.exp(0.7j), 0.45 * np.exp(-1.2j)
-        lhs, rhs = eval_sides_comp_jmu(m, mu, w, z)
+        lhs, rhs = comp_sides(m, JMu(mu), w, z)
         lhs_m, rhs_m = matrix_route_sides(m, JMu(mu), w, z)
         assert lhs == pytest.approx(lhs_m, abs=1e-9)
         assert rhs == pytest.approx(rhs_m, abs=1e-9)
@@ -158,17 +165,12 @@ class TestCompJmuSides:
         # it; there the sides are finite and continuous through w0.  On the
         # self-map (0.5, 0, 0.25, 1), with the same w0 = 0.5, they agree with
         # the matrix route.
-        def sides(m, w, z):
-            if isinstance(conj, JMu):
-                return eval_sides_comp_jmu(m, conj.mu, w, z)
-            return eval_sides_comp_jw(m, conj.p, w, z)
-
-        at_w0 = sides(LinearFractionalMap(1.0, 0.0, 0.5, 1.04), 0.5, 0.3)
-        beside = sides(LinearFractionalMap(1.0, 0.0, 0.5, 1.04), 0.5 + 1e-9j, 0.3)
+        at_w0 = comp_sides(LinearFractionalMap(1.0, 0.0, 0.5, 1.04), conj, 0.5, 0.3)
+        beside = comp_sides(LinearFractionalMap(1.0, 0.0, 0.5, 1.04), conj, 0.5 + 1e-9j, 0.3)
         assert np.all(np.isfinite(at_w0))
         assert np.allclose(at_w0, beside, rtol=1e-7, atol=0)
         m = LinearFractionalMap(0.5, 0.0, 0.25, 1.0)
-        lhs, rhs = sides(m, 0.5, 0.3)
+        lhs, rhs = comp_sides(m, conj, 0.5, 0.3)
         lhs_m, rhs_m = matrix_route_sides(m, conj, 0.5, 0.3)
         assert np.isfinite(lhs) and np.isfinite(rhs)
         assert lhs == pytest.approx(lhs_m, abs=1e-9)
@@ -183,7 +185,7 @@ class TestCompJmuSides:
         m = LinearFractionalMap(0.5, 0.2, 0.3 * np.exp(0.7j), 1.0)
         mu, z = np.exp(0.5j), 0.4 - 0.3j
         w = np.conj(m.c / m.a) + distance * np.exp(0.3j)
-        _, rhs = eval_sides_comp_jmu(m, mu, w, z)
+        _, rhs = comp_sides(m, JMu(mu), w, z)
         _, exact = cowen_sides(mp, m, JMu(mu), w, z)
         assert abs(complex(rhs) - exact) <= 1e-14 * abs(exact)
 
@@ -195,7 +197,7 @@ class TestCompJwSides:
         m = LinearFractionalMap(np.exp(0.7j), 0, 0, 1)
         lam = np.conj(p) / p
         for w, z in ((0.3, 0.5), (0.2 - 0.6j, -0.4 + 0.3j)):
-            lhs, rhs = eval_sides_comp_jw(m, p, w, z)
+            lhs, rhs = comp_sides(m, JWp(p), w, z)
             expected = np.sqrt(1 - p ** 2) / (1 - p * w - p * z + np.conj(lam) * w * z)
             assert lhs == pytest.approx(expected, abs=1e-13)
             assert rhs == pytest.approx(expected, abs=1e-13)
@@ -207,7 +209,7 @@ class TestCompJwSides:
         p = 0.3 + 0.25j
         m = LinearFractionalMap(1, 0, 0, 1)
         w, z = 0.35 - 0.2j, 0.5 + 0.1j
-        lhs, rhs = eval_sides_comp_jw(m, p, w, z)
+        lhs, rhs = comp_sides(m, JWp(p), w, z)
         weight, point = conj_apply_kernel(JWp(p), w)
         expected = weight / (1 - np.conj(point) * z)
         assert lhs == pytest.approx(expected, abs=1e-14)
@@ -220,7 +222,7 @@ class TestCompJwSides:
         lam = np.conj(p) / p
         root = np.sqrt(1 - abs(p) ** 2)
         for z in (0.3, -0.2 + 0.55j):
-            lhs, rhs = eval_sides_comp_jw(m, p, 0.0, z)
+            lhs, rhs = comp_sides(m, JWp(p), 0.0, z)
             num = (np.conj(c) * p + np.conj(d)) * (c * z + d)
             den = num - (np.conj(a) * p + np.conj(b)) * (a * z + b)
             assert lhs == pytest.approx(root * num / den, abs=1e-13)
@@ -231,13 +233,13 @@ class TestCompJwSides:
         m = LinearFractionalMap(1, 0, 0, 2)
         pts = 0.8 * np.exp(2j * np.pi * np.arange(10) / 10)
         W, Z = np.meshgrid(pts, pts)
-        lhs, rhs = eval_sides_comp_jw(m, 0.4, W, Z)
+        lhs, rhs = comp_sides(m, JWp(0.4), W, Z)
         assert np.abs(lhs - rhs).max() > 1e-6
 
     def test_generic_map_disagrees(self):
         pts = 0.8 * np.exp(2j * np.pi * np.arange(10) / 10)
         W, Z = np.meshgrid(pts, pts)
-        lhs, rhs = eval_sides_comp_jw(GENERIC, 0.4, W, Z)
+        lhs, rhs = comp_sides(GENERIC, JWp(0.4), W, Z)
         assert np.abs(lhs - rhs).max() > 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
@@ -246,50 +248,48 @@ class TestCompJwSides:
         m = random_self_map(g, max_offset=0.4)
         p = 0.35 * np.exp(2j * np.pi * g.uniform())
         w, z = 0.4 * np.exp(0.9j), 0.5 * np.exp(-0.4j)
-        lhs, rhs = eval_sides_comp_jw(m, p, w, z)
+        lhs, rhs = comp_sides(m, JWp(p), w, z)
         lhs_m, rhs_m = matrix_route_sides(m, JWp(p), w, z)
         assert lhs == pytest.approx(lhs_m, abs=1e-8)
         assert rhs == pytest.approx(rhs_m, abs=1e-8)
 
 
-@pytest.mark.parametrize("evaluate,conj", [
-    (eval_sides_comp_jmu, JMu(np.exp(0.3j))),
-    (eval_sides_comp_jw, JWp(0.4 + 0.2j)),
-], ids=["comp_jmu", "comp_jw"])
-def test_sides_keep_their_digits_near_a_constant_map(evaluate, conj):
+@pytest.mark.parametrize("conj", [JMu(np.exp(0.3j)), JWp(0.4 + 0.2j)],
+                         ids=["comp_jmu", "comp_jw"])
+def test_sides_keep_their_digits_near_a_constant_map(conj):
     # near both a constant map and the circle, the product form
     # 1 - conj(phi(x)) phi(y) is 1.4e-5 relative off here
     mp = pytest.importorskip("mpmath")
     m = LinearFractionalMap(0.5, -0.4999999999995, -0.999999999999, 1)
-    param = conj.mu if isinstance(conj, JMu) else conj.p
     pts = ring_grid(8)
     worst = 0.0
     for w in pts:
         for z in pts:
-            for side, exact in zip(evaluate(m, param, w, z), cowen_sides(mp, m, conj, w, z)):
+            for side, exact in zip(comp_sides(m, conj, w, z), cowen_sides(mp, m, conj, w, z)):
                 worst = max(worst, abs(complex(side) - exact) / abs(exact))
     assert worst <= 1e-13
 
 
-@pytest.mark.parametrize("comp,weighted,param", [
-    (eval_sides_comp_jmu, eval_sides_weighted_jmu, np.exp(0.3j)),
-    (eval_sides_comp_jw, eval_sides_weighted_jw, 0.4 + 0.2j),
+@pytest.mark.parametrize("weighted,conj", [
+    (eval_sides_weighted_jmu, JMu(np.exp(0.3j))),
+    (eval_sides_weighted_jw, JWp(0.4 + 0.2j)),
 ], ids=["jmu", "jw"])
 @pytest.mark.parametrize("m", [LinearFractionalMap(0.6 * np.exp(0.5j), 0.3 - 0.1j, 0, 1),
                                LinearFractionalMap(0.7j, 0, 0, 1)], ids=["affine", "dilation"])
 def test_composition_sides_are_the_weighted_ones_at_beta_1_with_w_and_z_swapped(
-        comp, weighted, param, m):
+        weighted, conj, m):
     # for c = 0 the canonical weight is beta, so W = C_phi at beta = 1, and
     # (C_phi C_phi* C K_w)(z) = (C C_phi C_phi* K_z)(w): the composition
     # sides are stated for C T T* = T* T C with w and z swapped
     W, Z = np.meshgrid(ring_grid(12), ring_grid(12), indexing="ij")
-    for got, want in zip(comp(m, param, W, Z), weighted(m, 1.0, param, Z, W)):
+    param = conj.mu if isinstance(conj, JMu) else conj.p
+    for got, want in zip(comp_sides(m, conj, W, Z), weighted(m, 1.0, param, Z, W)):
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 @pytest.mark.parametrize("evaluate,param", [
-    (eval_sides_comp_jmu, np.exp(0.3j)),
-    (eval_sides_comp_jw, 0.4),
+    (lambda m, mu, w, z: comp_sides(m, JMu(mu), w, z), np.exp(0.3j)),
+    (lambda m, p, w, z: comp_sides(m, JWp(p), w, z), 0.4),
     (lambda m, mu, w, z: eval_sides_weighted_jmu(m, 0.7, mu, w, z), np.exp(0.3j)),
     (lambda m, p, w, z: eval_sides_weighted_jw(m, 0.7, p, w, z), 0.4),
 ], ids=["comp_jmu", "comp_jw", "weighted_jmu", "weighted_jw"])
@@ -427,11 +427,9 @@ class TestWeightedJmuQuadruples:
         assert abs(dB - lin) <= 1e-13 * s2
         assert abs(dC - np.conj(lin) * np.conj(mu)) <= 1e-13 * s2
         assert abs(dD - mod) <= 1e-13 * s2
-        # with |b| = |c| the margin is the linear defect alone
-        m_eq = LinearFractionalMap(a, b, abs(b) * np.exp(0.4j), d)
-        dB_eq = weighted_jmu_quadruples(m_eq, mu).differences()[1]
-        assert cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m_eq, JMu(mu)) == pytest.approx(
-            abs(dB_eq) / m_eq.scale ** 2, rel=1e-12)
+        # the margin is the linear defect alone
+        assert cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m, JMu(mu)) == pytest.approx(
+            abs(dB) / s2, rel=1e-12)
 
 
 class TestWeightedJwQuadruples:
@@ -472,7 +470,7 @@ class TestWeightedJwQuadruples:
         m = LinearFractionalMap(*(g.standard_normal(4) + 1j * g.standard_normal(4)))
         p = 0.8 * g.uniform() * np.exp(2j * np.pi * g.uniform()) + 0.05
         q = weighted_jw_quadruples(m, p)
-        e1, e2 = cnormal._weighted_jw_condition_values(m, p)
+        e1, e2 = weighted_jw_equations(m, p)
         dA, dB, dC, dD = q.differences()
         s2 = m.scale ** 2
         assert abs(e1 - np.conj(p) * dA) <= 1e-13 * s2
@@ -480,6 +478,9 @@ class TestWeightedJwQuadruples:
         # and the C, D differences are conjugate-linked to the same conditions
         assert abs(dD + np.conj(e1) / np.conj(p)) <= 1e-13 * s2
         assert abs(np.conj(p) * dC + np.conj(e2)) <= 1e-13 * s2
+        # the margin is e2 alone
+        assert abs(cnormal.predicate_margin(CaseId.WEIGHTED_JW, m, JWp(p))
+                   - abs(e2) / s2) <= 1e-13
 
 
 @pytest.mark.parametrize("case", [CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW])
@@ -554,10 +555,8 @@ class TestKernelResidual:
         # pairs give bit for bit the residual of the full meshgrids
         W, Z = np.meshgrid(ring_grid(grid_n), ring_grid(grid_n), indexing="ij")
         param = conj.mu if isinstance(conj, JMu) else conj.p
-        if case is CaseId.COMP_JMU:
-            lhs, rhs = eval_sides_comp_jmu(GENERIC, param, W, Z)
-        elif case is CaseId.COMP_JW:
-            lhs, rhs = eval_sides_comp_jw(GENERIC, param, W, Z)
+        if not case.weighted:
+            lhs, rhs = comp_sides(GENERIC, conj, W, Z)
         elif case is CaseId.WEIGHTED_JMU:
             lhs, rhs = eval_sides_weighted_jmu(GENERIC, beta, param, W, Z)
         else:
@@ -587,12 +586,8 @@ class TestKernelResidual:
         w0 = ring_grid(12)[k]
         m = LinearFractionalMap(0.5, 0.0, 0.5 * np.conj(w0), 1.0)
         W, Z = np.meshgrid(ring_grid(12), ring_grid(12), indexing="ij")
-        if case is CaseId.COMP_JMU:
-            conj = JMu(1j)
-            lhs, rhs = eval_sides_comp_jmu(m, conj.mu, W, Z)
-        else:
-            conj = JWp(0.3)
-            lhs, rhs = eval_sides_comp_jw(m, conj.p, W, Z)
+        conj = JMu(1j) if case is CaseId.COMP_JMU else JWp(0.3)
+        lhs, rhs = comp_sides(m, conj, W, Z)
         assert np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))
         full = float(np.abs(lhs - rhs).max())
         assert kernel_residual(case, m, conj, grid_n=12) == full
@@ -757,6 +752,48 @@ def test_weighted_jmu_linear_defect_bounds_the_modulus_gap(seed, mu_angle, log_t
     assert abs(abs(X) - abs(Y)) <= abs(lin) + 1e-12 * s ** 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p_radius=st.floats(0.0, 0.99),
+       p_angle=st.floats(0.0, 2 * np.pi), t=st.floats(-0.99, 0.99),
+       log_t=st.floats(-3.0, 3.0), t_angle=st.floats(0.0, 2 * np.pi))
+def test_weighted_jw_e2_puts_p_on_the_line_of_k(seed, p_radius, p_angle, t, log_t, t_angle):
+    # predicate_margin's proof that e2 = 0 forces e1 = 0: Im e2 = Im(K conj(p))
+    # for every p, so a root of e2 lies on the line p = t K / |K|, and there
+    # A e1 + K e2 = 0
+    m = random_self_map(np.random.default_rng(seed)).rescaled(10.0 ** log_t * np.exp(1j * t_angle))
+    A, _, _, _, K = weighted_jw_terms(m)
+    s = m.scale
+    p = p_radius * np.exp(1j * p_angle)
+    e2 = weighted_jw_equations(m, p)[1]
+    assert abs(e2.imag - (K * np.conj(p)).imag) <= 1e-12 * s ** 2
+    e1, e2 = weighted_jw_equations(m, t * K / abs(K))
+    assert abs(A * e1 + K * e2) <= 1e-12 * s ** 4
+
+
+def test_weighted_predicate_proofs_are_identities():
+    # the identities predicate_margin's two proofs rest on, in the reference
+    # e1 and e2, with each conjugate a free symbol and |x|^2 = x conj(x):
+    # e2 = A |p|^2 + K conj(p) + 2 Re(Y p), so e2 - K conj(p) is real;
+    # A e1 + K e2 = 0 at p = t K, t real; |K|^2 + 2 Re(Y K) + A Delta = 0;
+    # and |X|^2 - |Y|^2 + A Delta = 0
+    sp = pytest.importorskip("sympy")
+    a, b, c, d, p = sp.symbols("a b c d p")
+    t = sp.Symbol("t", real=True)
+    conj = sp.conjugate
+
+    def formal(expr):
+        return sp.expand(expr.replace(sp.Abs, lambda x: sp.sqrt(x * conj(x))))
+
+    m = SimpleNamespace(coefficients=lambda: (a, b, c, d))
+    A, Delta, X, Y, K = weighted_jw_terms(m)
+    e2 = weighted_jw_equations(m, p)[1]
+    assert formal(e2 - (A * abs(p) ** 2 + K * conj(p) + Y * p + conj(Y * p))) == 0
+    e1, e2 = weighted_jw_equations(m, t * K)
+    assert formal(A * e1 + K * e2) == 0
+    assert formal(abs(K) ** 2 + Y * K + conj(Y * K) + A * Delta) == 0
+    assert formal(abs(X) ** 2 - abs(Y) ** 2 + A * Delta) == 0
+
+
 class TestNormalBdyfix:
     def test_symmetric_map_true_both(self):
         m = LinearFractionalMap(1, 0.4, 0.4, 1)
@@ -826,6 +863,81 @@ def test_generic_weighted_jw_holds_at_its_one_p(seed):
         r = verify(CaseId.WEIGHTED_JW, m, conj)
         assert r.verdict and r.consistent
         assert r.kernel_residual <= 1e-12
+
+
+def _weighted_jmu_margin(m, mu):
+    """The weighted_jmu margin with mu in place of conj(mu) in lin."""
+    a, b, c, d = m.coefficients()
+    lin = (np.conj(c) * d - np.conj(a) * b) * mu - (np.conj(a) * c - np.conj(b) * d)
+    return abs(lin) / m.scale ** 2
+
+
+def _weighted_jw_margin(m, p):
+    """The weighted_jw margin with p and conj(p) swapped in e2."""
+    A, _, X, Y, _ = weighted_jw_terms(m)
+    return abs(A * abs(p) ** 2 - X * p + Y * np.conj(p)) / m.scale ** 2
+
+
+# Each mutant of predicate_margin drops or changes one condition of one case,
+# with a self-map on which its verdict is wrong, so that verify reports the
+# contradiction: (case, mutant margin, witness map, witness conjugation).
+MUTANTS = {
+    "comp_jmu without b = 0": (CaseId.COMP_JMU, lambda m, C: abs(m.c) / m.scale,
+                               LinearFractionalMap(0.5, 0.25, 0, 1), JMu(1.0)),
+    "comp_jmu without c = 0": (CaseId.COMP_JMU, lambda m, C: abs(m.b) / m.scale,
+                               LinearFractionalMap(0.5, 0, 0.25, 1), JMu(1.0)),
+    "comp_jw without |a| = |d|": (CaseId.COMP_JW,
+                                  lambda m, C: max(abs(m.b), abs(m.c)) / m.scale,
+                                  LinearFractionalMap(0.5, 0, 0, 1), JWp(0.4)),
+    "weighted_jmu without lin = 0": (CaseId.WEIGHTED_JMU, lambda m, C: 0.0,
+                                     GENERIC, JMu(1.0)),
+    "weighted_jmu with mu for conj(mu) in lin": (
+        CaseId.WEIGHTED_JMU, lambda m, C: _weighted_jmu_margin(m, C.mu),
+        LinearFractionalMap(0.5, 0.25j, 0.25, 1), JMu(-1j)),
+    "weighted_jw without e2 = 0": (CaseId.WEIGHTED_JW, lambda m, C: 0.0,
+                                   hermitian_family(0.3, 0.2), JWp(0.3)),
+    # p = Delta / conj(K), the one p at which this map's W is JW_p-normal
+    "weighted_jw with p and conj(p) swapped in e2": (
+        CaseId.WEIGHTED_JW, lambda m, C: _weighted_jw_margin(m, C.p),
+        LinearFractionalMap(0.5, 0.3, 0.1j, 1), JWp(0.48 + 0.16j)),
+}
+
+# Mutants with the same verdict as predicate_margin on every self-map, since
+# |a| = |d| forces b conj(d) = a conj(c) there: c = 0 gives b = 0, and b = 0
+# gives c = 0.  Each comes with a map just off the self-maps where the two differ.
+EQUIVALENT = {
+    "comp_jw without b = 0": (lambda m: max(abs(m.c) / m.scale, abs(abs(m.a / m.d) - 1.0)),
+                              LinearFractionalMap(np.exp(0.7j), 1e-6, 0, 1)),
+    "comp_jw without c = 0": (lambda m: max(abs(m.b) / m.scale, abs(abs(m.a / m.d) - 1.0)),
+                              LinearFractionalMap(np.exp(0.7j), 0, 1e-6, 1)),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_every_predicate_condition_fails_a_test(monkeypatch, name):
+    case, margin, m, conj = MUTANTS[name]
+    honest = verify(case, m, conj)
+    assert honest.consistent
+    original = cnormal.predicate_margin
+    monkeypatch.setattr(cnormal, "predicate_margin", lambda c, m, conj: (
+        margin(m, conj) if c is case else original(c, m, conj)))
+    mutated = verify(case, m, conj)
+    assert mutated.verdict != honest.verdict and not mutated.consistent
+
+
+@pytest.mark.parametrize("name", EQUIVALENT)
+def test_equivalent_mutants_differ_only_off_the_self_maps(name):
+    margin, m = EQUIVALENT[name]
+    assert margin(m) == 0.0 and not case_predicate(CaseId.COMP_JW, m, JWp(0.4))
+    assert not lft_is_self_map(m)
+
+
+@pytest.mark.parametrize("case,conj", [(CaseId.COMP_JMU, None), (CaseId.COMP_JW, JWp(0.4)),
+                                       (CaseId.WEIGHTED_JMU, JMu(-1.0)),
+                                       (CaseId.WEIGHTED_JW, JWp(0.4))])
+def test_predicate_returns_builtin_types(case, conj):
+    assert type(cnormal.predicate_margin(case, GENERIC, conj)) is float
+    assert type(case_predicate(case, GENERIC, conj)) is bool
 
 
 # --------------------------------------------------------------------------
