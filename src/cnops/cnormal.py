@@ -45,8 +45,9 @@ VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above th
 MATRIX_FLOOR = 1e-12          # matrix residuals may rise in N while below this
 MATRIX_FLOOR_RTOL = 4 * np.finfo(float).eps   # or this * sqrt(N) * keep (rounding)
 MIN_TRUNCATION = 8            # smallest N whose N/2 holds stable_keep's floor of 4 rows
-MAX_TRUNCATION = 4096         # largest N; its kept blocks take at most 256 MB, and
-                              # operators.kept_block_residual peaks near 512 MB
+MAX_TRUNCATION = 4096         # largest N; its kept blocks take at most 256 MB (320 MB
+                              # while R is filled), and operators.kept_block_residual
+                              # peaks near 512 MB
 
 
 class CaseId(str, Enum):

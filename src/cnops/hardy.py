@@ -48,6 +48,19 @@ def series_multiply(f: np.ndarray, g: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
+def series_power(f: np.ndarray, e: int, N: int) -> np.ndarray:
+    """f^e truncated at degree N-1, by repeated squaring: about 2 log2(e)
+    series_multiply calls, equal to e - 1 repeated products to rounding."""
+    out = np.eye(N, 1, dtype=complex).ravel()
+    while e:
+        if e & 1:
+            out = series_multiply(out, f, N)
+        e >>= 1
+        if e:
+            f = series_multiply(f, f, N)
+    return out
+
+
 def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
                  cols: int | None = None) -> np.ndarray:
     """N x cols matrix (cols defaults to N) whose column j holds the
@@ -64,9 +77,7 @@ def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
     power_matrix(first[:r], f[:r], r, cols) exactly, and the leading columns
     equal the result at a smaller cols exactly.
 
-    The columns are contiguous (order "F"), so no column is copied.  When
-    f[0] == 0, first * f^j has order at least j, so columns j >= N are zero
-    in the first N rows and are left as allocated, not computed.
+    The columns are contiguous (order "F"), so no column is copied.
     """
     cols = N if cols is None else cols
     f = np.asarray(f, dtype=complex)[:N]
@@ -74,6 +85,6 @@ def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
     f = f[:support[-1] + 1 if support.size else 1]
     M = np.zeros((N, cols), dtype=complex, order="F")
     M[:, 0] = first
-    for j in range(1, min(cols, N) if f[0] == 0 else cols):
+    for j in range(1, cols):
         M[:, j] = np.convolve(M[:, j - 1], f)[:N]
     return M

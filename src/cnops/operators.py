@@ -9,7 +9,6 @@ of T_g C_phi equals the product of the N x N truncations.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import hardy
 from .conjugations import Conjugation, JMu, JWp, basis_image_series, jw_weighted_matrix
@@ -40,14 +39,19 @@ def composition_matrix(m: LinearFractionalMap, N: int) -> np.ndarray:
 def analytic_toeplitz_matrix(symbol: np.ndarray, N: int) -> np.ndarray:
     """Lower-triangular Toeplitz matrix of multiplication by the symbol.
 
-    Entry (i, j) is symbol[i - j] for i >= j.  Row i is the reversed length-N
-    window at offset i of the symbol preceded by N - 1 zeros, read off a
-    strided view.
+    Entry (i, j) is symbol[i - j] for i >= j.  Columns m to 2m - 1 are
+    columns 0 to m - 1 moved down m rows, so log2(N) block copies fill it
+    from the first column.
     """
     symbol = np.asarray(symbol, dtype=complex)[:N]
-    padded = np.zeros(2 * N - 1, dtype=complex)
-    padded[N - 1:N - 1 + len(symbol)] = symbol
-    return sliding_window_view(padded, N)[:, ::-1].copy()
+    T = np.zeros((N, N), dtype=complex)
+    T[:len(symbol), 0] = symbol
+    m = 1
+    while m < N:
+        w = min(m, N - m)
+        T[m:, m:m + w] = T[:N - m, :w]
+        m *= 2
+    return T
 
 
 def weighted_composition_matrix(psi: np.ndarray, m: LinearFractionalMap,
@@ -108,7 +112,7 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
 def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
                 beta: complex | None = None) -> tuple:
     """The blocks X = (T C)[:n, :k] and R = T[:k, :n] that the kept residual
-    reads, exact in every entry.
+    reads, with no truncation error in any entry.
 
     T is C_phi, or W = T_psi C_phi with psi = beta K_{sigma(0)} when beta is
     given.  With first = 1 or psi, column j of T holds the coefficients of
@@ -118,29 +122,37 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
 
     J_mu is diagonal, C e_i = conj(mu)^i e_i, so X is T's first k
     columns times conj(mu)^i, and R's first k columns are those
-    columns' first k rows.  Past column k, R continues the same chain on k
-    rows; when phi(0) = 0, first phi^j has order at least j, so those
-    columns are zero and are not built.
+    columns' first k rows.
     JW_p reads its basis images, C e_i = w h^i (basis_image_series): column
-    i of T C holds first (w o phi)(h o phi)^i, one more chain.
+    i of T C holds first (w o phi)(h o phi)^i, one more chain, and R's
+    first k columns are the chain of T on k rows.
 
-    Every build is prefix-exact in its rows and columns (power_matrix), so
-    R is the chain power_matrix(first[:k], phi[:k], k, cols=n) bit for bit,
-    and slices give the blocks at smaller sizes.
+    Past column k, T[:k, j] = (phi^k T[:, j - k])[:k], so each further block
+    of k columns of R is G times the k columns before it, with G the k x k
+    lower-triangular Toeplitz matrix of phi^k (hardy.series_power); the last
+    block is clipped at n.  R's first k columns are the chain
+    power_matrix(first[:k], phi[:k], k) bit for bit, the rest equal its
+    later columns to rounding.  When phi(0) = 0 (m.b == 0), first phi^j has
+    order at least j, so the columns past k are zero and are not built.
+    Every chain is prefix-exact in its rows and columns (power_matrix), so
+    slices of X and of R[:, :k] give the blocks at smaller sizes.
     """
     phi = hardy.lft_power_series(m, n)
     first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
+    R = np.zeros((k, n), dtype=complex, order="F")
     if isinstance(C, JMu):
-        P = hardy.power_matrix(first, phi, n, cols=k)
-        X = P * np.conj(C.mu) ** np.arange(k)
-        R = np.zeros((k, n), dtype=complex, order="F")
-        R[:, :k] = P[:k]
-        if phi[0] != 0:
-            R[:, k - 1:] = hardy.power_matrix(P[:k, k - 1], phi[:k], k, cols=n - k + 1)
-        return X, R
-    w_phi, h_phi = basis_image_series(C, m, n)
-    X = hardy.power_matrix(hardy.series_multiply(first, w_phi, n), h_phi, n, cols=k)
-    R = hardy.power_matrix(first[:k], phi[:k], k, cols=n)
+        X = hardy.power_matrix(first, phi, n, cols=k)
+        R[:, :k] = X[:k]
+        X *= np.conj(C.mu) ** np.arange(k)
+    else:
+        w_phi, h_phi = basis_image_series(C, m, n)
+        X = hardy.power_matrix(hardy.series_multiply(first, w_phi, n), h_phi, n, cols=k)
+        R[:, :k] = hardy.power_matrix(first[:k], phi[:k], k)
+    if m.b != 0:
+        G = analytic_toeplitz_matrix(hardy.series_power(phi[:k], k, k), k)
+        for q in range(k, n, k):
+            w = min(k, n - q)
+            np.matmul(G, R[:, q - k:q - k + w], out=R[:, q:q + w])
     return X, R
 
 
@@ -150,13 +162,15 @@ def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
     kept_block_residual(X[:N, :keep], R[:keep, :N]) with X and R the
     kept_blocks, built once at the largest N and keep.
 
-    R = T[:keep, :N], as in cnormal_residual_matrix of the truncations.  X[:N]
-    is the exact leading block of T C, with columns psi (w o phi)(h o phi)^i
-    (psi = 1 for C_phi), where cnormal_residual_matrix reads the product
-    T_N M_N of the truncations.  The two agree for J_mu, whose matrix is
-    diagonal; for JW_p they differ by the truncation error of that product.
-    When phi(0) = 0, column j of R has order at least j, so R[:keep, :N] is
-    zero past column keep and R R* is formed over R[:keep, :keep] alone.
+    R = T[:keep, :N], as in cnormal_residual_matrix of the truncations, to
+    rounding past column keep (kept_blocks).  X[:N] is the exact leading
+    block of T C, with columns psi (w o phi)(h o phi)^i (psi = 1 for C_phi),
+    where cnormal_residual_matrix reads the product T_N M_N of the
+    truncations.  The two agree for J_mu, whose matrix is diagonal; for JW_p
+    they differ by the truncation error of that product.  When phi(0) = 0
+    (m.b == 0, the test kept_blocks reads), column j of R has order at least
+    j, so R[:keep, :N] is zero past column keep and R R* is formed over
+    R[:keep, :keep] alone.
     """
     n = max(N for N, _ in sizes)
     k = max(keep for _, keep in sizes)

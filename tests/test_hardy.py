@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from conftest import random_self_map
 from cnops.conjugations import JWp
 from cnops.errors import NotExpandableError
-from cnops.hardy import kernel_series, lft_power_series, power_matrix, series_multiply
+from cnops.hardy import (
+    kernel_series,
+    lft_power_series,
+    power_matrix,
+    series_multiply,
+    series_power,
+)
 from cnops.moebius import LinearFractionalMap
 
 disk_points = st.builds(
@@ -109,6 +115,29 @@ class TestSeriesMultiply:
         lhs = series_multiply(series_multiply(f1, f2, 16), f3, 16)
         rhs = series_multiply(f1, series_multiply(f2, f3, 16), 16)
         assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(lhs).max())
+
+
+class TestSeriesPower:
+    @pytest.mark.parametrize("e", [0, 1, 2, 63, 64])
+    @pytest.mark.parametrize("N", [1, 16, 64])
+    def test_equals_repeated_series_multiply(self, e, N):
+        # multiplying by 1 is exact, so through f^2 both sides form the same
+        # products bit for bit; past it squaring reorders them, and the two
+        # agree to rounding
+        g = np.random.default_rng(N + e)
+        for f in (lft_power_series(random_self_map(g), N),
+                  lft_power_series(LinearFractionalMap(1, 0.95 * np.exp(0.4j),
+                                                       0.95 * np.exp(-0.4j), 1), N),
+                  lft_power_series(LinearFractionalMap(0.6 * np.exp(0.5j), 0, -0.3 + 0.2j, 1), N)):
+            want = np.eye(N, 1, dtype=complex).ravel()
+            for _ in range(e):
+                want = series_multiply(want, f, N)
+            got = series_power(f, e, N)
+            assert got.shape == (N,)
+            if e <= 2:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def cauchy_columns(first, f, N):

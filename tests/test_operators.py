@@ -92,7 +92,8 @@ class TestToeplitz:
         for k in range(6):
             assert np.allclose(np.diag(M, -k), 0.5 ** k)
 
-    @pytest.mark.parametrize("length,N", [(16, 16), (5, 16), (40, 16), (1, 1), (3, 1)])
+    @pytest.mark.parametrize("length,N", [(16, 16), (5, 16), (40, 16), (1, 1), (3, 1),
+                                          (2, 2), (3, 3), (17, 17), (42, 42), (100, 100)])
     def test_matches_column_loop(self, rng, length, N):
         symbol = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         loop = np.zeros((N, N), dtype=complex)
@@ -317,34 +318,37 @@ class TestBuildOnce:
     def test_verify_builds_each_operator_once(self, monkeypatch, case, conj):
         # each chain built once at the largest N = 128 and k = keep there, and
         # no N x N build and no truncated conjugation matrix.  JW_p builds the
-        # first k columns of T C and the first k rows of T.  J_mu builds T's
-        # first k columns, which give X and R's first k columns, and continues
-        # R on k rows from column k - 1 unless phi(0) = 0, when the rest of R
-        # is zero
-        sizes = []
+        # first k columns of T C and the first k columns of T on k rows.
+        # J_mu builds T's first k columns, which give X and R's first k
+        # columns.  Unless phi(0) = 0, when the rest of R is zero, one
+        # k-term power phi^k gives the rest of R, with no further chain
+        sizes, powers = [], []
         original = cnormal.operators.hardy.power_matrix
+        original_power = cnormal.operators.hardy.series_power
 
         def counted(first, f, N, cols=None):
             sizes.append((N, N if cols is None else cols))
             return original(first, f, N, cols)
 
+        def counted_power(f, e, N):
+            powers.append((len(f), e, N))
+            return original_power(f, e, N)
+
         def unreachable(*args):
             raise AssertionError("verify built a truncated conjugation matrix")
 
         monkeypatch.setattr(cnormal.operators.hardy, "power_matrix", counted)
+        monkeypatch.setattr(cnormal.operators.hardy, "series_power", counted_power)
         monkeypatch.setattr(cnormal.operators, "conjugation_operator", unreachable)
         monkeypatch.setattr(cnormal.operators, "jw_weighted_matrix", unreachable)
         for m in (GENERIC, FIXES_ORIGIN):
             sizes.clear()
+            powers.clear()
             r = verify(case, m, conj, truncations=(32, 64, 128))
             assert [n for n, _ in r.matrix_residuals] == [32, 64, 128]
             k = max(keep for _, keep in r.matrix_keep)
-            if isinstance(conj, JWp):
-                assert sizes == [(128, k), (k, 128)]
-            elif m is GENERIC:
-                assert sizes == [(128, k), (k, 128 - k + 1)]
-            else:
-                assert sizes == [(128, k)]
+            assert sizes == ([(128, k), (k, k)] if isinstance(conj, JWp) else [(128, k)])
+            assert powers == ([(k, k, k)] if m is GENERIC else [])
 
 
 class TestJMuBlocks:
@@ -352,19 +356,62 @@ class TestJMuBlocks:
                                    AUTOMORPHISM])
     @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
     def test_one_chain_gives_both_blocks(self, m, beta):
-        # R is the k-row chain of T[:k] bit for bit; X is T's first k columns
-        # times conj(mu)^i, the basis-image chain of T C to rounding
+        # R's first k columns are the k-row chain of T[:k] bit for bit, and
+        # its block products past them equal the chain to rounding; X is T's
+        # first k columns times conj(mu)^i, the basis-image chain of T C to
+        # rounding
         C = JMu(np.exp(0.9j))
         n = REF_ROWS
         k = stable_keep(n, m=m, C=C)
         X, R = kept_blocks(m, C, n, k, beta)
         first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
-        assert np.array_equal(R, power_matrix(first[:k], lft_power_series(m, k), k, cols=n))
+        chain = power_matrix(first[:k], lft_power_series(m, k), k, cols=n)
+        assert np.array_equal(R[:, :k], chain[:, :k])
+        assert np.abs(R[:, k:] - chain[:, k:]).max() <= 1e-13 * np.abs(chain).max()
         # C e_i = (conj(mu) z)^i, so column i of T C holds first (conj(mu) phi)^i
         h_phi = lft_power_series(LinearFractionalMap(np.conj(C.mu) * m.a, np.conj(C.mu) * m.b,
                                                      m.c, m.d), n)
         want = power_matrix(first, h_phi, n, cols=k)
         assert np.abs(X - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j)), JWp(0.3 - 0.5j)])
+    @pytest.mark.parametrize("m", [GENERIC, AUTOMORPHISM])
+    @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
+    @pytest.mark.parametrize("k", [4, 5, 17, 42])
+    def test_block_products_give_the_rows_of_t(self, conj, m, beta, k):
+        # past column k, each block of R is G = Toeplitz(phi^k) times the k
+        # columns before it; 128 is no multiple of 5, 17 or 42, so the last
+        # block is clipped.  R's first k columns are the k-row chain bit for
+        # bit, and all of R matches both the chain and T[:k, :128] of the
+        # deep reference truncation to rounding
+        n = REF_ROWS
+        _, R = kept_blocks(m, conj, n, k, beta)
+        first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
+        chain = power_matrix(first[:k], lft_power_series(m, k), k, cols=n)
+        assert R.shape == (k, n)
+        assert np.array_equal(R[:, :k], chain[:, :k])
+        for want in (chain, reference_rows(m, beta)[:k, :n]):
+            assert np.abs(R - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j)), JWp(0.3 - 0.5j)])
+    @pytest.mark.parametrize("beta", [None, 0.7 + 0.2j])
+    def test_r_past_column_k_takes_no_chain_step(self, monkeypatch, conj, beta):
+        # R's columns past k cost the 7 convolutions of phi^64 by squaring
+        # and no step of a chain: J_mu convolves only for T's first 64
+        # columns, JW_p also for the first 64 columns of T C and of T[:64]
+        lengths, convolve = [], np.convolve
+
+        def recording_convolve(a, v):
+            lengths.append((len(a), len(v)))
+            return convolve(a, v)
+
+        monkeypatch.setattr(np, "convolve", recording_convolve)
+        kept_blocks(GENERIC, conj, 128, 64, beta)
+        if isinstance(conj, JWp):   # first (w o phi), its chain, then T[:64]'s chain
+            chains = [(128, 128)] * 64 + [(64, 64)] * 63
+        else:
+            chains = [(128, 128)] * 63
+        assert lengths == chains + [(64, 64)] * 7
 
     @pytest.mark.parametrize("conj", [JMu(np.exp(0.9j)), JWp(0.3 - 0.5j)])
     @pytest.mark.parametrize("m", [FIXES_ORIGIN, LinearFractionalMap(0.6 * np.exp(0.4j), 0, 0, 1)])
