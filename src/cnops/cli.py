@@ -16,15 +16,17 @@ sweep     --conj jmu|jw|<spec> [--weighted] --samples/--seed plus
           exit 0 iff the predicate/oracle agreement rate is 100%, else 1.
 
 Each command returns its text and exit code to main, which alone maps errors
-to exit codes and writes output.  Every command exits 2 on bad input, with
-one "error: ..." line on stderr and nothing on stdout.  Bad input includes a
-map that is not a self-map of the disk, a beta for the weighted operator whose
-|beta|^2 is 0 or not finite (cnormal.check_instance), a --trunc size outside
-[8, 4096] (cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
+to exit codes and writes output.  Exit 1 means a contradiction only.  Every
+command exits 2 on bad input or an arithmetic failure (a ValueError or an
+ArithmeticError), with one "error: ..." line on stderr and nothing on
+stdout.  Bad input includes a map that is not a self-map of the disk, a beta
+for the weighted operator whose |beta|^2 is 0 or not finite
+(cnormal.check_instance), a --trunc size outside [8, 4096]
+(cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
 (cnormal.ring_grid) and an --out path that cannot be written, whether
-_check_writable rejects it before the run or the write itself fails.  The
-text ends in exactly one newline, and stdout gets the same bytes as the
---out file.
+_check_writable rejects it before the run or the write itself fails; a map
+whose coefficients exceed about 1.3e154 overflows.  The text ends in exactly
+one newline, and stdout gets the same bytes as the --out file.
 
 Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
 index order and written in that order, so identical configs produce
@@ -42,11 +44,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import cnormal
-from .cnormal import CSV_HEADER, CaseId, predicate_margin, verify
+from .cnormal import CSV_HEADER, STANDARD_TRUNCATIONS, CaseId, predicate_margin, verify
 from .conjugations import FAMILIES, Conjugation, JMu, JWp, parse_conjugation
-from .errors import CnopsError
 from .moebius import LinearFractionalMap, lft_is_self_map, parse_complex, parse_map
-from .operators import STANDARD_TRUNCATIONS
 
 FALSE_MARGIN = 1e-3
 
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
         if out:
             _check_writable(out)
         text, code = args.run(args)
-    except (ValueError, CnopsError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = text.rstrip("\n") + "\n"

@@ -44,6 +44,7 @@ VERDICT_TRUE_MAX = 1e-9       # a true verdict demands kernel residual below thi
 VERDICT_FALSE_MIN = 1e-7      # a false verdict demands kernel residual above this
 MATRIX_FLOOR = 1e-12          # matrix residuals may rise in N while below this
 MATRIX_FLOOR_RTOL = 4 * np.finfo(float).eps   # or this * sqrt(N) * keep (rounding)
+STANDARD_TRUNCATIONS = (32, 64, 128)   # the default truncation sizes
 MIN_TRUNCATION = 8            # smallest N whose N/2 holds stable_keep's floor of 4 rows
 MAX_TRUNCATION = 4096         # largest N; its kept blocks take at most 256 MB (320 MB
                               # while R is filled), and operators.kept_block_residual
@@ -101,7 +102,13 @@ def _sides(m: LinearFractionalMap, C: Conjugation, w, z, beta=None):
     and the circle, every side stays within 5e-13 relative of its exact value,
     where the product form 1 - conj(phi(x)) phi(y) is 4e-4 off for W and
     1.4e-5 for C_phi.
+    Every side is homogeneous of degree 0 in (a, b, c, d), so m is first
+    divided, exactly, by the power of two nearest m.scale: |ad - bc|^2 would
+    overflow above a scale of about 1e77 and underflow below about 1e-77.
     """
+    e = round(math.log2(m.scale))
+    if e:
+        m = m.rescaled(2.0 ** -e)
     a, b, c, d = m.coefficients()
     u_z, eta_z = conj_apply_kernel(C, z)
     u_w, eta_w = conj_apply_kernel(C, w)
@@ -329,7 +336,7 @@ def check_instance(case: CaseId, m: LinearFractionalMap, conj: Conjugation, beta
 
 def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
            beta: complex = 1.0, grid_n: int = GRID_N,
-           truncations=operators.STANDARD_TRUNCATIONS) -> VerificationReport:
+           truncations=STANDARD_TRUNCATIONS) -> VerificationReport:
     """Run predicate + kernel oracle + matrix oracle and gather the report.
 
     consistency_flag: a true verdict demands kernel residual < 1e-9 and

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotExpandableError
 from .moebius import LinearFractionalMap
 
 
@@ -27,9 +26,9 @@ def lft_power_series(m: LinearFractionalMap, N: int) -> np.ndarray:
     """
     a, b, c, d = m.coefficients()
     if abs(d) <= 1e-14 * m.scale:
-        raise NotExpandableError("pole at the origin: d = 0")
+        raise ValueError("pole at the origin: d = 0")
     if abs(d) <= abs(c):
-        raise NotExpandableError(f"pole -d/c = {-d / c} inside the closed disk")
+        raise ValueError(f"pole -d/c = {-d / c} inside the closed disk")
     p = np.zeros(N, dtype=complex)
     p[0] = b / d
     if N > 1:

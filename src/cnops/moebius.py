@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, PoleError
-
 DET_RTOL = 1e-14          # |ad - bc| <= DET_RTOL * scale^2 means degenerate
 SELF_MAP_TOL = 1e-12      # sup |phi| on the closed disk may exceed 1 by this
 
@@ -32,7 +30,7 @@ class LinearFractionalMap:
         for name in "abcd":
             object.__setattr__(self, name, complex(getattr(self, name)))
         if abs(self.det) <= DET_RTOL * self.scale ** 2:
-            raise DegenerateMapError(
+            raise ValueError(
                 f"ad - bc = {self.det:.3e} is numerically zero for {self}")
 
     @property
@@ -61,14 +59,14 @@ class LinearFractionalMap:
 
 
 def lft_eval(m: LinearFractionalMap, z):
-    """Evaluate phi(z); raises PoleError when c z + d vanishes numerically.
+    """Evaluate phi(z); raises ZeroDivisionError when c z + d vanishes numerically.
 
     Accepts scalars or numpy arrays of points.
     """
     z = np.asarray(z, dtype=complex)
     den = m.c * z + m.d
     if np.any(np.abs(den) <= 1e-14 * m.scale * np.maximum(1.0, np.abs(z))):
-        raise PoleError(f"evaluation at a pole of {m}")
+        raise ZeroDivisionError(f"evaluation at a pole of {m}")
     out = (m.a * z + m.b) / den
     return out if out.ndim else complex(out)
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import hardy
 from .conjugations import Conjugation, JMu, JWp, basis_image_series, jw_weighted_matrix
-from .errors import NotSelfMapError
 from .moebius import (
     LinearFractionalMap,
     boundary_derivative_sup,
@@ -20,8 +19,6 @@ from .moebius import (
     lft_is_self_map,
     sigma_at_zero,
 )
-
-STANDARD_TRUNCATIONS = (32, 64, 128)
 
 
 def composition_matrix(m: LinearFractionalMap, N: int) -> np.ndarray:
@@ -32,7 +29,7 @@ def composition_matrix(m: LinearFractionalMap, N: int) -> np.ndarray:
     builds the largest once and slices it.
     """
     if not lft_is_self_map(m):
-        raise NotSelfMapError(f"{m} is not a validated self-map")
+        raise ValueError(f"{m} is not a validated self-map")
     return hardy.power_matrix(np.eye(N, 1).ravel(), hardy.lft_power_series(m, N), N)
 
 

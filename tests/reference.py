@@ -29,7 +29,6 @@ from cnops.cnormal import (
     case_predicate,
 )
 from cnops.conjugations import Conjugation, JMu
-from cnops.errors import CnopsError, NotSelfMapError
 from cnops.hardy import kernel_series, lft_power_series, power_matrix
 from cnops.moebius import (
     LinearFractionalMap,
@@ -218,7 +217,7 @@ def proportional(m1: LinearFractionalMap, m2: LinearFractionalMap) -> bool:
 # paper-form predicates
 # --------------------------------------------------------------------------
 
-class HypothesisViolationError(CnopsError, ValueError):
+class HypothesisViolationError(ValueError):
     """Input violates a structural hypothesis (boundary fixed point, |b|=|c|, ...)."""
 
 
@@ -323,7 +322,7 @@ def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
     sigma fails the self-map test (its powers may then grow under truncation).
     """
     if not lft_is_self_map(m):
-        raise NotSelfMapError(f"{m} is not a validated self-map")
+        raise ValueError(f"{m} is not a validated self-map")
     sigma = adjoint_symbol(m)
     if not lft_is_self_map(sigma):
         warnings.warn(f"adjoint symbol {sigma} is not a self-map; "

@@ -245,9 +245,16 @@ def test_criterion_7c_hermitian_agreement():
     assert report("7c", ok, "Hermitian family predicates agree with generic ones")
 
 
+def _residuals_agree(r1: float, r2: float) -> bool:
+    """Equal to 1e-10 relative, or both at rounding level (<= 1e-13)."""
+    return abs(r1 - r2) <= 1e-10 * max(r1, r2) or max(r1, r2) <= 1e-13
+
+
 def test_criterion_8_scale_invariance():
     """Verdicts unchanged and kernel residuals equal to 1e-10 relative under
-    coefficient rescaling with 0.1 <= |t| <= 10."""
+    coefficient rescaling with 0.1 <= |t| <= 10, and verify's verdict,
+    consistency and kernel residual unchanged at |t| = 1e+-78, 1e+-100 and
+    1e+-150, each with a random phase."""
     rng = np.random.default_rng(SEED + 10)
     ok = True
     instances = [
@@ -269,10 +276,13 @@ def test_criterion_8_scale_invariance():
             t = rng.uniform(0.1, 10.0) * unimodular(rng)
             mt = m.rescaled(t)
             ok &= case_predicate(case, mt, conj) == base_verdict
-            res = kernel_residual(case, mt, conj, beta=beta)
-            # relative agreement; residuals at rounding level count as equal
-            ok &= (abs(res - base_res) <= 1e-10 * max(base_res, res)
-                   or max(base_res, res) <= 1e-13)
+            ok &= _residuals_agree(kernel_residual(case, mt, conj, beta=beta), base_res)
+    for case, m, conj, beta in instances:
+        base = verify(case, m, conj, beta=beta)
+        for size in (1e78, 1e100, 1e150, 1e-78, 1e-100, 1e-150):
+            rep = verify(case, m.rescaled(size * unimodular(rng)), conj, beta=beta)
+            ok &= (rep.verdict, rep.consistent) == (base.verdict, base.consistent)
+            ok &= _residuals_agree(rep.kernel_residual, base.kernel_residual)
     assert report("8", ok, "predicates and residuals are rescaling-invariant")
 
 

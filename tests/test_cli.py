@@ -15,11 +15,9 @@ import pytest
 import cnops
 from cnops import cli, cnormal, operators
 from cnops.cli import CSV_HEADER, main, run_sweep, sample_case
-from cnops.cnormal import CaseId
+from cnops.cnormal import STANDARD_TRUNCATIONS, CaseId
 from cnops.conjugations import JMu, JWp
-from cnops.errors import PoleError
 from cnops.moebius import LinearFractionalMap
-from cnops.operators import STANDARD_TRUNCATIONS
 
 
 def run_main(capsys, argv):
@@ -155,6 +153,22 @@ class TestVerify:
         assert row[2] == "true" and row[5] == "true"
         assert all(np.isfinite(float(x)) for x in row[3:5])
 
+    @pytest.mark.parametrize("coeffs", ["5e99,0,0,1e100", "5e-151,0,0,1e-150"])
+    def test_extreme_map_scale_is_not_a_contradiction(self, capsys, coeffs):
+        # phi(z) = z/2; |ad - bc|^2 once overflowed at the first scale and
+        # underflowed to 0 at the second
+        code, out, err = run_main(capsys, ["verify", "--map", coeffs, "--conj", "jmu:1i"])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] is True and report["consistent"] is True
+
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_map_whose_squared_scale_overflows_exits_2(self, capsys, command):
+        code, out, err = run_main(capsys, [
+            command, "--map", "1e200,0,0,2e200", "--conj", "jmu:1i"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_overflowing_residual_is_json_null(self, capsys):
         # at beta = 1.3e154 the residuals, reported times s^2, exceed the float
         # range; JSON has no Infinity, so they are written as null with a warning
@@ -250,9 +264,9 @@ COMPUTE_STEPS = {
 
 class TestMain:
     @pytest.mark.parametrize("command", list(COMPUTE_STEPS))
-    @pytest.mark.parametrize("error,code", [(PoleError, 2)])
+    @pytest.mark.parametrize("error,code", [(ZeroDivisionError, 2), (OverflowError, 2)])
     def test_one_exit_code_map(self, capsys, monkeypatch, command, error, code):
-        # PoleError is a CnopsError but not a ValueError
+        # arithmetic failures, which are not ValueErrors, exit 2 as bad input does
         module, name, argv = COMPUTE_STEPS[command]
 
         def boom(*args, **kwargs):

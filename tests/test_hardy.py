@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import random_self_map
 from cnops.conjugations import JWp
-from cnops.errors import NotExpandableError
 from cnops.hardy import (
     kernel_series,
     lft_power_series,
@@ -58,11 +57,11 @@ class TestPowerSeries:
         assert p[2] == pytest.approx(-0.25 * p[1])
 
     def test_pole_at_origin_rejected(self):
-        with pytest.raises(NotExpandableError):
+        with pytest.raises(ValueError, match="pole at the origin"):
             lft_power_series(LinearFractionalMap(0, 1, 1, 0), 8)
 
     def test_pole_in_disk_rejected(self):
-        with pytest.raises(NotExpandableError):
+        with pytest.raises(ValueError, match="inside the closed disk"):
             lft_power_series(LinearFractionalMap(1, 0, 2, 1), 8)
 
     def test_subnormal_c_gives_the_affine_series(self):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnops.errors import DegenerateMapError, PoleError
 from cnops.moebius import (
     SELF_MAP_TOL,
     LinearFractionalMap,
@@ -43,7 +42,7 @@ class TestEval:
 
     def test_pole_raises(self):
         m = LinearFractionalMap(1, 0, 1, -0.5)
-        with pytest.raises(PoleError):
+        with pytest.raises(ZeroDivisionError, match="pole"):
             lft_eval(m, 0.5)
 
     def test_vectorized(self):
@@ -54,7 +53,7 @@ class TestEval:
 
 class TestConstruction:
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateMapError):
+        with pytest.raises(ValueError, match="numerically zero"):
             LinearFractionalMap(1, 2, 2, 4)
 
 
@@ -118,7 +117,7 @@ coefficients = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_self_map_closed_form_matches_dense_boundary_random(a, b, c, d):
     try:
         m = LinearFractionalMap(a, b, c, d)
-    except DegenerateMapError:
+    except ValueError:
         assume(False)
     assume(abs(abs(m.d) - abs(m.c)) > 1e-6 * m.scale)   # keep the boundary values finite
     assert lft_is_self_map(m) is reference_is_self_map(m)

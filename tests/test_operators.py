@@ -7,7 +7,6 @@ from conftest import random_self_map
 from cnops import cnormal
 from cnops.cnormal import CaseId, verify
 from cnops.conjugations import JMu, JWp, basis_image_series, jw_weighted_matrix
-from cnops.errors import NotSelfMapError
 from cnops.hardy import kernel_series, lft_power_series, power_matrix
 from cnops.moebius import LinearFractionalMap
 from cnops.operators import (
@@ -75,7 +74,7 @@ class TestCompositionMatrix:
         assert np.array_equal(big[:24, :24][:, :24], small)
 
     def test_rejects_non_self_map(self):
-        with pytest.raises(NotSelfMapError):
+        with pytest.raises(ValueError, match="not a validated self-map"):
             composition_matrix(LinearFractionalMap(2, 0, 0, 1), 8)
 
 
