@@ -24,9 +24,10 @@ for the weighted operator whose |beta|^2 is 0 or not finite
 (cnormal.check_instance), a --trunc size outside [8, 4096]
 (cnormal.MIN_TRUNCATION, MAX_TRUNCATION), a --grid outside [8, 512]
 (cnormal.ring_grid) and an --out path that cannot be written, whether
-_check_writable rejects it before the run or the write itself fails; a map
-whose coefficients exceed about 1.3e154 overflows.  The text ends in exactly
-one newline, and stdout gets the same bytes as the --out file.
+_check_writable rejects it before the run or the write itself fails.  A map
+is taken up to scale (moebius), so verify's params.map holds the stored
+coefficients.  The text ends in exactly one newline, and stdout gets the
+same bytes as the --out file.
 
 Samples are drawn per-index from SeedSequence(seed).spawn, evaluated in
 index order and written in that order, so identical configs produce

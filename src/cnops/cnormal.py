@@ -102,13 +102,10 @@ def _sides(m: LinearFractionalMap, C: Conjugation, w, z, beta=None):
     and the circle, every side stays within 5e-13 relative of its exact value,
     where the product form 1 - conj(phi(x)) phi(y) is 4e-4 off for W and
     1.4e-5 for C_phi.
-    Every side is homogeneous of degree 0 in (a, b, c, d), so m is first
-    divided, exactly, by the power of two nearest m.scale: |ad - bc|^2 would
-    overflow above a scale of about 1e77 and underflow below about 1e-77.
+    Every side is homogeneous of degree 0 in (a, b, c, d), and a map is stored
+    with scale near 1 (LinearFractionalMap), so |ad - bc|^2 neither overflows
+    nor underflows.
     """
-    e = round(math.log2(m.scale))
-    if e:
-        m = m.rescaled(2.0 ** -e)
     a, b, c, d = m.coefficients()
     u_z, eta_z = conj_apply_kernel(C, z)
     u_w, eta_w = conj_apply_kernel(C, w)
@@ -340,9 +337,10 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     """Run predicate + kernel oracle + matrix oracle and gather the report.
 
     consistency_flag: a true verdict demands kernel residual < 1e-9 and
-    matrix residuals non-increasing in N above a rounding floor of
-    max(1e-12, 4 eps sqrt(N) keep) at each N; a false verdict demands kernel
-    residual > 1e-7.  Both residuals of a weighted case are |beta|^2 times
+    matrix residuals on the block every truncation shares, the smallest keep
+    k0 sliced at each N from the same X and R, non-increasing in N above a
+    rounding floor of max(1e-12, 4 eps sqrt(N) k0); a false verdict demands
+    kernel residual > 1e-7.  Both residuals of a weighted case are |beta|^2 times
     those at beta / |beta|, so those cases run both oracles at beta / s, s the
     power of two nearest |beta|, test them against the thresholds times
     |beta / s|^2 and report them times s^2.
@@ -377,14 +375,18 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     k_res = kernel_residual(case, m, conj, beta=beta_s, grid_n=grid_n)
 
     sizes = [(N, operators.stable_keep(N, m=m, C=conj)) for N in truncations]
+    # a true verdict's growth test reads the block every N shares, the smallest keep
+    k0 = min(keep for _, keep in sizes)
+    common = [(N, k0) for N in truncations] if verdict else []
     residuals = operators.kept_block_residuals(
-        m, conj, sizes, beta=beta_s if case.weighted else None)
-    floors = [unit * max(MATRIX_FLOOR, MATRIX_FLOOR_RTOL * np.sqrt(N) * keep)
-              for N, keep in sizes]
+        m, conj, sizes + common, beta=beta_s if case.weighted else None)
+    residuals, common_residuals = residuals[:len(sizes)], residuals[len(sizes):]
 
     if verdict:
+        floors = [unit * max(MATRIX_FLOOR, MATRIX_FLOOR_RTOL * np.sqrt(N) * k0)
+                  for N in truncations]
         consistent = (k_res < VERDICT_TRUE_MAX * unit and
-                      _matrix_residuals_non_increasing(residuals, floors))
+                      _matrix_residuals_non_increasing(common_residuals, floors))
     else:
         consistent = k_res > VERDICT_FALSE_MIN * unit
 

@@ -1,13 +1,15 @@
 """Linear fractional self-maps of the unit disk.
 
-A map phi(z) = (a z + b)/(c z + d) is stored un-normalized; two coefficient
-quadruples describe the same map iff they are proportional.  Every predicate
-downstream is invariant under that rescaling, so no normalization is imposed
-here.
+A map phi(z) = (a z + b)/(c z + d) is given by its coefficients up to a common
+factor, and everything downstream is homogeneous of degree 0 in them.  So the
+constructor divides the four, exactly, by the power of two nearest their
+largest modulus: a stored map has scale in [2^-1/2, 2^1/2), and no product or
+square of coefficients overflows or underflows, whatever the input's scale.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -19,7 +21,8 @@ SELF_MAP_TOL = 1e-12      # sup |phi| on the closed disk may exceed 1 by this
 
 @dataclass(frozen=True)
 class LinearFractionalMap:
-    """phi(z) = (a z + b)/(c z + d) with ad - bc != 0."""
+    """phi(z) = (a z + b)/(c z + d) with ad - bc != 0, stored divided by the
+    power of two nearest max(|a|, |b|, |c|, |d|) when that is finite and not 0."""
 
     a: complex
     b: complex
@@ -27,8 +30,12 @@ class LinearFractionalMap:
     d: complex
 
     def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        coefficients = [complex(getattr(self, name)) for name in "abcd"]
+        mantissa, e = math.frexp(max(map(abs, coefficients)))   # mantissa in [0.5, 1)
+        e -= mantissa < math.sqrt(0.5)                          # 2^e is the nearest power
+        for name, x in zip("abcd", coefficients):
+            object.__setattr__(self, name,
+                               complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)))
         if abs(self.det) <= DET_RTOL * self.scale ** 2:
             raise ValueError(
                 f"ad - bc = {self.det:.3e} is numerically zero for {self}")
@@ -41,34 +48,11 @@ class LinearFractionalMap:
     def scale(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
-    def __call__(self, z):
-        return lft_eval(self, z)
-
     def __str__(self):
         return f"({self.a}*z + {self.b}) / ({self.c}*z + {self.d})"
 
-    def rescaled(self, t: complex) -> "LinearFractionalMap":
-        t = complex(t)
-        return LinearFractionalMap(t * self.a, t * self.b, t * self.c, t * self.d)
-
-    def inverse(self) -> "LinearFractionalMap":
-        return LinearFractionalMap(self.d, -self.b, -self.c, self.a)
-
     def coefficients(self):
         return self.a, self.b, self.c, self.d
-
-
-def lft_eval(m: LinearFractionalMap, z):
-    """Evaluate phi(z); raises ZeroDivisionError when c z + d vanishes numerically.
-
-    Accepts scalars or numpy arrays of points.
-    """
-    z = np.asarray(z, dtype=complex)
-    den = m.c * z + m.d
-    if np.any(np.abs(den) <= 1e-14 * m.scale * np.maximum(1.0, np.abs(z))):
-        raise ZeroDivisionError(f"evaluation at a pole of {m}")
-    out = (m.a * z + m.b) / den
-    return out if out.ndim else complex(out)
 
 
 def image_disk(m: LinearFractionalMap):

@@ -74,12 +74,14 @@ def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     return np.conj(jw_weighted_matrix(C, N))
 
 
+def _kept_block_defect(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    return X.T @ np.conj(X) - R @ R.conj().T
+
+
 def kept_block_residual(X: np.ndarray, R: np.ndarray) -> float:
     """Frobenius norm of X^T conj(X) - R R*: the kept block of C T*T C - T T*
     for X = T M[:, :keep] and R = T[:keep] (cnormal_residual_matrix)."""
-    lhs = X.T @ np.conj(X)
-    rhs = R @ R.conj().T
-    return float(np.linalg.norm(lhs - rhs))
+    return float(np.linalg.norm(_kept_block_defect(X, R)))
 
 
 def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
@@ -157,7 +159,9 @@ def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
                          beta: complex | None = None) -> list:
     """The kept residual of C T*T C - T T* for each (N, keep) in sizes:
     kept_block_residual(X[:N, :keep], R[:keep, :N]) with X and R the
-    kept_blocks, built once at the largest N and keep.
+    kept_blocks, built once at the largest N and keep.  At each N the defect
+    X^T conj(X) - R R* is formed once, at its largest keep; a smaller keep
+    reads its leading block, the defect of the leading columns of X.
 
     R = T[:keep, :N], as in cnormal_residual_matrix of the truncations, to
     rounding past column keep (kept_blocks).  X[:N] is the exact leading
@@ -172,8 +176,10 @@ def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
     n = max(N for N, _ in sizes)
     k = max(keep for _, keep in sizes)
     X, R = kept_blocks(m, C, n, k, beta)
-    return [kept_block_residual(X[:N, :keep], R[:keep, :keep if m.b == 0 else N])
-            for N, keep in sizes]
+    widest = {N: keep for N, keep in sorted(sizes)}     # the largest keep at each N
+    defects = {N: _kept_block_defect(X[:N, :keep], R[:keep, :keep if m.b == 0 else N])
+               for N, keep in widest.items()}
+    return [float(np.linalg.norm(defects[N][:keep, :keep])) for N, keep in sizes]
 
 
 def stable_keep(N: int, m: LinearFractionalMap | None = None,

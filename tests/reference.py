@@ -13,7 +13,12 @@ the two:
     boundary fixed point (with the fixed points of a linear fractional map
     they need) and unitary weighted composition operators;
   * the truncated references: Cowen's adjoint formula as a matrix, and the
-    coefficient action of a conjugation with its axiom residuals.
+    coefficient action of a conjugation with its axiom residuals;
+  * the map operations that cnops never needs: evaluation, inverse and
+    rescaling of a linear fractional map;
+  * the kept block of C T*T C - T T* as a difference of two Gram matrices,
+    by quadrature on the circle with no truncation (quadrature_grams), the
+    matrix oracle that needs no N.
 """
 
 import warnings
@@ -34,7 +39,6 @@ from cnops.moebius import (
     LinearFractionalMap,
     adjoint_symbol,
     lft_compose,
-    lft_eval,
     lft_is_self_map,
 )
 from cnops.operators import conjugation_operator
@@ -143,6 +147,34 @@ def quadruple_sides(m, beta: complex, C, w, z):
 
 
 # --------------------------------------------------------------------------
+# evaluation, inverse and rescaling of a linear fractional map
+# --------------------------------------------------------------------------
+
+def lft_eval(m: LinearFractionalMap, z):
+    """Evaluate phi(z); raises ZeroDivisionError when c z + d vanishes numerically.
+
+    Accepts scalars or numpy arrays of points.
+    """
+    z = np.asarray(z, dtype=complex)
+    den = m.c * z + m.d
+    if np.any(np.abs(den) <= 1e-14 * m.scale * np.maximum(1.0, np.abs(z))):
+        raise ZeroDivisionError(f"evaluation at a pole of {m}")
+    out = (m.a * z + m.b) / den
+    return out if out.ndim else complex(out)
+
+
+def lft_inverse(m: LinearFractionalMap) -> LinearFractionalMap:
+    return LinearFractionalMap(m.d, -m.b, -m.c, m.a)
+
+
+def rescaled(m: LinearFractionalMap, t: complex) -> LinearFractionalMap:
+    """The map of coefficients t (a, b, c, d): the same map, which the
+    constructor stores divided by a power of two."""
+    t = complex(t)
+    return LinearFractionalMap(t * m.a, t * m.b, t * m.c, t * m.d)
+
+
+# --------------------------------------------------------------------------
 # fixed points of a linear fractional map
 # --------------------------------------------------------------------------
 
@@ -229,7 +261,7 @@ def is_disk_automorphism(m: LinearFractionalMap) -> bool:
     off = max(abs(comp.b), abs(comp.c), abs(comp.a - comp.d))
     if off > WEIGHTED_TOL * s2:
         return False
-    return lft_is_self_map(m) and lft_is_self_map(m.inverse())
+    return lft_is_self_map(m) and lft_is_self_map(lft_inverse(m))
 
 
 def predicate_unitary_wco(m: LinearFractionalMap, gamma: complex, q: complex) -> bool:
@@ -373,3 +405,54 @@ def conj_axiom_residuals(C: Conjugation, N: int, sample_count: int,
         cy = conj_apply_series(C, y, N)
         antiunitary = max(antiunitary, abs(np.vdot(cy, cx) - np.vdot(x, y)))
     return involution, antiunitary
+
+
+# --------------------------------------------------------------------------
+# the kept block by quadrature on the circle
+# --------------------------------------------------------------------------
+
+def quadrature_grams(m: LinearFractionalMap, C: Conjugation, k: int, M: int,
+                     beta: complex | None = None) -> tuple:
+    """The two Gram matrices whose difference is the leading k x k block of
+    C T*T C - T T*, for T = C_phi or, with beta, W = T_psi C_phi with
+    psi = beta K_{sigma(0)}, as means over the M-th roots of unity.
+
+    Entry (i, j) of the block is <u_i, u_j> - <v_j, v_i>, u_i = T C e_i and
+    v_i = T* e_i; the first matrix holds <u_i, u_j>, the second <v_j, v_i>.
+    u_i = g (C e_i) o phi with g = 1 or psi, and C e_i = conj(mu)^i z^i (J_mu)
+    or w h^i (JW_p, basis_image_series).  Cowen's formula gives
+    v_i = G (conj(d) sigma^i + conj(c) sigma^(i-1)) with
+    G = 1/(conj(d) - conj(b) z) for C_phi, and W* = T_g C_sigma with
+    g = conj(beta) K_{b/d} gives v_i = g sigma^i for W.  Every u_i and v_i is
+    rational with its poles off the closed disk, so the mean of f conj(g)
+    over the roots is <f, g> up to aliasing that falls geometrically in M.
+    """
+    a, b, c, d = m.coefficients()
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    powers = np.arange(k)
+    phi = (a * z + b) / (c * z + d)
+    g = np.ones(M) if beta is None else beta * d / (c * z + d)
+    if isinstance(C, JMu):
+        U = g[:, None] * (np.conj(C.mu) * phi)[:, None] ** powers
+    else:
+        p = C.p
+        w = np.sqrt(1.0 - abs(p) ** 2) / (1.0 - p * phi)
+        h = np.conj(C.lam) * (np.conj(p) - phi) / (1.0 - p * phi)
+        U = (g * w)[:, None] * h[:, None] ** powers
+    sa, sb, sc, sd = adjoint_symbol(m).coefficients()
+    S = ((sa * z + sb) / (sc * z + sd))[:, None] ** powers
+    if beta is None:
+        V = np.conj(d) * S
+        V[:, 1:] += np.conj(c) * S[:, :-1]
+        V /= (np.conj(d) - np.conj(b) * z)[:, None]
+    else:
+        V = (np.conj(beta) / (1.0 - np.conj(b / d) * z))[:, None] * S
+    return U.T @ np.conj(U) / M, np.conj(V).T @ V / M
+
+
+def quadrature_residual(m: LinearFractionalMap, C: Conjugation, k: int = 16,
+                        M: int = 1024, beta: complex | None = None) -> float:
+    """Frobenius norm of the leading k x k block of C T*T C - T T*
+    (quadrature_grams), with no truncation of T."""
+    left, right = quadrature_grams(m, C, k, M, beta)
+    return float(np.linalg.norm(left - right))

@@ -29,11 +29,13 @@ from cnops.operators import composition_matrix
 from reference import (
     adjoint_via_cowen,
     conj_axiom_residuals,
+    lft_eval,
     predicate_hermitian_jmu,
     predicate_hermitian_jw,
     predicate_normal_bdyfix,
     predicate_normal_bdyfix_jw_dsq_variant,
     predicate_unitary_wco,
+    rescaled,
     weighted_jw_quadruples,
 )
 
@@ -111,7 +113,7 @@ def test_criterion_4_comp_jw():
     count = 0
     while count < 200:
         m = random_self_map(rng)
-        if abs(m(0.0)) < 0.05:
+        if abs(lft_eval(m, 0.0)) < 0.05:
             continue
         count += 1
         p = rng.uniform(0.1, 0.6) * unimodular(rng)
@@ -253,8 +255,8 @@ def _residuals_agree(r1: float, r2: float) -> bool:
 def test_criterion_8_scale_invariance():
     """Verdicts unchanged and kernel residuals equal to 1e-10 relative under
     coefficient rescaling with 0.1 <= |t| <= 10, and verify's verdict,
-    consistency and kernel residual unchanged at |t| = 1e+-78, 1e+-100 and
-    1e+-150, each with a random phase."""
+    consistency and kernel residual unchanged at |t| = 1e+-78, 1e+-100,
+    1e+-150, 1e+-200 and 1e+-300, each with a random phase."""
     rng = np.random.default_rng(SEED + 10)
     ok = True
     instances = [
@@ -274,15 +276,17 @@ def test_criterion_8_scale_invariance():
         base_res = kernel_residual(case, m, conj, beta=beta)
         for _ in range(8):
             t = rng.uniform(0.1, 10.0) * unimodular(rng)
-            mt = m.rescaled(t)
+            mt = rescaled(m, t)
             ok &= case_predicate(case, mt, conj) == base_verdict
             ok &= _residuals_agree(kernel_residual(case, mt, conj, beta=beta), base_res)
-    for case, m, conj, beta in instances:
-        base = verify(case, m, conj, beta=beta)
-        for size in (1e78, 1e100, 1e150, 1e-78, 1e-100, 1e-150):
-            rep = verify(case, m.rescaled(size * unimodular(rng)), conj, beta=beta)
-            ok &= (rep.verdict, rep.consistent) == (base.verdict, base.consistent)
-            ok &= _residuals_agree(rep.kernel_residual, base.kernel_residual)
+    for sizes in ((1e78, 1e100, 1e150, 1e-78, 1e-100, 1e-150),
+                  (1e200, 1e300, 1e-200, 1e-300)):
+        for case, m, conj, beta in instances:
+            base = verify(case, m, conj, beta=beta)
+            for size in sizes:
+                rep = verify(case, rescaled(m, size * unimodular(rng)), conj, beta=beta)
+                ok &= (rep.verdict, rep.consistent) == (base.verdict, base.consistent)
+                ok &= _residuals_agree(rep.kernel_residual, base.kernel_residual)
     assert report("8", ok, "predicates and residuals are rescaling-invariant")
 
 

@@ -18,6 +18,7 @@ from cnops.cli import CSV_HEADER, main, run_sweep, sample_case
 from cnops.cnormal import STANDARD_TRUNCATIONS, CaseId
 from cnops.conjugations import JMu, JWp
 from cnops.moebius import LinearFractionalMap
+from reference import rescaled
 
 
 def run_main(capsys, argv):
@@ -163,11 +164,42 @@ class TestVerify:
         assert report["verdict"] is True and report["consistent"] is True
 
     @pytest.mark.parametrize("command", ["verify", "classify"])
-    def test_map_whose_squared_scale_overflows_exits_2(self, capsys, command):
+    def test_map_whose_squared_scale_overflows_is_valid(self, capsys, command):
+        # phi(z) = z/2; the constructor's scale ** 2 once overflowed (exit 2)
         code, out, err = run_main(capsys, [
             command, "--map", "1e200,0,0,2e200", "--conj", "jmu:1i"])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] is True
+        assert command == "classify" or report["consistent"] is True
+
+    def test_rescaled_true_draw_is_no_contradiction(self):
+        # at a scale of 1e-160 the squared coefficients are subnormal: the
+        # margin once read 4.9e-4, a false verdict and an inconsistent report
+        m, conj, beta = sample_case(CaseId.WEIGHTED_JMU, np.random.default_rng([11, 4]), 4)
+        report = cnormal.verify(CaseId.WEIGHTED_JMU, rescaled(m, 1e-160), conj, beta)
+        assert report.verdict is True and report.consistent is True
+
+    def test_kept_block_that_grows_with_n_is_no_contradiction(self, capsys):
+        # seed-42 weighted_jmu draw 46, a true real-symmetric automorphism: at
+        # N = 16, 32 its kept block grows from 4 to 9 rows and the residual
+        # from 1.03e-4 to 1.16e-4; on the 4 rows both share it falls to 1.8e-13
+        code, out, err = run_main(capsys, [
+            "verify", "--map", "1,-0.39049142547478044+0.2702811794631007i,"
+            "-0.39049142547478044-0.2702811794631007i,1",
+            "--conj", "jmu:-0.30048661680630945-0.9537860310993751i", "--weighted",
+            "--trunc", "16,32"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] is True and report["consistent"] is True
+        assert report["matrix_keep"] == [[16, 4], [32, 9]]
+
+    def test_params_map_echoes_the_stored_coefficients(self, capsys):
+        # the map is stored divided by the power of two nearest its scale, 4
+        code, out, _ = run_main(capsys, ["verify", "--map", "2,0,0,4", "--conj", "jmu:1i"])
+        assert code == 0
+        assert json.loads(out)["params"]["map"] == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                                    [1.0, 0.0]]
 
     def test_overflowing_residual_is_json_null(self, capsys):
         # at beta = 1.3e154 the residuals, reported times s^2, exceed the float
@@ -542,8 +574,6 @@ UNREACHED = {
     # go with that metric
     "cnormal.eval_sides_weighted_jmu",
     "cnormal.eval_sides_weighted_jw",
-    # LinearFractionalMap.__call__, which nothing in the package calls
-    "moebius.lft_eval",
 }
 
 

@@ -29,7 +29,6 @@ from cnops.hardy import kernel_series
 from cnops.moebius import (
     LinearFractionalMap,
     adjoint_symbol,
-    lft_eval,
     lft_is_self_map,
     sigma_at_zero,
 )
@@ -37,12 +36,14 @@ from cnops.operators import composition_matrix, conjugation_operator
 from reference import (
     HypothesisViolationError,
     is_disk_automorphism,
+    lft_eval,
     predicate_hermitian_jmu,
     predicate_hermitian_jw,
     predicate_normal_bdyfix,
     predicate_normal_bdyfix_jw_dsq_variant,
     predicate_unitary_wco,
     quadruple_sides,
+    rescaled,
     weighted_jmu_quadruples,
     weighted_jw_equations,
     weighted_jw_quadruples,
@@ -620,7 +621,7 @@ class TestKernelResidual:
         m = GENERIC
         for t in (0.1, 3.7, 2j, -0.4 + 0.2j):
             r0 = kernel_residual(CaseId.WEIGHTED_JMU, m, JMu(1.0))
-            r1 = kernel_residual(CaseId.WEIGHTED_JMU, m.rescaled(t), JMu(1.0))
+            r1 = kernel_residual(CaseId.WEIGHTED_JMU, rescaled(m, t), JMu(1.0))
             assert r1 == pytest.approx(r0, rel=1e-10)
 
 
@@ -739,7 +740,8 @@ class TestPredicates:
 def test_weighted_jmu_linear_defect_bounds_the_modulus_gap(seed, mu_angle, log_t, t_angle):
     # predicate_margin's proof that lin = 0 forces |b| = |c| on a self-map:
     # |X|^2 - |Y|^2 = (|a|^2 - |d|^2)(|c|^2 - |b|^2) and ||X| - |Y|| <= |lin|
-    m = random_self_map(np.random.default_rng(seed)).rescaled(10.0 ** log_t * np.exp(1j * t_angle))
+    m = rescaled(random_self_map(np.random.default_rng(seed)),
+                 10.0 ** log_t * np.exp(1j * t_angle))
     mu = np.exp(1j * mu_angle)
     a, b, c, d = m.coefficients()
     s = m.scale
@@ -760,7 +762,8 @@ def test_weighted_jw_e2_puts_p_on_the_line_of_k(seed, p_radius, p_angle, t, log_
     # predicate_margin's proof that e2 = 0 forces e1 = 0: Im e2 = Im(K conj(p))
     # for every p, so a root of e2 lies on the line p = t K / |K|, and there
     # A e1 + K e2 = 0
-    m = random_self_map(np.random.default_rng(seed)).rescaled(10.0 ** log_t * np.exp(1j * t_angle))
+    m = rescaled(random_self_map(np.random.default_rng(seed)),
+                 10.0 ** log_t * np.exp(1j * t_angle))
     A, _, _, _, K = weighted_jw_terms(m)
     s = m.scale
     p = p_radius * np.exp(1j * p_angle)

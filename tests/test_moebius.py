@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,13 +12,12 @@ from cnops.moebius import (
     boundary_derivative_sup,
     image_disk,
     lft_compose,
-    lft_eval,
     lft_is_self_map,
     parse_complex,
     parse_map,
     sigma_at_zero,
 )
-from reference import lft_fixed_points, proportional
+from reference import lft_eval, lft_fixed_points, proportional, rescaled
 
 IDENTITY = LinearFractionalMap(1, 0, 0, 1)
 HALF = LinearFractionalMap(1, 0, 0, 2)
@@ -55,6 +56,18 @@ class TestConstruction:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="numerically zero"):
             LinearFractionalMap(1, 2, 2, 4)
+
+    @pytest.mark.parametrize("t", [1.0, 1.4, 1.5, 0.7, 0.75, 4.0, 3e-160j, 1e-300, 1e300])
+    def test_stored_divided_by_the_nearest_power_of_two(self, t):
+        m = LinearFractionalMap(t, 0, 0, t / 2)
+        ratio = m.a / t
+        assert ratio.imag == 0 and math.frexp(ratio.real)[0] == 0.5
+        assert 2 ** -0.5 <= m.scale < 2 ** 0.5 and m.d == m.a / 2
+
+    @pytest.mark.parametrize("coeffs", [(0, 0, 0, 0), (float("inf"), 0, 0, 1)])
+    def test_zero_or_infinite_scale_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="numerically zero"):
+            LinearFractionalMap(*coeffs)
 
 
 class TestSelfMap:
@@ -104,9 +117,9 @@ def reference_is_self_map(m) -> bool:
 def disk_image_map(centre, radius, gamma, q, t):
     """t-rescaled quadruple of centre + radius * gamma (q - z)/(1 - conj(q) z),
     whose image of the disk is the disk of that centre and radius."""
-    return LinearFractionalMap(-centre * np.conj(q) - radius * gamma,
-                               centre + radius * gamma * q,
-                               -np.conj(q), 1.0).rescaled(t)
+    return rescaled(LinearFractionalMap(-centre * np.conj(q) - radius * gamma,
+                                        centre + radius * gamma * q,
+                                        -np.conj(q), 1.0), t)
 
 
 coefficients = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -225,7 +238,7 @@ class TestAdjointSymbol:
 @settings(max_examples=100, deadline=None)
 def test_eval_scale_invariance(t, theta, r):
     z = r * np.exp(1j * theta)
-    assert abs(lft_eval(GENERIC.rescaled(t), z) - lft_eval(GENERIC, z)) <= 1e-12
+    assert abs(lft_eval(rescaled(GENERIC, t), z) - lft_eval(GENERIC, z)) <= 1e-12
 
 
 def test_boundary_derivative_sup_dilation():

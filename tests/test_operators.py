@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_self_map
-from cnops import cnormal
+from cnops import cli, cnormal
 from cnops.cnormal import CaseId, verify
 from cnops.conjugations import JMu, JWp, basis_image_series, jw_weighted_matrix
 from cnops.hardy import kernel_series, lft_power_series, power_matrix
@@ -21,7 +21,7 @@ from cnops.operators import (
     stable_keep,
     weighted_composition_matrix,
 )
-from reference import adjoint_via_cowen
+from reference import adjoint_via_cowen, quadrature_grams, quadrature_residual
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
 AUTOMORPHISM = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)
@@ -458,3 +458,63 @@ class TestStableKeep:
     def test_automorphism_reduces_block(self):
         m = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)
         assert stable_keep(128, m=m) < 64
+
+
+class TestQuadratureReference:
+    """The kept block of C T*T C - T T* as <u_i, u_j> - <v_j, v_i> by
+    quadrature on the circle (reference.quadrature_grams), the matrix
+    oracle that needs no truncation."""
+
+    @staticmethod
+    def draws(seed, samples):
+        """The sweep's draws: sample_case on SeedSequence(seed).spawn, index i."""
+        for case in CaseId:
+            for i, seq in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+                yield (case, *cli.sample_case(case, np.random.default_rng(seq), i))
+
+    @staticmethod
+    def n128_draws():
+        """The verify_n128 inputs of seeds 3 and 7 (bench/workloads.py)."""
+        for seed in (3, 7):
+            for i in range(48):
+                for index, case in enumerate(CaseId):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, index, i]))
+                    yield (case, *cli.sample_case(case, rng, i))
+
+    def test_grams_match_the_kept_blocks(self):
+        # 16 draws per case; X and R of kept_blocks are exact on their rows,
+        # and at N = 2048 their tails are below rounding
+        for case, m, conj, beta in self.draws(77, 16):
+            beta = beta if case.weighted else None
+            X, R = kept_blocks(m, conj, 2048, 16, beta)
+            left, right = quadrature_grams(m, conj, 16, 1024, beta)
+            for got, want in ((left, X.T @ np.conj(X)), (right, R @ R.conj().T)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_decides_every_sampled_input_as_the_predicate_does(self):
+        # 4 x 200 seed-42 sweep draws and the 384 verify_n128 inputs, every
+        # beta unimodular: true inputs read at most 2e-14 and false ones at
+        # least 0.05
+        for case, m, conj, beta in [*self.draws(42, 200), *self.n128_draws()]:
+            residual = quadrature_residual(m, conj, M=1024,
+                                           beta=beta if case.weighted else None)
+            if cnormal.case_predicate(case, m, conj):
+                assert residual <= 1e-12, (case, m, conj)
+            else:
+                assert residual >= 1e-2, (case, m, conj)
+
+    def test_near_inner_true_instance(self):
+        # verify reads residuals 13.1, 11.0 and 0.91 on its kept blocks at
+        # N = 32, 64, 128; quadrature needs M = 4096 (2.0e-5 at M = 1024)
+        m = LinearFractionalMap(1, 0.95 * np.exp(0.4j), 0.95 * np.exp(-0.4j), 1)
+        assert cnormal.case_predicate(CaseId.WEIGHTED_JMU, m, JMu(1.0))
+        assert quadrature_residual(m, JMu(1.0), M=4096, beta=1.0) <= 1e-12
+
+    def test_kept_block_growth_witness_is_true(self):
+        # seed-42 weighted_jmu draw 46, consistent at --trunc 16,32 only on
+        # the block both truncations share
+        m = LinearFractionalMap(1, -0.39049142547478044 + 0.2702811794631007j,
+                                -0.39049142547478044 - 0.2702811794631007j, 1)
+        conj = JMu(-0.30048661680630945 - 0.9537860310993751j)
+        assert cnormal.case_predicate(CaseId.WEIGHTED_JMU, m, conj)
+        assert quadrature_residual(m, conj, M=1024, beta=1.0) <= 1e-12
