@@ -84,28 +84,29 @@ def _general_self_map(rng) -> LinearFractionalMap:
 
 
 def _hermitian_map(rng, need_solvable_p=False):
-    """Self-maps of the Hermitian family: (a1-a0^2, a0, -conj(a0), 1), a1 real.
+    """(m, a0, p) for a self-map phi(z) = a0 + a1 z/(1 - conj(a0) z) of the
+    Hermitian family, (a, b, c, d) = (a, a0, -conj(a0), 1) with a1 real and
+    a = a1 - |a0|^2.
 
-    With need_solvable_p the parameters are real and chosen so the JW
-    condition has a root p (cnormal.hermitian_jw_solved_p) in (0.02, 0.98).
+    With need_solvable_p, a0 is real and p = 2 a0/(1 - a) is the real root
+    of the weighted_jw equation e2 = 0 on the family,
+    (a^2 - 1) p^2 = -(a + 1) 2 a0 p, kept in (0.02, 0.98); here a <= 0.5, so
+    1 - a >= 0.5 and p > 0.  Otherwise p is None.
     """
     while True:
         if need_solvable_p:
             a0 = rng.uniform(0.05, 0.45)
         else:
             a0 = _disk_point(rng, 0.05, 0.5)
-        a1 = rng.uniform(-0.4, 0.5)
-        m = cnormal.hermitian_family(a0, a1)
+        a = rng.uniform(-0.4, 0.5) - abs(a0) ** 2
+        m = LinearFractionalMap(a, a0, -np.conj(a0), 1.0)
         if not lft_is_self_map(m):
             continue
         if not need_solvable_p:
-            return m, a0, a1, None
-        try:
-            p = cnormal.hermitian_jw_solved_p(a0, a1)
-        except ValueError:
-            continue
+            return m, a0, None
+        p = 2.0 * a0 / (1.0 - a)
         if 0.02 < p < 0.98:
-            return m, a0, a1, p
+            return m, a0, p
 
 
 def _real_symmetric_map(rng) -> LinearFractionalMap:
@@ -156,7 +157,7 @@ def _sample_weighted_jmu(rng, index: int):
     if kind == 2:
         return _automorphism(rng), JMu(_unimodular(rng)), beta
     if kind == 4:
-        m, a0, a1, _ = _hermitian_map(rng)
+        m, a0, _ = _hermitian_map(rng)
         mu = a0 / np.conj(a0) if abs(a0) > 0 else 1.0
         return m, JMu(mu), beta
     return _real_symmetric_map(rng), JMu(_unimodular(rng)), beta
@@ -177,7 +178,7 @@ def _sample_weighted_jw(rng, index: int):
         # automorphism symbol: keep |p| modest so the compounded mass
         # transport still leaves a stable matrix block
         return _real_symmetric_map(rng), JWp(_disk_point(rng, 0.1, 0.4)), beta
-    m, _, _, p = _hermitian_map(rng, need_solvable_p=True)
+    m, _, p = _hermitian_map(rng, need_solvable_p=True)
     return m, JWp(p), beta
 
 

@@ -47,8 +47,8 @@ MATRIX_FLOOR_RTOL = 4 * np.finfo(float).eps   # or this * sqrt(N) * keep (roundi
 STANDARD_TRUNCATIONS = (32, 64, 128)   # the default truncation sizes
 MIN_TRUNCATION = 8            # smallest N whose N/2 holds stable_keep's floor of 4 rows
 MAX_TRUNCATION = 4096         # largest N; its kept blocks take at most 256 MB (320 MB
-                              # while R is filled), and operators.kept_block_residual
-                              # peaks near 512 MB
+                              # while R is filled), and the kept-block defect of
+                              # operators.kept_block_residuals peaks near 512 MB
 
 
 class CaseId(str, Enum):
@@ -189,7 +189,9 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
     margin is invariant under rescaling (a, b, c, d).  The composition cases
     hold or fail for every conjugation parameter at once and ignore conj.
     Each weighted case is one equation; the paper's other equality follows
-    from it on a self-map.
+    from it on a self-map.  weighted_jw's equation e2 carries a factor of p,
+    so its margin is |e2| / (|p| s^2): it tends to weighted_jmu's at
+    mu = -lam as p -> 0, where |e2| / s^2 would read true for every map.
     """
     a, b, c, d = m.coefficients()
     s = m.scale
@@ -219,52 +221,17 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
     # |K|^2 + 2 Re(Y K) + A Delta = 0 (an identity) gives A Delta = 0, so
     # Delta = 0 as above and e1 = 0.  K != 0 with A = 0 does not occur on a
     # self-map: there b conj(d) = a conj(c) and |a| = |d| give K = 0.
+    # Read e2 / |p| with u = p / |p|, so that a tiny p loses no digits.
     p = conj.p
-    e2 = (abs(a) ** 2 - abs(d) ** 2) * abs(p) ** 2 - (X * np.conj(p) - Y * p)
-    return float(abs(e2) / s ** 2)
+    u = p / abs(p)
+    e2_over_p = (abs(a) ** 2 - abs(d) ** 2) * abs(p) - (X * np.conj(u) - Y * u)
+    return float(abs(e2_over_p) / s ** 2)
 
 
 def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation | None) -> bool:
     """The case holds iff its margin is within EXACT_TOL (composition cases)
     or WEIGHTED_TOL (weighted cases)."""
     return predicate_margin(case, m, conj) <= (WEIGHTED_TOL if case.weighted else EXACT_TOL)
-
-
-def _hermitian_params(a0: complex, a1: float):
-    """(a0, a1) as (complex, float); ValueError unless a0 lies in the open
-    disk and a1 is real."""
-    a0 = complex(a0)
-    if abs(a0) >= 1.0:
-        raise ValueError("a0 must lie in the open disk")
-    if abs(complex(a1).imag) > 0.0:
-        raise ValueError(f"a1 must be real, got {a1}")
-    return a0, float(np.real(a1))
-
-
-def hermitian_family(a0: complex, a1: float) -> LinearFractionalMap:
-    """Map phi(z) = a0 + a1 z/(1 - conj(a0) z) of the Hermitian family.
-
-    Normalized coefficients: (a, b, c, d) = (a1 - |a0|^2, a0, -conj(a0), 1).
-    a1 must be real; a0 must lie in the open disk.
-    """
-    a0, a1 = _hermitian_params(a0, a1)
-    return LinearFractionalMap(a1 - abs(a0) ** 2, a0, -np.conj(a0), 1.0)
-
-
-def hermitian_jw_solved_p(a0: float, a1: float) -> float:
-    """The positive real p solving the Hermitian JW condition, when one exists.
-
-    For real a0 the condition reads (a^2 - 1) p^2 = -(a + 1) 2 a0 p with
-    a = a1 - a0^2, giving p = 2 a0 / (1 - a).
-    """
-    a0, a1 = float(a0), float(a1)
-    a = a1 - a0 ** 2
-    if abs(1.0 - a) < 1e-14:
-        raise ValueError("condition degenerates at a = 1")
-    p = 2.0 * a0 / (1.0 - a)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"solved p = {p} is not in (0, 1)")
-    return p
 
 
 # --------------------------------------------------------------------------

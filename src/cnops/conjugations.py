@@ -7,14 +7,13 @@ antilinear action.
 JW_p is plain coefficient conjugation composed with the weighted composition
 operator of weight xi_p(z) = sqrt(1-|p|^2)/(1 - conj(p) z) and automorphism
 tau_p(z) = lambda (p - z)/(1 - conj(p) z), lambda = conj(p)/p.  It is an
-involution exactly because lambda p = conj(p).  Its coefficient action
-through the truncated operator matrix (operators.conjugation_operator) carries
-truncation error; the kernel action below is closed-form and exact.
-
-JW_p is also given by its basis images C e_i = w h^i (basis_image_series),
-which the matrix oracle reads: for T = T_psi C_phi, column i of the matrix of
-T C holds the coefficients of T (C e_i) = psi (w o phi)(h o phi)^i, exactly
-and with no truncated factor.  J_mu needs none: it is diagonal.
+involution exactly because lambda p = conj(p).  Its kernel action below is
+closed-form and exact.  Its coefficient action is given by its basis images
+C e_i = w h^i with w = conj(xi_p) and h = conj(tau_p), the conjugates taken
+coefficientwise (basis_image_series): for T = T_psi C_phi, column i of the
+matrix of T C holds the coefficients of T (C e_i) = psi (w o phi)(h o phi)^i,
+exactly and with no truncated factor, and at the identity map these columns
+form the matrix of C (jw_weighted_matrix).  J_mu needs none: it is diagonal.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from . import hardy
-from .moebius import LinearFractionalMap, lft_compose
+from .moebius import LinearFractionalMap
 
 UNIMODULAR_TOL = 1e-14
 
@@ -58,15 +57,6 @@ class JWp:
         """The unique unimodular solution of lambda p = conj(p)."""
         return np.conj(self.p) / self.p
 
-    def tau(self) -> LinearFractionalMap:
-        """tau_p(z) = lam (p - z)/(1 - conj(p) z), a disk automorphism."""
-        lam = self.lam
-        return LinearFractionalMap(-lam, lam * self.p, -np.conj(self.p), 1.0)
-
-    def xi_series(self, N: int) -> np.ndarray:
-        """Coefficients of xi_p = sqrt(1-|p|^2) K_p (unit-norm kernel at p)."""
-        return np.sqrt(1.0 - abs(self.p) ** 2) * hardy.kernel_series(self.p, N)
-
 
 Conjugation = Union[JMu, JWp]
 
@@ -98,29 +88,33 @@ def basis_image_series(C: JWp, m: LinearFractionalMap, N: int):
     So (C e_i) o phi = (w o phi)(h o phi)^i, and at the identity map
     hardy.power_matrix of the two series is the matrix of C.  Here
     w = sqrt(1-|p|^2)/(1 - p z) and h = conj(lam) (conj(p) - z)/(1 - p z),
-    that is xi_p and tau_p with conjugated coefficients;
-    w o phi = sqrt(1-|p|^2) (c z + d)/(e z + f) with e = c - p a and
-    f = d - p b, expanded here directly because its determinant p (ad - bc)
-    vanishes as p -> 0 while the series does not.
+    xi_p and tau_p with conjugated coefficients.  Both images share the
+    series g = 1/(e z + f), e = c - p a and f = d - p b:
+    w o phi = sqrt(1-|p|^2) (c z + d) g and
+    h o phi = conj(lam) ((conj(p) c - a) z + (conj(p) d - b)) g,
+    each read off g directly, because the determinant p (ad - bc) of
+    w o phi vanishes as p -> 0 while its series does not.  For a self-map,
+    e z + f = (c z + d)(1 - p phi(z)) has no zero on the closed disk, so
+    |e| < |f| and g converges there.
     """
     a, b, c, d = m.coefficients()
-    e, f = c - C.p * a, d - C.p * b
+    p = C.p
+    e, f = c - p * a, d - p * b
     g = (-e / f) ** np.arange(N) / f          # 1/(e z + f)
     w = d * g
     w[1:] += c * g[:-1]
-    w *= np.sqrt(1.0 - abs(C.p) ** 2)
-    h = LinearFractionalMap(*np.conj(C.tau().coefficients()))
-    return w, hardy.lft_power_series(lft_compose(h, m), N)
+    w *= np.sqrt(1.0 - abs(p) ** 2)
+    h = (np.conj(p) * d - b) * g
+    h[1:] += (np.conj(p) * c - a) * g[:-1]
+    return w, np.conj(C.lam) * h
 
 
 def jw_weighted_matrix(C: JWp, N: int) -> np.ndarray:
-    """Truncated matrix of W_{xi_p, tau_p}: column j holds coeffs of xi_p tau_p^j.
-
-    Built cumulatively (column j = column j-1 convolved with tau_p), which
-    equals the lower-triangular-Toeplitz(xi) times composition(tau) product
-    entrywise on the block.
-    """
-    return hardy.power_matrix(C.xi_series(N), hardy.lft_power_series(C.tau(), N), N)
+    """Truncated matrix of W_{xi_p, tau_p}: column j holds the coefficients of
+    xi_p tau_p^j, the conjugate of column j of C's matrix, whose columns are
+    the basis images w h^j (basis_image_series at the identity map)."""
+    identity = LinearFractionalMap(1.0, 0.0, 0.0, 1.0)
+    return np.conj(hardy.power_matrix(*basis_image_series(C, identity, N), N))
 
 
 def parse_conjugation(text: str) -> Conjugation:

@@ -86,15 +86,6 @@ def sigma_at_zero(m: LinearFractionalMap) -> complex:
     return -np.conj(m.c) / np.conj(m.d)
 
 
-def lft_compose(m1: LinearFractionalMap, m2: LinearFractionalMap) -> LinearFractionalMap:
-    """Coefficient-matrix product: (m1 o m2)(z) = m1(m2(z))."""
-    a = m1.a * m2.a + m1.b * m2.c
-    b = m1.a * m2.b + m1.b * m2.d
-    c = m1.c * m2.a + m1.d * m2.c
-    d = m1.c * m2.b + m1.d * m2.d
-    return LinearFractionalMap(a, b, c, d)   # constructor rejects degenerate products
-
-
 def boundary_derivative_sup(m: LinearFractionalMap) -> float:
     """sup over the unit circle of |phi'| = |ad - bc| / |c z + d|^2, which is
     |ad - bc| / (|d| - |c|)^2 (infinite when |d| <= |c|)."""

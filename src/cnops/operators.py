@@ -66,8 +66,11 @@ def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     """Truncated matrix M of a conjugation spec, which acts as x -> M conj(x).
 
     JMu: M = diag(conj(mu)^n), an exact representation.
-    JWp: M = conj(W) with W the truncated matrix of W_{xi_p, tau_p}
-    (the action x -> conj(W x) rewritten as x -> M conj(x)).
+    JWp: column i holds the basis image C e_i = w h^i (basis_image_series),
+    M = conj(W) for W = jw_weighted_matrix, the truncated matrix of
+    W_{xi_p, tau_p} (the action x -> conj(W x) rewritten as x -> M conj(x)).
+    Every entry is exact, but M is not triangular, so products of its
+    truncations carry truncation error.
     """
     if isinstance(C, JMu):
         return np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)
@@ -78,12 +81,6 @@ def _kept_block_defect(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     return X.T @ np.conj(X) - R @ R.conj().T
 
 
-def kept_block_residual(X: np.ndarray, R: np.ndarray) -> float:
-    """Frobenius norm of X^T conj(X) - R R*: the kept block of C T*T C - T T*
-    for X = T M[:, :keep] and R = T[:keep] (cnormal_residual_matrix)."""
-    return float(np.linalg.norm(_kept_block_defect(X, R)))
-
-
 def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
                             keep: int | None = None) -> float:
     """Frobenius norm of (C T* T C - T T*) on the leading keep x keep block.
@@ -91,9 +88,9 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
     C is the conjugation x -> M conj(x) (see conjugation_operator), so the
     composition C T* T C linearizes to M conj(T* T) conj(M) =
     (M T^T)(conj(T) conj(M)).  M is symmetric (<Cx, y> = <Cy, x>), so with
-    X = T M[:, :keep] the kept block is X^T conj(X) - R R*, R = T[:keep]
-    (kept_block_residual), at a cost of O(keep N^2) rather than four N x N
-    products; of M it reads only the first keep columns.
+    X = T M[:, :keep] the kept block is X^T conj(X) - R R*, R = T[:keep],
+    at a cost of O(keep N^2) rather than four N x N products; of M it reads
+    only the first keep columns.
     Default keep is N/2; truncation corrupts trailing rows of the products,
     and for inner-type symbols or JW conjugations the corruption reaches
     further in (see stable_keep).
@@ -105,7 +102,7 @@ def cnormal_residual_matrix(T: np.ndarray, M: np.ndarray,
     keep = N // 2 if keep is None else keep
     if not 1 <= keep <= N // 2:
         raise ValueError(f"keep must be in [1, N/2] = [1, {N // 2}]")
-    return kept_block_residual(T @ M[:, :keep], T[:keep])
+    return float(np.linalg.norm(_kept_block_defect(T @ M[:, :keep], T[:keep])))
 
 
 def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
@@ -157,11 +154,11 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
 
 def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
                          beta: complex | None = None) -> list:
-    """The kept residual of C T*T C - T T* for each (N, keep) in sizes:
-    kept_block_residual(X[:N, :keep], R[:keep, :N]) with X and R the
-    kept_blocks, built once at the largest N and keep.  At each N the defect
-    X^T conj(X) - R R* is formed once, at its largest keep; a smaller keep
-    reads its leading block, the defect of the leading columns of X.
+    """The kept residual of C T*T C - T T* for each (N, keep) in sizes: the
+    Frobenius norm of X^T conj(X) - R R* for X[:N, :keep] and R[:keep, :N],
+    X and R the kept_blocks, built once at the largest N and keep.  At each
+    N the defect is formed once, at its largest keep; a smaller keep reads
+    its leading block, the defect of the leading columns of X.
 
     R = T[:keep, :N], as in cnormal_residual_matrix of the truncations, to
     rounding past column keep (kept_blocks).  X[:N] is the exact leading

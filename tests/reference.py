@@ -12,10 +12,14 @@ the two:
   * the paper-form predicates: the Hermitian family, normal maps with a
     boundary fixed point (with the fixed points of a linear fractional map
     they need) and unitary weighted composition operators;
-  * the truncated references: Cowen's adjoint formula as a matrix, and the
-    coefficient action of a conjugation with its axiom residuals;
-  * the map operations that cnops never needs: evaluation, inverse and
-    rescaling of a linear fractional map;
+  * the truncated references: Cowen's adjoint formula as a matrix, JW_p's
+    matrix from xi_p and tau_p, the kept-block residual of two blocks, and
+    the coefficient action of a conjugation with its axiom residuals;
+  * the map operations that cnops never needs: evaluation, inverse,
+    rescaling and composition of a linear fractional map, and the
+    Hermitian family with its real JW_p root;
+  * the reduction of weighted_jw to weighted_jmu by the change of variables
+    that turns JW_p's reflection into J_mu's (reflect_to_jmu);
   * the kept block of C T*T C - T T* as a difference of two Gram matrices,
     by quadrature on the circle with no truncation (quadrature_grams), the
     matrix oracle that needs no N.
@@ -26,21 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cnops.cnormal import (
-    EXACT_TOL,
-    WEIGHTED_TOL,
-    CaseId,
-    _hermitian_params,
-    case_predicate,
-)
-from cnops.conjugations import Conjugation, JMu
+from cnops.cnormal import EXACT_TOL, WEIGHTED_TOL, CaseId, case_predicate
+from cnops.conjugations import Conjugation, JMu, JWp
 from cnops.hardy import kernel_series, lft_power_series, power_matrix
-from cnops.moebius import (
-    LinearFractionalMap,
-    adjoint_symbol,
-    lft_compose,
-    lft_is_self_map,
-)
+from cnops.moebius import LinearFractionalMap, adjoint_symbol, lft_is_self_map
 from cnops.operators import conjugation_operator
 
 BOUNDARY_FP_TOL = 1e-10   # ||z| - 1| below this classifies a fixed point as boundary
@@ -172,6 +165,76 @@ def rescaled(m: LinearFractionalMap, t: complex) -> LinearFractionalMap:
     constructor stores divided by a power of two."""
     t = complex(t)
     return LinearFractionalMap(t * m.a, t * m.b, t * m.c, t * m.d)
+
+
+def lft_compose(m1: LinearFractionalMap, m2: LinearFractionalMap) -> LinearFractionalMap:
+    """Coefficient-matrix product: (m1 o m2)(z) = m1(m2(z))."""
+    a = m1.a * m2.a + m1.b * m2.c
+    b = m1.a * m2.b + m1.b * m2.d
+    c = m1.c * m2.a + m1.d * m2.c
+    d = m1.c * m2.b + m1.d * m2.d
+    return LinearFractionalMap(a, b, c, d)   # constructor rejects degenerate products
+
+
+# --------------------------------------------------------------------------
+# the Hermitian family
+# --------------------------------------------------------------------------
+
+def _hermitian_params(a0: complex, a1: float):
+    """(a0, a1) as (complex, float); ValueError unless a0 lies in the open
+    disk and a1 is real."""
+    a0 = complex(a0)
+    if abs(a0) >= 1.0:
+        raise ValueError("a0 must lie in the open disk")
+    if abs(complex(a1).imag) > 0.0:
+        raise ValueError(f"a1 must be real, got {a1}")
+    return a0, float(np.real(a1))
+
+
+def hermitian_family(a0: complex, a1: float) -> LinearFractionalMap:
+    """Map phi(z) = a0 + a1 z/(1 - conj(a0) z) of the Hermitian family.
+
+    Normalized coefficients: (a, b, c, d) = (a1 - |a0|^2, a0, -conj(a0), 1).
+    a1 must be real; a0 must lie in the open disk.
+    """
+    a0, a1 = _hermitian_params(a0, a1)
+    return LinearFractionalMap(a1 - abs(a0) ** 2, a0, -np.conj(a0), 1.0)
+
+
+def hermitian_jw_solved_p(a0: float, a1: float) -> float:
+    """The positive real p solving the Hermitian JW condition, when one exists.
+
+    For real a0 the condition reads (a^2 - 1) p^2 = -(a + 1) 2 a0 p with
+    a = a1 - a0^2, giving p = 2 a0 / (1 - a).
+    """
+    a0, a1 = float(a0), float(a1)
+    a = a1 - a0 ** 2
+    if abs(1.0 - a) < 1e-14:
+        raise ValueError("condition degenerates at a = 1")
+    p = 2.0 * a0 / (1.0 - a)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"solved p = {p} is not in (0, 1)")
+    return p
+
+
+# --------------------------------------------------------------------------
+# JW_p as J_mu after a change of variables
+# --------------------------------------------------------------------------
+
+def reflect_to_jmu(m: LinearFractionalMap, p: complex):
+    """(phi', mu) with weighted_jw(phi, p) iff weighted_jmu(phi', mu).
+
+    JW_p's point map eta is the reflection in the hyperbolic geodesic that
+    bisects 0 and conj(p); its point nearest 0 is
+    x = conj(p) (1 - sqrt(1 - |p|^2)) / |p|^2 = conj(p) / (1 + sqrt(1 - |p|^2)).
+    With alpha(z) = (z + x)/(1 + conj(x) z), alpha^-1 o eta o alpha is
+    z -> mu conj(z), mu = -lam = -conj(p)/p, so phi' = alpha^-1 o phi o alpha.
+    """
+    p = complex(p)
+    x = np.conj(p) / (1.0 + np.sqrt(1.0 - abs(p) ** 2))
+    alpha = LinearFractionalMap(1.0, x, np.conj(x), 1.0)
+    alpha_inverse = LinearFractionalMap(1.0, -x, -np.conj(x), 1.0)
+    return lft_compose(alpha_inverse, lft_compose(m, alpha)), -JWp(p).lam
 
 
 # --------------------------------------------------------------------------
@@ -365,6 +428,29 @@ def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
     A = np.conj(d) * P
     A[:, 1:] += np.conj(c) * P[:, :-1]
     return A
+
+
+def jw_tau(C: JWp) -> LinearFractionalMap:
+    """tau_p(z) = lam (p - z)/(1 - conj(p) z), a disk automorphism."""
+    lam = C.lam
+    return LinearFractionalMap(-lam, lam * C.p, -np.conj(C.p), 1.0)
+
+
+def jw_xi_series(C: JWp, N: int) -> np.ndarray:
+    """Coefficients of xi_p = sqrt(1-|p|^2) K_p (unit-norm kernel at p)."""
+    return np.sqrt(1.0 - abs(C.p) ** 2) * kernel_series(C.p, N)
+
+
+def jw_xi_tau_matrix(C: JWp, N: int) -> np.ndarray:
+    """Truncated matrix of W_{xi_p, tau_p} from xi_p and tau_p: column j holds
+    the coefficients of xi_p tau_p^j (cnops builds it from C's basis images)."""
+    return power_matrix(jw_xi_series(C, N), lft_power_series(jw_tau(C), N), N)
+
+
+def kept_block_residual(X: np.ndarray, R: np.ndarray) -> float:
+    """Frobenius norm of X^T conj(X) - R R*: the kept block of C T*T C - T T*
+    for X = T M[:, :keep] and R = T[:keep] (operators.cnormal_residual_matrix)."""
+    return float(np.linalg.norm(X.T @ np.conj(X) - R @ R.conj().T))
 
 
 def conj_apply_series(C: Conjugation, f: np.ndarray, N: int) -> np.ndarray:

@@ -18,8 +18,6 @@ from cnops.cli import run_sweep
 from cnops.cnormal import (
     CaseId,
     case_predicate,
-    hermitian_family,
-    hermitian_jw_solved_p,
     kernel_residual,
     verify,
 )
@@ -29,6 +27,8 @@ from cnops.operators import composition_matrix
 from reference import (
     adjoint_via_cowen,
     conj_axiom_residuals,
+    hermitian_family,
+    hermitian_jw_solved_p,
     lft_eval,
     predicate_hermitian_jmu,
     predicate_hermitian_jw,

@@ -201,6 +201,16 @@ class TestVerify:
         assert json.loads(out)["params"]["map"] == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0],
                                                     [1.0, 0.0]]
 
+    def test_weighted_jw_margin_does_not_vanish_with_p(self, capsys):
+        # e2 carries a factor of p: |e2| / s^2 read 1.5e-13 here, a true
+        # verdict that the kernel residual 0.505 contradicted (exit 1)
+        code, out, err = run_main(capsys, [
+            "verify", "--map", "0.5,0.2,0.1,1", "--conj", "jw:1e-12", "--weighted"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] is False and report["consistent"] is True
+        assert report["margin"] == pytest.approx(0.15, rel=1e-9)
+
     def test_overflowing_residual_is_json_null(self, capsys):
         # at beta = 1.3e154 the residuals, reported times s^2, exceed the float
         # range; JSON has no Infinity, so they are written as null with a warning
@@ -515,7 +525,7 @@ SWEEP_48_SEED_42 = {
     CaseId.COMP_JMU: "95dc3eacda5c0c4504754043ac3f99fc68df486cfea6f798b08626d2ad6adb43",
     CaseId.COMP_JW: "e3f094ee2eca341e2bed0b0c0433a411a28017a4788eef665abad212fd0224b7",
     CaseId.WEIGHTED_JMU: "4fbe98b4ba5f8e9b7a089b6d83943565aa8abda66b415ec956fa29475d702177",
-    CaseId.WEIGHTED_JW: "741f27119867b278198ac94fd080a4b9e1380221078bc4763acc60ef89ca9020",
+    CaseId.WEIGHTED_JW: "e6bbda0740dc3626a80d1eb761f766d71b48b079fd0365f4d36a2bfb99e1f373",
 }
 
 

@@ -18,8 +18,6 @@ from cnops.cnormal import (
     check_instance,
     eval_sides_weighted_jmu,
     eval_sides_weighted_jw,
-    hermitian_family,
-    hermitian_jw_solved_p,
     kernel_residual,
     ring_grid,
     verify,
@@ -35,6 +33,8 @@ from cnops.moebius import (
 from cnops.operators import composition_matrix, conjugation_operator
 from reference import (
     HypothesisViolationError,
+    hermitian_family,
+    hermitian_jw_solved_p,
     is_disk_automorphism,
     lft_eval,
     predicate_hermitian_jmu,
@@ -43,6 +43,7 @@ from reference import (
     predicate_normal_bdyfix_jw_dsq_variant,
     predicate_unitary_wco,
     quadruple_sides,
+    reflect_to_jmu,
     rescaled,
     weighted_jmu_quadruples,
     weighted_jw_equations,
@@ -479,9 +480,9 @@ class TestWeightedJwQuadruples:
         # and the C, D differences are conjugate-linked to the same conditions
         assert abs(dD + np.conj(e1) / np.conj(p)) <= 1e-13 * s2
         assert abs(np.conj(p) * dC + np.conj(e2)) <= 1e-13 * s2
-        # the margin is e2 alone
+        # the margin is e2 alone, divided by |p|
         assert abs(cnormal.predicate_margin(CaseId.WEIGHTED_JW, m, JWp(p))
-                   - abs(e2) / s2) <= 1e-13
+                   - abs(e2) / (abs(p) * s2)) <= 1e-13
 
 
 @pytest.mark.parametrize("case", [CaseId.WEIGHTED_JMU, CaseId.WEIGHTED_JW])
@@ -866,6 +867,56 @@ def test_generic_weighted_jw_holds_at_its_one_p(seed):
         r = verify(CaseId.WEIGHTED_JW, m, conj)
         assert r.verdict and r.consistent
         assert r.kernel_residual <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_p=st.floats(-300.0, -1.0),
+       p_angle=st.floats(0.0, 2 * np.pi), log_t=st.floats(-3.0, 3.0),
+       t_angle=st.floats(0.0, 2 * np.pi))
+def test_weighted_jw_margin_tends_to_weighted_jmus_as_p_vanishes(seed, log_p, p_angle,
+                                                                 log_t, t_angle):
+    # J_mu is JW_p's limit at p = 0, with mu = -lam: |e2| / |p| and |lin|
+    # differ by at most |A| |p| <= s^2 |p|, whatever the map's scale
+    m = rescaled(random_self_map(np.random.default_rng(seed)),
+                 10.0 ** log_t * np.exp(1j * t_angle))
+    conj = JWp(10.0 ** log_p * np.exp(1j * p_angle))
+    jw = cnormal.predicate_margin(CaseId.WEIGHTED_JW, m, conj)
+    jmu = cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m, JMu(-conj.lam))
+    assert abs(jw - jmu) <= abs(conj.p) + 1e-13
+
+
+class TestReflectionToJmu:
+    """weighted_jw(phi, p) holds iff weighted_jmu(phi', -lam) does, where
+    phi' = alpha^-1 o phi o alpha carries JW_p's reflection to J_mu's
+    (reference.reflect_to_jmu).  verify decides the reduced instance with
+    all three routes, none of which reads e2."""
+
+    def test_sampler_draws(self):
+        # 100 weighted_jw draws, half of them true
+        for i in range(100):
+            m, conj, beta = sample_case(CaseId.WEIGHTED_JW, np.random.default_rng([5, i]), i)
+            reduced, mu = reflect_to_jmu(m, conj.p)
+            verdict = case_predicate(CaseId.WEIGHTED_JW, m, conj)
+            assert case_predicate(CaseId.WEIGHTED_JMU, reduced, JMu(mu)) == verdict
+            r = verify(CaseId.WEIGHTED_JMU, reduced, JMu(mu), beta)
+            assert r.verdict == verdict and r.consistent, (i, m, conj)
+
+    def test_generic_maps_at_their_one_p(self):
+        # p* = Delta / conj(K) is the one p at which a map with |b| != |c| is
+        # JW_p-normal (test_generic_weighted_jw_holds_at_its_one_p); turned
+        # by 0.3 rad it is not.  None of these reduced maps is one the
+        # weighted_jmu sampler draws
+        g = np.random.default_rng(np.random.SeedSequence([33, 0]))
+        for _ in range(40):
+            m = random_self_map(g)
+            _, delta, _, _, K = weighted_jw_terms(m)
+            p_star = delta / np.conj(K)
+            for p, verdict in ((p_star, True), (p_star * np.exp(0.3j), False)):
+                reduced, mu = reflect_to_jmu(m, p)
+                assert case_predicate(CaseId.WEIGHTED_JW, m, JWp(p)) == verdict
+                assert case_predicate(CaseId.WEIGHTED_JMU, reduced, JMu(mu)) == verdict
+                r = verify(CaseId.WEIGHTED_JMU, reduced, JMu(mu))
+                assert r.verdict == verdict and r.consistent, (m, p)
 
 
 def _weighted_jmu_margin(m, mu):

@@ -10,7 +10,7 @@ from cnops.conjugations import (
 )
 from cnops.hardy import kernel_series
 from cnops.operators import analytic_toeplitz_matrix, composition_matrix
-from reference import conj_apply_series, conj_axiom_residuals
+from reference import conj_apply_series, conj_axiom_residuals, jw_tau, jw_xi_series
 
 
 class TestSpecs:
@@ -143,7 +143,7 @@ class TestMatrixForm:
         C = JWp(0.35 + 0.3j)
         N = 48
         M = jw_weighted_matrix(C, N)
-        M2 = analytic_toeplitz_matrix(C.xi_series(N), N) @ composition_matrix(C.tau(), N)
+        M2 = analytic_toeplitz_matrix(jw_xi_series(C, N), N) @ composition_matrix(jw_tau(C), N)
         assert np.abs(M - M2).max() <= 1e-13
 
 

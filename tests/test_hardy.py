@@ -13,7 +13,7 @@ from cnops.hardy import (
     series_power,
 )
 from cnops.moebius import LinearFractionalMap
-from reference import lft_eval
+from reference import jw_tau, jw_xi_series, lft_eval
 
 disk_points = st.builds(
     lambda r, t: r * np.exp(1j * t),
@@ -213,7 +213,7 @@ class TestPowerMatrix:
             first, f = np.eye(N, 1).ravel(), lft_power_series(m, N)
             assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
             C = JWp(g.uniform(0.1, 0.9) * np.exp(2j * np.pi * g.uniform()))
-            first, f = C.xi_series(N), lft_power_series(C.tau(), N)
+            first, f = jw_xi_series(C, N), lft_power_series(jw_tau(C), N)
             assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
         first, f = np.eye(N, 1).ravel(), lft_power_series(AFFINE, N)
         assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
@@ -242,7 +242,7 @@ class TestPowerMatrix:
         g = np.random.default_rng(N + 1)
         C = JWp(0.7 * np.exp(0.4j))
         inputs = [(np.eye(N, 1).ravel(), lft_power_series(random_self_map(g), N)),
-                  (C.xi_series(N), lft_power_series(C.tau(), N)),
+                  (jw_xi_series(C, N), lft_power_series(jw_tau(C), N)),
                   (g.standard_normal(N) + 1j * g.standard_normal(N),
                    g.standard_normal(N) + 1j * g.standard_normal(N)),
                   (g.standard_normal(N) + 1j * g.standard_normal(N),

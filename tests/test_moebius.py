@@ -11,13 +11,12 @@ from cnops.moebius import (
     adjoint_symbol,
     boundary_derivative_sup,
     image_disk,
-    lft_compose,
     lft_is_self_map,
     parse_complex,
     parse_map,
     sigma_at_zero,
 )
-from reference import lft_eval, lft_fixed_points, proportional, rescaled
+from reference import lft_compose, lft_eval, lft_fixed_points, proportional, rescaled
 
 IDENTITY = LinearFractionalMap(1, 0, 0, 1)
 HALF = LinearFractionalMap(1, 0, 0, 2)

@@ -8,20 +8,25 @@ from cnops import cli, cnormal
 from cnops.cnormal import CaseId, verify
 from cnops.conjugations import JMu, JWp, basis_image_series, jw_weighted_matrix
 from cnops.hardy import kernel_series, lft_power_series, power_matrix
-from cnops.moebius import LinearFractionalMap
+from cnops.moebius import LinearFractionalMap, adjoint_symbol
 from cnops.operators import (
     analytic_toeplitz_matrix,
     canonical_weight_series,
     cnormal_residual_matrix,
     composition_matrix,
     conjugation_operator,
-    kept_block_residual,
     kept_block_residuals,
     kept_blocks,
     stable_keep,
     weighted_composition_matrix,
 )
-from reference import adjoint_via_cowen, quadrature_grams, quadrature_residual
+from reference import (
+    adjoint_via_cowen,
+    jw_xi_tau_matrix,
+    kept_block_residual,
+    quadrature_grams,
+    quadrature_residual,
+)
 
 GENERIC = LinearFractionalMap(0.5, 0.25, 0.25, 1)
 AUTOMORPHISM = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)
@@ -431,9 +436,10 @@ class TestBasisImages:
     @pytest.mark.parametrize("C", [JWp(p) for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85,
                                                     -0.5, 0.1, 0.6 - 0.6j, 0.2 + 0.7j)])
     def test_identity_map_gives_the_conjugation_matrix(self, C):
-        # column i of M holds C e_i = w h^i
+        # column i of M holds C e_i = w h^i, the conjugate of xi_p tau_p^i,
+        # which the reference builds from xi_p and tau_p themselves
         w, h = basis_image_series(C, LinearFractionalMap(1, 0, 0, 1), 64)
-        assert np.abs(power_matrix(w, h, 64) - conjugation_operator(C, 64)).max() <= 1e-14
+        assert np.abs(power_matrix(w, h, 64) - np.conj(jw_xi_tau_matrix(C, 64))).max() <= 1e-14
 
     @pytest.mark.parametrize("conj", [JWp(0.4), JWp(0.3 - 0.5j)])
     @pytest.mark.parametrize("m", [GENERIC, AUTOMORPHISM])
@@ -502,6 +508,20 @@ class TestQuadratureReference:
                 assert residual <= 1e-12, (case, m, conj)
             else:
                 assert residual >= 1e-2, (case, m, conj)
+
+    @pytest.mark.parametrize("m", [GENERIC, AUTOMORPHISM, FIXES_ORIGIN,
+                                   *(random_self_map(np.random.default_rng([9, i]))
+                                     for i in range(4))])
+    def test_weighted_adjoint_is_g_times_powers_of_sigma(self, m):
+        # v_i = W* e_i = g sigma^i with g = conj(beta) K_{b/d}, the route
+        # quadrature_grams reads for W*, against the conjugate transpose of
+        # the truncated W, as criterion 2 checks Cowen's formula for C_phi
+        beta, N = 0.7 + 0.2j, 256
+        V = power_matrix(np.conj(beta) * kernel_series(m.b / m.d, N),
+                         lft_power_series(adjoint_symbol(m), N), N)
+        W = weighted_composition_matrix(canonical_weight_series(m, beta, N), m, N)
+        want = W.conj().T[:64, :64]
+        assert np.abs(V[:64, :64] - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_near_inner_true_instance(self):
         # verify reads residuals 13.1, 11.0 and 0.91 on its kept blocks at
