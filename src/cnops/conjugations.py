@@ -10,8 +10,10 @@ tau_p(z) = lambda (p - z)/(1 - conj(p) z), lambda = conj(p)/p.  It is an
 involution exactly because lambda p = conj(p).  Its kernel action below is
 closed-form and exact.  Its coefficient action is given by its basis images
 C e_i = w h^i with w = conj(xi_p) and h = conj(tau_p), the conjugates taken
-coefficientwise (basis_image_series): for T = T_psi C_phi, column i of the
-matrix of T C holds the coefficients of T (C e_i) = psi (w o phi)(h o phi)^i,
+coefficientwise.  Composed with a map phi both images are linear fractional,
+and basis_images gives their coefficient quadruples, which
+hardy.lft_power_series expands: for T = T_psi C_phi, column i of the matrix
+of T C holds the coefficients of T (C e_i) = psi (w o phi)(h o phi)^i,
 exactly and with no truncated factor, and at the identity map these columns
 form the matrix of C (jw_weighted_matrix).  J_mu needs none: it is diagonal.
 """
@@ -82,39 +84,35 @@ def conj_apply_kernel(C: Conjugation, w):
     return weight, eta
 
 
-def basis_image_series(C: JWp, m: LinearFractionalMap, N: int):
-    """First N Taylor coefficients of w o phi and h o phi, where C e_i = w h^i.
+def basis_images(C: JWp, m: LinearFractionalMap):
+    """Coefficient quadruples (a, b, c, d) of w o phi and h o phi, where
+    C e_i = w h^i, so (C e_i) o phi = (w o phi)(h o phi)^i.
 
-    So (C e_i) o phi = (w o phi)(h o phi)^i, and at the identity map
-    hardy.power_matrix of the two series is the matrix of C.  Here
-    w = sqrt(1-|p|^2)/(1 - p z) and h = conj(lam) (conj(p) - z)/(1 - p z),
+    Here w = sqrt(1-|p|^2)/(1 - p z) and h = conj(lam) (conj(p) - z)/(1 - p z),
     xi_p and tau_p with conjugated coefficients.  Both images share the
-    series g = 1/(e z + f), e = c - p a and f = d - p b:
-    w o phi = sqrt(1-|p|^2) (c z + d) g and
-    h o phi = conj(lam) ((conj(p) c - a) z + (conj(p) d - b)) g,
-    each read off g directly, because the determinant p (ad - bc) of
-    w o phi vanishes as p -> 0 while its series does not.  For a self-map,
+    denominator e z + f, e = c - p a and f = d - p b:
+    w o phi = sqrt(1-|p|^2) (c z + d)/(e z + f) and
+    h o phi = conj(lam) ((conj(p) c - a) z + (conj(p) d - b))/(e z + f).
+    The determinant p (ad - bc) of w o phi vanishes as p -> 0, so its
+    quadruple is kept as it is, not made a map.  For a self-map,
     e z + f = (c z + d)(1 - p phi(z)) has no zero on the closed disk, so
-    |e| < |f| and g converges there.
+    |e| < |f|.
     """
     a, b, c, d = m.coefficients()
-    p = C.p
+    p, s = C.p, np.sqrt(1.0 - abs(C.p) ** 2)
     e, f = c - p * a, d - p * b
-    g = (-e / f) ** np.arange(N) / f          # 1/(e z + f)
-    w = d * g
-    w[1:] += c * g[:-1]
-    w *= np.sqrt(1.0 - abs(p) ** 2)
-    h = (np.conj(p) * d - b) * g
-    h[1:] += (np.conj(p) * c - a) * g[:-1]
-    return w, np.conj(C.lam) * h
+    lb = np.conj(C.lam)
+    return ((s * c, s * d, e, f),
+            (lb * (np.conj(p) * c - a), lb * (np.conj(p) * d - b), e, f))
 
 
 def jw_weighted_matrix(C: JWp, N: int) -> np.ndarray:
     """Truncated matrix of W_{xi_p, tau_p}: column j holds the coefficients of
     xi_p tau_p^j, the conjugate of column j of C's matrix, whose columns are
-    the basis images w h^j (basis_image_series at the identity map)."""
-    identity = LinearFractionalMap(1.0, 0.0, 0.0, 1.0)
-    return np.conj(hardy.power_matrix(*basis_image_series(C, identity, N), N))
+    the basis images w h^j (basis_images at the identity map)."""
+    w, h = basis_images(C, LinearFractionalMap(1.0, 0.0, 0.0, 1.0))
+    return np.conj(hardy.power_matrix(hardy.lft_power_series(*w, N),
+                                      hardy.lft_power_series(*h, N), N))
 
 
 def parse_conjugation(text: str) -> Conjugation:

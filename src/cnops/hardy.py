@@ -3,29 +3,26 @@
 Functions here work on plain complex numpy arrays: entry n is the Taylor
 coefficient of z^n.  The monomials are an orthonormal basis, so the inner
 product is the plain sesquilinear dot product of coefficient arrays.
+
+Every function that cnops expands is linear fractional: the symbol phi, the
+canonical weight beta K_{sigma(0)} and JW_p's basis images composed with phi.
+lft_power_series expands each from its four coefficients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .moebius import LinearFractionalMap
 
-
-def kernel_series(w: complex, N: int) -> np.ndarray:
-    """First N Taylor coefficients of K_w: (conj(w)^n)_{n<N}."""
-    return np.conj(complex(w)) ** np.arange(N)
-
-
-def lft_power_series(m: LinearFractionalMap, N: int) -> np.ndarray:
-    """Taylor coefficients of phi = (a z + b)/(c z + d) at 0, truncated to N.
+def lft_power_series(a, b, c, d, N: int) -> np.ndarray:
+    """Taylor coefficients of (a z + b)/(c z + d) at 0, truncated to N.
 
     p0 = b/d, p1 = (a - c p0)/d, and p_n = -(c/d) p_{n-1} for n >= 2, so the
-    tail is geometric with ratio -c/d.  Requires the pole strictly outside the
-    closed disk, |d| > |c|, tested without dividing by c.
+    tail is geometric with ratio -c/d.  ad - bc may vanish: (c, d, c, d) gives
+    the constant 1.  Requires the pole strictly outside the closed disk,
+    |d| > |c|, tested without dividing by c.
     """
-    a, b, c, d = m.coefficients()
-    if abs(d) <= 1e-14 * m.scale:
+    if abs(d) <= 1e-14 * max(abs(a), abs(b), abs(c), abs(d)):
         raise ValueError("pole at the origin: d = 0")
     if abs(d) <= abs(c):
         raise ValueError(f"pole -d/c = {-d / c} inside the closed disk")
@@ -49,7 +46,7 @@ def series_multiply(f: np.ndarray, g: np.ndarray, N: int) -> np.ndarray:
 
 def series_power(f: np.ndarray, e: int, N: int) -> np.ndarray:
     """f^e truncated at degree N-1, by repeated squaring: about 2 log2(e)
-    series_multiply calls, equal to e - 1 repeated products to rounding."""
+    truncated products, equal to e - 1 repeated products to rounding."""
     out = np.eye(N, 1, dtype=complex).ravel()
     while e:
         if e & 1:
@@ -69,8 +66,8 @@ def power_matrix(first: np.ndarray, f: np.ndarray, N: int,
     np.convolve of column j - 1 with f cut after its last nonzero entry, so
     a step costs N times that prefix (2 entries for an affine phi, c = 0;
     geometric tails that underflow to zero at large N are cut too).  That is
-    series_multiply entry for entry when f has no trailing zeros or one
-    nonzero entry, and within rounding otherwise.  Entry n sums the same
+    the truncated Cauchy product entry for entry when f has no trailing zeros
+    or one nonzero entry, and within rounding otherwise.  Entry n sums the same
     products at every N > n and reads only the leading n + 1 entries of
     first and f.  So the leading r rows of the result at any N > r equal
     power_matrix(first[:r], f[:r], r, cols) exactly, and the leading columns

@@ -81,11 +81,6 @@ def adjoint_symbol(m: LinearFractionalMap) -> LinearFractionalMap:
     return LinearFractionalMap(np.conj(a), -np.conj(c), -np.conj(b), np.conj(d))
 
 
-def sigma_at_zero(m: LinearFractionalMap) -> complex:
-    """sigma(0) = -conj(c)/conj(d), the kernel point of the canonical weight."""
-    return -np.conj(m.c) / np.conj(m.d)
-
-
 def boundary_derivative_sup(m: LinearFractionalMap) -> float:
     """sup over the unit circle of |phi'| = |ad - bc| / |c z + d|^2, which is
     |ad - bc| / (|d| - |c|)^2 (infinite when |d| <= |c|)."""

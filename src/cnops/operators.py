@@ -11,14 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import hardy
-from .conjugations import Conjugation, JMu, JWp, basis_image_series, jw_weighted_matrix
-from .moebius import (
-    LinearFractionalMap,
-    boundary_derivative_sup,
-    image_disk,
-    lft_is_self_map,
-    sigma_at_zero,
-)
+from .conjugations import Conjugation, JMu, JWp, basis_images, jw_weighted_matrix
+from .moebius import LinearFractionalMap, boundary_derivative_sup, image_disk, lft_is_self_map
 
 
 def composition_matrix(m: LinearFractionalMap, N: int) -> np.ndarray:
@@ -30,7 +24,8 @@ def composition_matrix(m: LinearFractionalMap, N: int) -> np.ndarray:
     """
     if not lft_is_self_map(m):
         raise ValueError(f"{m} is not a validated self-map")
-    return hardy.power_matrix(np.eye(N, 1).ravel(), hardy.lft_power_series(m, N), N)
+    return hardy.power_matrix(np.eye(N, 1).ravel(),
+                              hardy.lft_power_series(*m.coefficients(), N), N)
 
 
 def analytic_toeplitz_matrix(symbol: np.ndarray, N: int) -> np.ndarray:
@@ -58,15 +53,16 @@ def weighted_composition_matrix(psi: np.ndarray, m: LinearFractionalMap,
 
 
 def canonical_weight_series(m: LinearFractionalMap, beta: complex, N: int) -> np.ndarray:
-    """Coefficients of beta K_{sigma(0)}: beta (-c/d)^n."""
-    return complex(beta) * hardy.kernel_series(sigma_at_zero(m), N)
+    """Coefficients of psi = beta K_{sigma(0)} = beta d / (c z + d), sigma(0) =
+    -conj(c)/conj(d): beta (-c/d)^n."""
+    return hardy.lft_power_series(0.0, complex(beta) * m.d, m.c, m.d, N)
 
 
 def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     """Truncated matrix M of a conjugation spec, which acts as x -> M conj(x).
 
     JMu: M = diag(conj(mu)^n), an exact representation.
-    JWp: column i holds the basis image C e_i = w h^i (basis_image_series),
+    JWp: column i holds the basis image C e_i = w h^i (basis_images),
     M = conj(W) for W = jw_weighted_matrix, the truncated matrix of
     W_{xi_p, tau_p} (the action x -> conj(W x) rewritten as x -> M conj(x)).
     Every entry is exact, but M is not triangular, so products of its
@@ -119,9 +115,11 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
     J_mu is diagonal, C e_i = conj(mu)^i e_i, so X is T's first k
     columns times conj(mu)^i, and R's first k columns are those
     columns' first k rows.
-    JW_p reads its basis images, C e_i = w h^i (basis_image_series): column
-    i of T C holds first (w o phi)(h o phi)^i, one more chain, and R's
-    first k columns are the chain of T on k rows.
+    JW_p reads its basis images, C e_i = w h^i (conjugations.basis_images):
+    column i of T C holds first (w o phi)(h o phi)^i, one more chain, whose
+    first column is linear fractional too (for W the factor c z + d cancels,
+    psi (w o phi) = beta sqrt(1-|p|^2) d / (e z + f)), and R's first k
+    columns are the chain of T on k rows.
 
     Past column k, T[:k, j] = (phi^k T[:, j - k])[:k], so each further block
     of k columns of R is G times the k columns before it, with G the k x k
@@ -133,7 +131,7 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
     Every chain is prefix-exact in its rows and columns (power_matrix), so
     slices of X and of R[:, :k] give the blocks at smaller sizes.
     """
-    phi = hardy.lft_power_series(m, n)
+    phi = hardy.lft_power_series(*m.coefficients(), n)
     first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
     R = np.zeros((k, n), dtype=complex, order="F")
     if isinstance(C, JMu):
@@ -141,8 +139,11 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
         R[:, :k] = X[:k]
         X *= np.conj(C.mu) ** np.arange(k)
     else:
-        w_phi, h_phi = basis_image_series(C, m, n)
-        X = hardy.power_matrix(hardy.series_multiply(first, w_phi, n), h_phi, n, cols=k)
+        w_phi, h_phi = basis_images(C, m)
+        if beta is not None:
+            w_phi = (0.0, beta * w_phi[1], *w_phi[2:])
+        X = hardy.power_matrix(hardy.lft_power_series(*w_phi, n),
+                               hardy.lft_power_series(*h_phi, n), n, cols=k)
         R[:, :k] = hardy.power_matrix(first[:k], phi[:k], k)
     if m.b != 0:
         G = analytic_toeplitz_matrix(hardy.series_power(phi[:k], k, k), k)

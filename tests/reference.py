@@ -12,12 +12,15 @@ the two:
   * the paper-form predicates: the Hermitian family, normal maps with a
     boundary fixed point (with the fixed points of a linear fractional map
     they need) and unitary weighted composition operators;
-  * the truncated references: Cowen's adjoint formula as a matrix, JW_p's
-    matrix from xi_p and tau_p, the kept-block residual of two blocks, and
-    the coefficient action of a conjugation with its axiom residuals;
+  * the truncated references: the kernel series K_w, Cowen's adjoint formula
+    as a matrix, JW_p's matrix from xi_p and tau_p, the kept-block residual
+    of two blocks, and the coefficient action of a conjugation with its
+    axiom residuals;
   * the map operations that cnops never needs: evaluation, inverse,
-    rescaling and composition of a linear fractional map, and the
+    rescaling and composition of a linear fractional map, sigma(0), and the
     Hermitian family with its real JW_p root;
+  * the kernel residual with its denominators cleared
+    (cleared_kernel_residual), which scales like the predicate's margin;
   * the reduction of weighted_jw to weighted_jmu by the change of variables
     that turns JW_p's reflection into J_mu's (reflect_to_jmu);
   * the kept block of C T*T C - T T* as a difference of two Gram matrices,
@@ -30,9 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cnops.cnormal import EXACT_TOL, WEIGHTED_TOL, CaseId, case_predicate
-from cnops.conjugations import Conjugation, JMu, JWp
-from cnops.hardy import kernel_series, lft_power_series, power_matrix
+from cnops.cnormal import (
+    EXACT_TOL,
+    GRID_N,
+    WEIGHTED_TOL,
+    CaseId,
+    _kernel_denominator,
+    _sides,
+    case_predicate,
+    ring_grid,
+)
+from cnops.conjugations import Conjugation, JMu, JWp, conj_apply_kernel
+from cnops.hardy import lft_power_series, power_matrix
 from cnops.moebius import LinearFractionalMap, adjoint_symbol, lft_is_self_map
 from cnops.operators import conjugation_operator
 
@@ -139,8 +151,27 @@ def quadruple_sides(m, beta: complex, C, w, z):
     return num / D1, num / D2
 
 
+def cleared_kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
+                            beta: complex = 1.0, grid_n: int = GRID_N) -> float:
+    """cnormal.kernel_residual with the kernel denominators cleared: the max
+    over the grid pairs of |lhs - rhs| times _kernel_denominator(phi, eta_z, w)
+    and _kernel_denominator(sigma, eta_w, z), the two that _sides divides by,
+    over s^4 (s = m.scale), so that it is homogeneous of degree 0 in
+    (a, b, c, d).  Near an automorphism those denominators are small and
+    amplify a coefficient defect pair by pair, where the predicate's margin
+    is not amplified."""
+    pts = ring_grid(grid_n)
+    w, z = pts[:, None], pts[None, :]
+    lhs, rhs = _sides(m, conj, w, z, beta if case.weighted else None)
+    eta_z = conj_apply_kernel(conj, z)[1]
+    eta_w = conj_apply_kernel(conj, w)[1]
+    cleared = ((lhs - rhs) * _kernel_denominator(m, eta_z, w)
+               * _kernel_denominator(adjoint_symbol(m), eta_w, z))
+    return float(np.abs(cleared).max()) / m.scale ** 4
+
+
 # --------------------------------------------------------------------------
-# evaluation, inverse and rescaling of a linear fractional map
+# evaluation, inverse, rescaling and composition of a linear fractional map
 # --------------------------------------------------------------------------
 
 def lft_eval(m: LinearFractionalMap, z):
@@ -174,6 +205,11 @@ def lft_compose(m1: LinearFractionalMap, m2: LinearFractionalMap) -> LinearFract
     c = m1.c * m2.a + m1.d * m2.c
     d = m1.c * m2.b + m1.d * m2.d
     return LinearFractionalMap(a, b, c, d)   # constructor rejects degenerate products
+
+
+def sigma_at_zero(m: LinearFractionalMap) -> complex:
+    """sigma(0) = -conj(c)/conj(d), the kernel point of the canonical weight."""
+    return -np.conj(m.c) / np.conj(m.d)
 
 
 # --------------------------------------------------------------------------
@@ -408,6 +444,11 @@ def predicate_normal_bdyfix_jw_dsq_variant(m: LinearFractionalMap, p: complex) -
 # truncated references
 # --------------------------------------------------------------------------
 
+def kernel_series(w: complex, N: int) -> np.ndarray:
+    """First N Taylor coefficients of K_w: (conj(w)^n)_{n<N}."""
+    return np.conj(complex(w)) ** np.arange(N)
+
+
 def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
     """C_phi* = T_g C_sigma T_h*: column n is g (conj(d) sigma^n + conj(c) sigma^(n-1)).
 
@@ -424,7 +465,7 @@ def adjoint_via_cowen(m: LinearFractionalMap, N: int) -> np.ndarray:
                       "truncation may diverge", RuntimeWarning, stacklevel=2)
     _, b, c, d = m.coefficients()
     g = kernel_series(b / d, N) / np.conj(d)
-    P = power_matrix(g, lft_power_series(sigma, N), N)
+    P = power_matrix(g, lft_power_series(*sigma.coefficients(), N), N)
     A = np.conj(d) * P
     A[:, 1:] += np.conj(c) * P[:, :-1]
     return A
@@ -444,7 +485,7 @@ def jw_xi_series(C: JWp, N: int) -> np.ndarray:
 def jw_xi_tau_matrix(C: JWp, N: int) -> np.ndarray:
     """Truncated matrix of W_{xi_p, tau_p} from xi_p and tau_p: column j holds
     the coefficients of xi_p tau_p^j (cnops builds it from C's basis images)."""
-    return power_matrix(jw_xi_series(C, N), lft_power_series(jw_tau(C), N), N)
+    return power_matrix(jw_xi_series(C, N), lft_power_series(*jw_tau(C).coefficients(), N), N)
 
 
 def kept_block_residual(X: np.ndarray, R: np.ndarray) -> float:
@@ -506,7 +547,7 @@ def quadrature_grams(m: LinearFractionalMap, C: Conjugation, k: int, M: int,
     Entry (i, j) of the block is <u_i, u_j> - <v_j, v_i>, u_i = T C e_i and
     v_i = T* e_i; the first matrix holds <u_i, u_j>, the second <v_j, v_i>.
     u_i = g (C e_i) o phi with g = 1 or psi, and C e_i = conj(mu)^i z^i (J_mu)
-    or w h^i (JW_p, basis_image_series).  Cowen's formula gives
+    or w h^i (JW_p, conjugations.basis_images).  Cowen's formula gives
     v_i = G (conj(d) sigma^i + conj(c) sigma^(i-1)) with
     G = 1/(conj(d) - conj(b) z) for C_phi, and W* = T_g C_sigma with
     g = conj(beta) K_{b/d} gives v_i = g sigma^i for W.  Every u_i and v_i is

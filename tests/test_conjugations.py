@@ -8,9 +8,14 @@ from cnops.conjugations import (
     jw_weighted_matrix,
     parse_conjugation,
 )
-from cnops.hardy import kernel_series
 from cnops.operators import analytic_toeplitz_matrix, composition_matrix
-from reference import conj_apply_series, conj_axiom_residuals, jw_tau, jw_xi_series
+from reference import (
+    conj_apply_series,
+    conj_axiom_residuals,
+    jw_tau,
+    jw_xi_series,
+    kernel_series,
+)
 
 
 class TestSpecs:

@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_self_map
-from cnops.conjugations import JWp
+from cnops.cli import sample_case
+from cnops.cnormal import CaseId
+from cnops.conjugations import JWp, basis_images
 from cnops.hardy import (
-    kernel_series,
     lft_power_series,
     power_matrix,
     series_multiply,
     series_power,
 )
 from cnops.moebius import LinearFractionalMap
-from reference import jw_tau, jw_xi_series, lft_eval
+from cnops.operators import canonical_weight_series
+from reference import jw_tau, jw_xi_series, kernel_series, lft_eval
 
 disk_points = st.builds(
     lambda r, t: r * np.exp(1j * t),
@@ -43,39 +45,39 @@ class TestKernel:
 
 class TestPowerSeries:
     def test_dilation(self):
-        p = lft_power_series(LinearFractionalMap(1, 0, 0, 2), 6)
+        p = lft_power_series(1, 0, 0, 2, 6)
         assert np.allclose(p, [0, 0.5, 0, 0, 0, 0])
 
     def test_alternating_example(self):
         # z/(z/2 + 1): p0 = 0, p1 = 1, then ratio -1/2
-        p = lft_power_series(LinearFractionalMap(1, 0, 0.5, 1), 5)
+        p = lft_power_series(1, 0, 0.5, 1, 5)
         assert np.allclose(p, [0, 1, -0.5, 0.25, -0.125])
 
     def test_generic_recurrence(self):
-        p = lft_power_series(LinearFractionalMap(0.5, 0.25, 0.25, 1), 4)
+        p = lft_power_series(0.5, 0.25, 0.25, 1, 4)
         assert p[0] == pytest.approx(0.25)
         assert p[1] == pytest.approx(0.5 - 0.25 * 0.25)
         assert p[2] == pytest.approx(-0.25 * p[1])
 
     def test_pole_at_origin_rejected(self):
         with pytest.raises(ValueError, match="pole at the origin"):
-            lft_power_series(LinearFractionalMap(0, 1, 1, 0), 8)
+            lft_power_series(0, 1, 1, 0, 8)
 
     def test_pole_in_disk_rejected(self):
         with pytest.raises(ValueError, match="inside the closed disk"):
-            lft_power_series(LinearFractionalMap(1, 0, 2, 1), 8)
+            lft_power_series(1, 0, 2, 1, 8)
 
     def test_subnormal_c_gives_the_affine_series(self):
         # the pole test compares |d| with |c| and divides by neither, so a
         # subnormal c raises no OverflowError; the tail underflows to ~0
         m = LinearFractionalMap(1j, 0, 1.1125369292536007e-308j, 1.5 + 1.5j)
-        p = lft_power_series(m, 4)
+        p = lft_power_series(*m.coefficients(), 4)
         assert p[0] == 0 and p[1] == pytest.approx(m.a / m.d, abs=1e-16)
         assert np.all(np.abs(p[2:]) <= 1e-300)
 
     def test_tail_ratio(self, rng):
         m = LinearFractionalMap(0.5, 0.25, 0.25, 1)
-        p = lft_power_series(m, 40)
+        p = lft_power_series(*m.coefficients(), 40)
         ratio = abs(m.c / m.d)
         for n in range(2, 39):
             if abs(p[n]) > 0:
@@ -83,10 +85,66 @@ class TestPowerSeries:
 
     def test_matches_evaluation(self):
         m = LinearFractionalMap(0.5, 0.25, 0.25, 1)
-        p = lft_power_series(m, 64)
+        p = lft_power_series(*m.coefficients(), 64)
         for z in (0.3, -0.6 + 0.2j):
             assert (np.polynomial.polynomial.polyval(z, p)
                     == pytest.approx(lft_eval(m, z), abs=1e-14))
+
+
+def builder_quadruples():
+    """110 quadruples (a, b, c, d) with |d| > |c|: 100 random ones, and c = 0,
+    b = 0, |c/d| = 0.999 and the constants (t c, t d, c, d) with ad - bc = 0."""
+    g = np.random.default_rng(34)
+
+    def point():
+        return complex(*g.standard_normal(2))
+
+    out = []
+    for _ in range(100):
+        c, a, b = point(), point(), point()
+        out.append((a, b, c, c / g.uniform(0.01, 0.99) * np.exp(2j * np.pi * g.uniform())))
+    for _ in range(2):
+        a, b, c, d = (point() for _ in range(4))
+        out += [(a, b, 0j, d), (a, 0j, c, abs(c) / 0.999 * np.exp(2j * np.pi * g.uniform())),
+                (a, b, 0.999 * d * np.exp(2j * np.pi * g.uniform()), d)]
+    out += [(c, d, c, d) for c, d in ((0.5, 1.0), (0.3 - 0.4j, -1j))]
+    out += [(2.5j * c, 2.5j * d, c, d) for c, d in ((0.0, 0.7 + 0.1j), (-0.2 + 0.6j, 0.9))]
+    return out
+
+
+class TestBuilder:
+    """lft_power_series expands any quadruple with its pole off the closed
+    disk, a constant (ad - bc = 0) included."""
+
+    def test_matches_fifty_digit_taylor_coefficients(self):
+        mp = pytest.importorskip("mpmath")
+        N = 40
+        with mp.workdps(50):
+            for a, b, c, d in builder_quadruples():
+                A, B, C, D = (mp.mpc(x) for x in (a, b, c, d))
+                want = np.array([complex(x) for x in
+                                 mp.taylor(lambda z: (A * z + B) / (C * z + D), 0, N - 1)])
+                got = lft_power_series(a, b, c, d, N)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (a, b, c, d)
+
+    @pytest.mark.parametrize("c, d", [(0.5, 1.0), (0.3 - 0.4j, -1j), (0.0, 2.0)])
+    def test_constant_quadruple_is_one(self, c, d):
+        # (c z + d)/(c z + d) = 1
+        assert np.array_equal(lft_power_series(c, d, c, d, 16), np.eye(16, 1).ravel())
+
+    def test_weight_cancels_against_the_first_basis_image(self):
+        # psi (w o phi) = beta d/(c z + d) s_p (c z + d)/(e z + f), so the
+        # quadruple (0, beta s_p d, e, f) gives the product of the two series,
+        # on 50 weighted_jw draws at their own p and at p = 1e-12, 0.3, 0.99
+        N = 64
+        for i in range(50):
+            m, conj, beta = sample_case(CaseId.WEIGHTED_JW, np.random.default_rng([34, i]), i)
+            for C in (conj, JWp(1e-12), JWp(0.3), JWp(0.99)):
+                w = basis_images(C, m)[0]
+                want = series_multiply(canonical_weight_series(m, beta, N),
+                                       lft_power_series(*w, N), N)
+                got = lft_power_series(0, beta * w[1], *w[2:], N)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (m, C)
 
 
 class TestSeriesMultiply:
@@ -126,10 +184,9 @@ class TestSeriesPower:
         # products bit for bit; past it squaring reorders them, and the two
         # agree to rounding
         g = np.random.default_rng(N + e)
-        for f in (lft_power_series(random_self_map(g), N),
-                  lft_power_series(LinearFractionalMap(1, 0.95 * np.exp(0.4j),
-                                                       0.95 * np.exp(-0.4j), 1), N),
-                  lft_power_series(LinearFractionalMap(0.6 * np.exp(0.5j), 0, -0.3 + 0.2j, 1), N)):
+        for f in (lft_power_series(*random_self_map(g).coefficients(), N),
+                  lft_power_series(1, 0.95 * np.exp(0.4j), 0.95 * np.exp(-0.4j), 1, N),
+                  lft_power_series(0.6 * np.exp(0.5j), 0, -0.3 + 0.2j, 1, N)):
             want = np.eye(N, 1, dtype=complex).ravel()
             for _ in range(e):
                 want = series_multiply(want, f, N)
@@ -172,10 +229,10 @@ def chain_inputs(g, N):
     e0 = np.eye(N, 1).ravel()
     rand = g.standard_normal((3, N)) + 1j * g.standard_normal((3, N))
     fixing_0 = LinearFractionalMap(0.6 * np.exp(0.5j), 0, -0.3 + 0.2j, 1)
-    return [(e0, lft_power_series(random_self_map(g), N)),
+    return [(e0, lft_power_series(*random_self_map(g).coefficients(), N)),
             (rand[0], rand[1]),
-            (e0, lft_power_series(fixing_0, N)),
-            (rand[2], lft_power_series(LinearFractionalMap(0.8j, 0, 0, 1), N))]
+            (e0, lft_power_series(*fixing_0.coefficients(), N)),
+            (rand[2], lft_power_series(0.8j, 0, 0, 1, N))]
 
 
 class TestPowerMatrix:
@@ -210,12 +267,12 @@ class TestPowerMatrix:
         tol = 8 * N * np.finfo(float).eps
         for _ in range(3):
             m = random_self_map(g)
-            first, f = np.eye(N, 1).ravel(), lft_power_series(m, N)
+            first, f = np.eye(N, 1).ravel(), lft_power_series(*m.coefficients(), N)
             assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
             C = JWp(g.uniform(0.1, 0.9) * np.exp(2j * np.pi * g.uniform()))
-            first, f = jw_xi_series(C, N), lft_power_series(jw_tau(C), N)
+            first, f = jw_xi_series(C, N), lft_power_series(*jw_tau(C).coefficients(), N)
             assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
-        first, f = np.eye(N, 1).ravel(), lft_power_series(AFFINE, N)
+        first, f = np.eye(N, 1).ravel(), lft_power_series(*AFFINE.coefficients(), N)
         assert np.abs(power_matrix(first, f, N) - cauchy_columns(first, f, N)).max() <= tol
 
     @pytest.mark.parametrize("N", [16, 48])
@@ -229,10 +286,10 @@ class TestPowerMatrix:
 
         g = np.random.default_rng(N + 4)
         monkeypatch.setattr(np, "convolve", recording_convolve)
-        power_matrix(np.eye(N, 1).ravel(), lft_power_series(AFFINE, N), N)
+        power_matrix(np.eye(N, 1).ravel(), lft_power_series(*AFFINE.coefficients(), N), N)
         assert lengths == [(N, 2)] * (N - 1)
         lengths.clear()
-        power_matrix(np.eye(N, 1).ravel(), lft_power_series(random_self_map(g), N), N)
+        power_matrix(np.eye(N, 1).ravel(), lft_power_series(*random_self_map(g).coefficients(), N), N)
         assert lengths == [(N, N)] * (N - 1)
 
     @pytest.mark.parametrize("N", [32, 128])
@@ -241,13 +298,13 @@ class TestPowerMatrix:
         # the leading entries of first and f, and slices them for smaller N
         g = np.random.default_rng(N + 1)
         C = JWp(0.7 * np.exp(0.4j))
-        inputs = [(np.eye(N, 1).ravel(), lft_power_series(random_self_map(g), N)),
-                  (jw_xi_series(C, N), lft_power_series(jw_tau(C), N)),
+        inputs = [(np.eye(N, 1).ravel(), lft_power_series(*random_self_map(g).coefficients(), N)),
+                  (jw_xi_series(C, N), lft_power_series(*jw_tau(C).coefficients(), N)),
                   (g.standard_normal(N) + 1j * g.standard_normal(N),
                    g.standard_normal(N) + 1j * g.standard_normal(N)),
                   (g.standard_normal(N) + 1j * g.standard_normal(N),
-                   lft_power_series(LinearFractionalMap(0.9 * np.exp(0.7j), 0, 0, 1), N)),
-                  (np.eye(N, 1).ravel(), lft_power_series(AFFINE, N))]
+                   lft_power_series(0.9 * np.exp(0.7j), 0, 0, 1, N)),
+                  (np.eye(N, 1).ravel(), lft_power_series(*AFFINE.coefficients(), N))]
         for first, f in inputs:
             full = power_matrix(first, f, N)
             for r in (1, 5, N // 3, N // 2):

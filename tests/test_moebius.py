@@ -14,9 +14,15 @@ from cnops.moebius import (
     lft_is_self_map,
     parse_complex,
     parse_map,
+)
+from reference import (
+    lft_compose,
+    lft_eval,
+    lft_fixed_points,
+    proportional,
+    rescaled,
     sigma_at_zero,
 )
-from reference import lft_compose, lft_eval, lft_fixed_points, proportional, rescaled
 
 IDENTITY = LinearFractionalMap(1, 0, 0, 1)
 HALF = LinearFractionalMap(1, 0, 0, 2)

@@ -6,8 +6,8 @@ import pytest
 from conftest import random_self_map
 from cnops import cli, cnormal
 from cnops.cnormal import CaseId, verify
-from cnops.conjugations import JMu, JWp, basis_image_series, jw_weighted_matrix
-from cnops.hardy import kernel_series, lft_power_series, power_matrix
+from cnops.conjugations import JMu, JWp, basis_images, jw_weighted_matrix
+from cnops.hardy import lft_power_series, power_matrix
 from cnops.moebius import LinearFractionalMap, adjoint_symbol
 from cnops.operators import (
     analytic_toeplitz_matrix,
@@ -24,6 +24,7 @@ from reference import (
     adjoint_via_cowen,
     jw_xi_tau_matrix,
     kept_block_residual,
+    kernel_series,
     quadrature_grams,
     quadrature_residual,
 )
@@ -70,7 +71,7 @@ class TestCompositionMatrix:
         e0 = np.zeros(32)
         e0[0] = 1
         assert np.array_equal(M[:, 0], e0)
-        assert np.array_equal(M[:, 1], lft_power_series(GENERIC, 32))
+        assert np.array_equal(M[:, 1], lft_power_series(*GENERIC.coefficients(), 32))
 
     def test_block_stability(self):
         # leading block of the double truncation equals the small truncation
@@ -369,12 +370,11 @@ class TestJMuBlocks:
         k = stable_keep(n, m=m, C=C)
         X, R = kept_blocks(m, C, n, k, beta)
         first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
-        chain = power_matrix(first[:k], lft_power_series(m, k), k, cols=n)
+        chain = power_matrix(first[:k], lft_power_series(*m.coefficients(), k), k, cols=n)
         assert np.array_equal(R[:, :k], chain[:, :k])
         assert np.abs(R[:, k:] - chain[:, k:]).max() <= 1e-13 * np.abs(chain).max()
         # C e_i = (conj(mu) z)^i, so column i of T C holds first (conj(mu) phi)^i
-        h_phi = lft_power_series(LinearFractionalMap(np.conj(C.mu) * m.a, np.conj(C.mu) * m.b,
-                                                     m.c, m.d), n)
+        h_phi = lft_power_series(np.conj(C.mu) * m.a, np.conj(C.mu) * m.b, m.c, m.d, n)
         want = power_matrix(first, h_phi, n, cols=k)
         assert np.abs(X - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -391,7 +391,7 @@ class TestJMuBlocks:
         n = REF_ROWS
         _, R = kept_blocks(m, conj, n, k, beta)
         first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
-        chain = power_matrix(first[:k], lft_power_series(m, k), k, cols=n)
+        chain = power_matrix(first[:k], lft_power_series(*m.coefficients(), k), k, cols=n)
         assert R.shape == (k, n)
         assert np.array_equal(R[:, :k], chain[:, :k])
         for want in (chain, reference_rows(m, beta)[:k, :n]):
@@ -411,8 +411,8 @@ class TestJMuBlocks:
 
         monkeypatch.setattr(np, "convolve", recording_convolve)
         kept_blocks(GENERIC, conj, 128, 64, beta)
-        if isinstance(conj, JWp):   # first (w o phi), its chain, then T[:64]'s chain
-            chains = [(128, 128)] * 64 + [(64, 64)] * 63
+        if isinstance(conj, JWp):   # the chain of first (w o phi), then T[:64]'s chain
+            chains = [(128, 128)] * 63 + [(64, 64)] * 63
         else:
             chains = [(128, 128)] * 63
         assert lengths == chains + [(64, 64)] * 7
@@ -438,7 +438,8 @@ class TestBasisImages:
     def test_identity_map_gives_the_conjugation_matrix(self, C):
         # column i of M holds C e_i = w h^i, the conjugate of xi_p tau_p^i,
         # which the reference builds from xi_p and tau_p themselves
-        w, h = basis_image_series(C, LinearFractionalMap(1, 0, 0, 1), 64)
+        w, h = (lft_power_series(*q, 64)
+                for q in basis_images(C, LinearFractionalMap(1, 0, 0, 1)))
         assert np.abs(power_matrix(w, h, 64) - np.conj(jw_xi_tau_matrix(C, 64))).max() <= 1e-14
 
     @pytest.mark.parametrize("conj", [JWp(0.4), JWp(0.3 - 0.5j)])
@@ -518,7 +519,7 @@ class TestQuadratureReference:
         # the truncated W, as criterion 2 checks Cowen's formula for C_phi
         beta, N = 0.7 + 0.2j, 256
         V = power_matrix(np.conj(beta) * kernel_series(m.b / m.d, N),
-                         lft_power_series(adjoint_symbol(m), N), N)
+                         lft_power_series(*adjoint_symbol(m).coefficients(), N), N)
         W = weighted_composition_matrix(canonical_weight_series(m, beta, N), m, N)
         want = W.conj().T[:64, :64]
         assert np.abs(V[:64, :64] - want).max() <= 1e-14 * np.abs(want).max()
