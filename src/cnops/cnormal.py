@@ -12,10 +12,9 @@ routes, which must agree and which the verify() report records:
     C_phi and g = psi for W (_sides);
   * a matrix oracle: the defect of C T*T C - T T* on a leading kept block at
     each truncation N, formed from the exact leading block X of T C and from
-    the block R = T[:keep] (operators.kept_block_residuals).  For J_mu, X is
-    T's first keep columns times conj(mu)^i, and R's first keep columns
-    are those columns' first keep rows; for JW_p, X has columns
-    psi (w o phi)(h o phi)^i for its basis images C e_i = w h^i.
+    the block R = T[:keep] (operators.kept_block_residuals).  X has columns
+    psi (w o phi)(h o phi)^i for the basis images C e_i = w h^i (w = 1 and
+    h = conj(mu) z for J_mu).
 """
 
 from __future__ import annotations
@@ -188,10 +187,8 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
     Coefficient defects are divided by the matching power of m.scale, so the
     margin is invariant under rescaling (a, b, c, d).  The composition cases
     hold or fail for every conjugation parameter at once and ignore conj.
-    Each weighted case is one equation; the paper's other equality follows
-    from it on a self-map.  weighted_jw's equation e2 carries a factor of p,
-    so its margin is |e2| / (|p| s^2): it tends to weighted_jmu's at
-    mu = -lam as p -> 0, where |e2| / s^2 would read true for every map.
+    Both weighted cases are one equation in the conjugation's reflection
+    data (p, lam), J_mu's being p = 0 and lam = -mu (conjugations).
     """
     a, b, c, d = m.coefficients()
     s = m.scale
@@ -199,33 +196,33 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
         return max(abs(b), abs(c)) / s
     if case is CaseId.COMP_JW:
         return max(abs(b) / s, abs(c) / s, abs(abs(a / d) - 1.0))
-    # With A = |a|^2 - |d|^2, Delta = |b|^2 - |c|^2, X = conj(a) c - conj(b) d
-    # and Y = conj(a) b - conj(c) d, |X|^2 - |Y|^2 + A Delta = 0 identically.
-    # On a self-map A = 0 forces Delta = 0 and b conj(d) = a conj(c):
-    # normalise d = 1, so |a| = 1; the self-map test
-    # |b - a conj(c)| + |a - bc| <= 1 - |c|^2 (moebius.image_disk) gives
-    # ||b| - |c|| <= |b - a conj(c)|
-    # <= 1 - |c|^2 - |a - bc| <= |c| (|b| - |c|), and |c| < 1 forces both.
+    # With A = |a|^2 - |d|^2, Delta = |b|^2 - |c|^2, X = conj(a) c - conj(b) d,
+    # Y = conj(a) b - conj(c) d and K = -X - conj(Y), the equation is
+    # E = A p - X + Y conj(lam) = 0.  For J_mu, E is the paper's
+    # lin = (conj(c) d - conj(a) b) conj(mu) - X.  For JW_p, E = e2 / conj(p)
+    # for the paper's e2 = A |p|^2 - X conj(p) + Y p, since
+    # conj(lam) = p / conj(p) = u^2, u = p / |p|: so |E| / s^2 is
+    # |e2| / (|p| s^2) with no division by |p| (a tiny p loses no digits),
+    # and it tends to J_mu's margin at mu = -lam as p -> 0, where |e2| / s^2
+    # would read true for every map.  The paper's other equalities follow:
+    #   * |X|^2 - |Y|^2 + A Delta = 0 identically.  On a self-map A = 0 forces
+    #     Delta = 0 and b conj(d) = a conj(c): normalise d = 1, so |a| = 1;
+    #     the self-map test |b - a conj(c)| + |a - bc| <= 1 - |c|^2
+    #     (moebius.image_disk) gives ||b| - |c|| <= |b - a conj(c)|
+    #     <= 1 - |c|^2 - |a - bc| <= |c| (|b| - |c|), and |c| < 1 forces both.
+    #   * J_mu's |b| = |c|: E = 0 at p = 0 gives |X| = |Y|, so A Delta = 0
+    #     and Delta = 0 as above.
+    #   * JW_p's e1 = Delta p - K |p|^2 = 0: e2 = A |p|^2 + K conj(p)
+    #     + 2 Re(Y p) = 0 makes K conj(p) real, so p = t K with t real when
+    #     K != 0, and there A e1 + K e2 = 0 identically, so e1 = 0 when
+    #     A != 0.  If K = 0, then |K|^2 + 2 Re(Y K) + A Delta = 0 (an
+    #     identity) gives A Delta = 0, so Delta = 0 as above and e1 = 0.
+    #     K != 0 with A = 0 does not occur on a self-map: there
+    #     b conj(d) = a conj(c) and |a| = |d| give K = 0.
     X = np.conj(a) * c - np.conj(b) * d
     Y = np.conj(a) * b - np.conj(c) * d
-    if case is CaseId.WEIGHTED_JMU:
-        # The paper's lin = (conj(c) d - conj(a) b) conj(mu) - X is
-        # -(Y conj(mu) + X).  lin = 0 with |mu| = 1 gives |X| = |Y|, so
-        # A Delta = 0, and with the above Delta = 0: the paper's |b| = |c|
-        # follows and is not tested.
-        return float(abs(Y * np.conj(conj.mu) + X) / s ** 2)
-    # The paper's e1 = Delta p - K |p|^2 = 0, K = -X - conj(Y), follows from
-    # e2 = A |p|^2 + K conj(p) + 2 Re(Y p) = 0 and is not tested.  e2 = 0
-    # makes K conj(p) real, so p = t K with t real when K != 0, and there
-    # A e1 + K e2 = 0 identically, so e1 = 0 when A != 0.  If K = 0, then
-    # |K|^2 + 2 Re(Y K) + A Delta = 0 (an identity) gives A Delta = 0, so
-    # Delta = 0 as above and e1 = 0.  K != 0 with A = 0 does not occur on a
-    # self-map: there b conj(d) = a conj(c) and |a| = |d| give K = 0.
-    # Read e2 / |p| with u = p / |p|, so that a tiny p loses no digits.
-    p = conj.p
-    u = p / abs(p)
-    e2_over_p = (abs(a) ** 2 - abs(d) ** 2) * abs(p) - (X * np.conj(u) - Y * u)
-    return float(abs(e2_over_p) / s ** 2)
+    E = (abs(a) ** 2 - abs(d) ** 2) * conj.p - X + Y * np.conj(conj.lam)
+    return float(abs(E) / s ** 2)
 
 
 def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation | None) -> bool:
@@ -315,10 +312,8 @@ def verify(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
     on the truncation-stable leading keep x keep block (operators.stable_keep;
     matrix_keep lists keep at each N): X^T conj(X) - R R* with X the exact
     leading N x keep block of T C and R = T[:keep, :N]
-    (operators.kept_block_residuals).  For J_mu, X is T's first keep columns
-    times conj(mu)^i, and R's first keep columns are those columns'
-    first keep rows; for JW_p, column i of X holds the coefficients of
-    psi (w o phi)(h o phi)^i for its basis images C e_i = w h^i.
+    (operators.kept_block_residuals): column i of X holds the coefficients
+    of psi (w o phi)(h o phi)^i for the basis images C e_i = w h^i.
     grid_n and every truncation must be integers, each truncation in
     [MIN_TRUNCATION, MAX_TRUNCATION], and the input must pass check_instance
     (ValueError otherwise).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import hardy
-from .conjugations import Conjugation, JMu, JWp, basis_images, jw_weighted_matrix
+from .conjugations import Conjugation, basis_images, jw_weighted_matrix
 from .moebius import LinearFractionalMap, boundary_derivative_sup, image_disk, lft_is_self_map
 
 
@@ -61,15 +61,13 @@ def canonical_weight_series(m: LinearFractionalMap, beta: complex, N: int) -> np
 def conjugation_operator(C: Conjugation, N: int) -> np.ndarray:
     """Truncated matrix M of a conjugation spec, which acts as x -> M conj(x).
 
-    JMu: M = diag(conj(mu)^n), an exact representation.
-    JWp: column i holds the basis image C e_i = w h^i (basis_images),
+    Column i holds the basis image C e_i = w h^i (basis_images), so
     M = conj(W) for W = jw_weighted_matrix, the truncated matrix of
     W_{xi_p, tau_p} (the action x -> conj(W x) rewritten as x -> M conj(x)).
-    Every entry is exact, but M is not triangular, so products of its
-    truncations carry truncation error.
+    For J_mu (p = 0) M is diagonal, diag(conj(mu)^n).  For JW_p every entry
+    is exact, but M is not triangular, so products of its truncations carry
+    truncation error.
     """
-    if isinstance(C, JMu):
-        return np.diag(np.conj(C.mu) ** np.arange(N)).astype(complex)
     return np.conj(jw_weighted_matrix(C, N))
 
 
@@ -108,45 +106,40 @@ def kept_blocks(m: LinearFractionalMap, C: Conjugation, n: int, k: int,
 
     T is C_phi, or W = T_psi C_phi with psi = beta K_{sigma(0)} when beta is
     given.  With first = 1 or psi, column j of T holds the coefficients of
-    first phi^j (one hardy.power_matrix), and column i of T C those of
-    T (C e_i).  X is the leading block of the matrix of T C itself, not the
-    product of the truncations of T and of C's matrix:
+    first phi^j (one hardy.power_matrix).  X is the leading block of the
+    matrix of T C itself, not the product of the truncations of T and of C's
+    matrix: with the basis images C e_i = nu^i w g^i
+    (conjugations.basis_images), its column i holds those of
+    nu^i first (w o phi)(g o phi)^i, one more chain, whose first column is
+    linear fractional too (for W the factor c z + d cancels,
+    psi (w o phi) = beta sqrt(1-|p|^2) d / (e z + f)).
 
-    J_mu is diagonal, C e_i = conj(mu)^i e_i, so X is T's first k
-    columns times conj(mu)^i, and R's first k columns are those
-    columns' first k rows.
-    JW_p reads its basis images, C e_i = w h^i (conjugations.basis_images):
-    column i of T C holds first (w o phi)(h o phi)^i, one more chain, whose
-    first column is linear fractional too (for W the factor c z + d cancels,
-    psi (w o phi) = beta sqrt(1-|p|^2) d / (e z + f)), and R's first k
-    columns are the chain of T on k rows.
-
-    Past column k, T[:k, j] = (phi^k T[:, j - k])[:k], so each further block
-    of k columns of R is G times the k columns before it, with G the k x k
+    R's first k columns are the chain power_matrix(first[:k], phi[:k], k).
+    For J_mu (p = 0), w o phi = 1 and g o phi = phi, so X's first k rows
+    before the factors nu^i are that chain (to the rounding of
+    (c z + d)/(c z + d)), and it is not built again.  Past column k,
+    T[:k, j] = (phi^k T[:, j - k])[:k], so each further block of k columns
+    of R is G times the k columns before it, with G the k x k
     lower-triangular Toeplitz matrix of phi^k (hardy.series_power); the last
-    block is clipped at n.  R's first k columns are the chain
-    power_matrix(first[:k], phi[:k], k) bit for bit, the rest equal its
-    later columns to rounding.  When phi(0) = 0 (m.b == 0), first phi^j has
-    order at least j, so the columns past k are zero and are not built.
-    Every chain is prefix-exact in its rows and columns (power_matrix), so
-    slices of X and of R[:, :k] give the blocks at smaller sizes.
+    block is clipped at n, and those columns equal the chain's to rounding.
+    When phi(0) = 0 (m.b == 0), first phi^j has order at least j, so the
+    columns past k are zero and are not built.  Every chain is prefix-exact
+    in its rows and columns (power_matrix), so slices of X and of R[:, :k]
+    give the blocks at smaller sizes.
     """
-    phi = hardy.lft_power_series(*m.coefficients(), n)
-    first = np.eye(n, 1).ravel() if beta is None else canonical_weight_series(m, beta, n)
+    phi = hardy.lft_power_series(*m.coefficients(), k)
+    first = np.eye(k, 1).ravel()
+    w_phi, g_phi, nu = basis_images(C, m)
+    if beta is not None:
+        first = canonical_weight_series(m, beta, k)
+        w_phi = (0.0, beta * w_phi[1], *w_phi[2:])
+    X = hardy.power_matrix(hardy.lft_power_series(*w_phi, n),
+                           hardy.lft_power_series(*g_phi, n), n, cols=k)
     R = np.zeros((k, n), dtype=complex, order="F")
-    if isinstance(C, JMu):
-        X = hardy.power_matrix(first, phi, n, cols=k)
-        R[:, :k] = X[:k]
-        X *= np.conj(C.mu) ** np.arange(k)
-    else:
-        w_phi, h_phi = basis_images(C, m)
-        if beta is not None:
-            w_phi = (0.0, beta * w_phi[1], *w_phi[2:])
-        X = hardy.power_matrix(hardy.lft_power_series(*w_phi, n),
-                               hardy.lft_power_series(*h_phi, n), n, cols=k)
-        R[:, :k] = hardy.power_matrix(first[:k], phi[:k], k)
+    R[:, :k] = X[:k] if C.p == 0 else hardy.power_matrix(first, phi, k)
+    X *= nu ** np.arange(k)
     if m.b != 0:
-        G = analytic_toeplitz_matrix(hardy.series_power(phi[:k], k, k), k)
+        G = analytic_toeplitz_matrix(hardy.series_power(phi, k, k), k)
         for q in range(k, n, k):
             w = min(k, n - q)
             np.matmul(G, R[:, q - k:q - k + w], out=R[:, q:q + w])
@@ -165,11 +158,11 @@ def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
     rounding past column keep (kept_blocks).  X[:N] is the exact leading
     block of T C, with columns psi (w o phi)(h o phi)^i (psi = 1 for C_phi),
     where cnormal_residual_matrix reads the product T_N M_N of the
-    truncations.  The two agree for J_mu, whose matrix is diagonal; for JW_p
-    they differ by the truncation error of that product.  When phi(0) = 0
-    (m.b == 0, the test kept_blocks reads), column j of R has order at least
-    j, so R[:keep, :N] is zero past column keep and R R* is formed over
-    R[:keep, :keep] alone.
+    truncations.  The two agree to rounding for J_mu, whose M is diagonal;
+    for JW_p they differ by the truncation error of that product.  When
+    phi(0) = 0 (m.b == 0, the test kept_blocks reads), column j of R has
+    order at least j, so R[:keep, :N] is zero past column keep and R R* is
+    formed over R[:keep, :keep] alone.
     """
     n = max(N for N, _ in sizes)
     k = max(keep for _, keep in sizes)
@@ -196,6 +189,6 @@ def stable_keep(N: int, m: LinearFractionalMap | None = None,
     disk = image_disk(m) if m is not None else None
     if disk is not None and abs(disk[0]) + disk[1] > 0.98:   # sup |phi| over the disk
         rate *= boundary_derivative_sup(m)
-    if isinstance(C, JWp):
+    if C is not None:
         rate *= (1.0 + abs(C.p)) / (1.0 - abs(C.p))
     return max(4, min(N // 2, int(N / (1.25 * rate))))

@@ -23,9 +23,9 @@ from cnops.cnormal import (
     ring_grid,
     verify,
 )
-from cnops.conjugations import JMu, JWp
+from cnops.conjugations import JMu, JWp, basis_images, conj_apply_kernel
 from cnops.moebius import LinearFractionalMap, adjoint_symbol, image_disk, lft_is_self_map
-from cnops.operators import composition_matrix, conjugation_operator
+from cnops.operators import composition_matrix, conjugation_operator, kept_blocks
 from reference import (
     HypothesisViolationError,
     cleared_kernel_residual,
@@ -831,11 +831,12 @@ def test_weighted_jw_e2_puts_p_on_the_line_of_k(seed, p_radius, p_angle, t, log_
 
 
 def test_weighted_predicate_proofs_are_identities():
-    # the identities predicate_margin's two proofs rest on, in the reference
+    # the identities predicate_margin's proofs rest on, in the reference
     # e1 and e2, with each conjugate a free symbol and |x|^2 = x conj(x):
     # e2 = A |p|^2 + K conj(p) + 2 Re(Y p), so e2 - K conj(p) is real;
     # A e1 + K e2 = 0 at p = t K, t real; |K|^2 + 2 Re(Y K) + A Delta = 0;
-    # and |X|^2 - |Y|^2 + A Delta = 0
+    # |X|^2 - |Y|^2 + A Delta = 0; and its one weighted equation is e2 / conj(p)
+    # for JW_p and the paper's lin for J_mu
     sp = pytest.importorskip("sympy")
     a, b, c, d, p = sp.symbols("a b c d p")
     t = sp.Symbol("t", real=True)
@@ -852,6 +853,18 @@ def test_weighted_predicate_proofs_are_identities():
     assert formal(A * e1 + K * e2) == 0
     assert formal(abs(K) ** 2 + Y * K + conj(Y * K) + A * Delta) == 0
     assert formal(abs(X) ** 2 - abs(Y) ** 2 + A * Delta) == 0
+    # predicate_margin's one weighted equation E = A p - X + Y conj(lam):
+    # for JW_p, p = r u with r > 0 and conj(u) = 1/u, so conj(lam) = u^2 and
+    # E = u e2 / r; for J_mu, p = 0 and lam = -mu, and E is the paper's lin
+    r = sp.Symbol("r", positive=True)
+    u, lam, mu = sp.symbols("u lam mu")
+    E = A * p - X + Y * conj(lam)
+    e2 = weighted_jw_equations(m, r * u)[1]
+    E_jw = E.subs({p: r * u, conj(lam): u ** 2})
+    assert E_jw == A * r * u - X + Y * u ** 2
+    assert sp.expand(formal(u * e2 / r - E_jw).subs(conj(u), 1 / u)) == 0
+    lin = (conj(c) * d - conj(a) * b) * conj(mu) - X
+    assert sp.expand(E.subs({p: 0, lam: -mu}) - lin) == 0
 
 
 class TestNormalBdyfix:
@@ -931,14 +944,32 @@ def test_generic_weighted_jw_holds_at_its_one_p(seed):
        t_angle=st.floats(0.0, 2 * np.pi))
 def test_weighted_jw_margin_tends_to_weighted_jmus_as_p_vanishes(seed, log_p, p_angle,
                                                                  log_t, t_angle):
-    # J_mu is JW_p's limit at p = 0, with mu = -lam: |e2| / |p| and |lin|
-    # differ by at most |A| |p| <= s^2 |p|, whatever the map's scale
+    # J_mu is JW_p's member p = 0 with mu = -lam, and every route reads a
+    # conjugation only through (p, lam), so each agrees within C |p|: the
+    # margins |e2| / |p| and |lin| differ by at most |A| |p| <= s^2 |p|,
+    # whatever the map's scale; the kernel action, the basis images and the
+    # exact block X of T C move by O(|p|) (the constants hold with room over
+    # the worst of 3000 random draws), plus rounding
     m = rescaled(random_self_map(np.random.default_rng(seed)),
                  10.0 ** log_t * np.exp(1j * t_angle))
-    conj = JWp(10.0 ** log_p * np.exp(1j * p_angle))
+    p = 10.0 ** log_p * np.exp(1j * p_angle)
+    conj = JWp(p)
+    jmu_conj = JMu(-conj.lam)
+    assert jmu_conj.p == 0 and jmu_conj.lam == -jmu_conj.mu
     jw = cnormal.predicate_margin(CaseId.WEIGHTED_JW, m, conj)
-    jmu = cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m, JMu(-conj.lam))
-    assert abs(jw - jmu) <= abs(conj.p) + 1e-13
+    jmu = cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m, jmu_conj)
+    assert abs(jw - jmu) <= abs(p) + 1e-13
+    pts = ring_grid(12)
+    for got, want in zip(conj_apply_kernel(conj, pts), conj_apply_kernel(jmu_conj, pts)):
+        assert np.abs(got - want).max() <= 3 * abs(p) + 1e-15
+    (w, g, nu), (w0, g0, nu0) = basis_images(conj, m), basis_images(jmu_conj, m)
+    assert np.abs(np.subtract(w, w0)).max() <= 2 * abs(p) + 1e-15
+    assert np.abs(np.subtract(g, g0)).max() <= 2 * abs(p) + 1e-15
+    assert abs(nu - nu0) <= 2 * abs(p) + 1e-15
+    for beta in (None, np.exp(1j * p_angle)):
+        X, _ = kept_blocks(m, conj, 64, 16, beta)
+        X0, _ = kept_blocks(m, jmu_conj, 64, 16, beta)
+        assert np.abs(X - X0).max() <= 16 * abs(p) + 1e-13
 
 
 class TestReflectionToJmu:

@@ -436,10 +436,10 @@ class TestBasisImages:
     @pytest.mark.parametrize("C", [JWp(p) for p in (0.4, 0.3 + 0.25j, -0.7j, 0.85,
                                                     -0.5, 0.1, 0.6 - 0.6j, 0.2 + 0.7j)])
     def test_identity_map_gives_the_conjugation_matrix(self, C):
-        # column i of M holds C e_i = w h^i, the conjugate of xi_p tau_p^i,
-        # which the reference builds from xi_p and tau_p themselves
-        w, h = (lft_power_series(*q, 64)
-                for q in basis_images(C, LinearFractionalMap(1, 0, 0, 1)))
+        # column i of M holds C e_i = w h^i with h = nu g, the conjugate of
+        # xi_p tau_p^i, which the reference builds from xi_p and tau_p themselves
+        w, g, nu = basis_images(C, LinearFractionalMap(1, 0, 0, 1))
+        w, h = lft_power_series(*w, 64), lft_power_series(nu * g[0], nu * g[1], *g[2:], 64)
         assert np.abs(power_matrix(w, h, 64) - np.conj(jw_xi_tau_matrix(C, 64))).max() <= 1e-14
 
     @pytest.mark.parametrize("conj", [JWp(0.4), JWp(0.3 - 0.5j)])
