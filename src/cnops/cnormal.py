@@ -180,23 +180,24 @@ def kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugation,
 # coefficient predicates
 # --------------------------------------------------------------------------
 
-def predicate_margin(case: CaseId, m: LinearFractionalMap,
-                     conj: Conjugation | None) -> float:
+def predicate_margin(case: CaseId, m: LinearFractionalMap, conj: Conjugation) -> float:
     """Relative distance of the instance from the case's defining equalities.
 
     Coefficient defects are divided by the matching power of m.scale, so the
-    margin is invariant under rescaling (a, b, c, d).  The composition cases
-    hold or fail for every conjugation parameter at once and ignore conj.
-    Both weighted cases are one equation in the conjugation's reflection
-    data (p, lam), J_mu's being p = 0 and lam = -mu (conjugations).
+    margin is invariant under rescaling (a, b, c, d).  Each operator has one
+    condition in the conjugation's reflection data (p, lam), J_mu's being
+    p = 0, lam = -mu (conjugations), so the case is read only as case.weighted.
     """
     a, b, c, d = m.coefficients()
     s = m.scale
-    if case is CaseId.COMP_JMU:
-        return max(abs(b), abs(c)) / s
-    if case is CaseId.COMP_JW:
-        return max(abs(b) / s, abs(c) / s, abs(abs(a / d) - 1.0))
-    # With A = |a|^2 - |d|^2, Delta = |b|^2 - |c|^2, X = conj(a) c - conj(b) d,
+    A = abs(a) ** 2 - abs(d) ** 2
+    # C_phi: b = c = 0 and A p = 0, which at p = 0 (J_mu) reads
+    # max(|b|, |c|) / s bit for bit and at p != 0 (JW_p) adds |a| = |d|, the
+    # paper's rotations.  At b = c = 0 the sides differ by a multiple of A p
+    # (a sympy proof in the tests), so the margin vanishes with p as they do.
+    if not case.weighted:
+        return max(abs(b) / s, abs(c) / s, abs(A) * abs(conj.p) / s ** 2)
+    # W: with Delta = |b|^2 - |c|^2, X = conj(a) c - conj(b) d,
     # Y = conj(a) b - conj(c) d and K = -X - conj(Y), the equation is
     # E = A p - X + Y conj(lam) = 0.  For J_mu, E is the paper's
     # lin = (conj(c) d - conj(a) b) conj(mu) - X.  For JW_p, E = e2 / conj(p)
@@ -221,11 +222,11 @@ def predicate_margin(case: CaseId, m: LinearFractionalMap,
     #     b conj(d) = a conj(c) and |a| = |d| give K = 0.
     X = np.conj(a) * c - np.conj(b) * d
     Y = np.conj(a) * b - np.conj(c) * d
-    E = (abs(a) ** 2 - abs(d) ** 2) * conj.p - X + Y * np.conj(conj.lam)
+    E = A * conj.p - X + Y * np.conj(conj.lam)
     return float(abs(E) / s ** 2)
 
 
-def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation | None) -> bool:
+def case_predicate(case: CaseId, m: LinearFractionalMap, conj: Conjugation) -> bool:
     """The case holds iff its margin is within EXACT_TOL (composition cases)
     or WEIGHTED_TOL (weighted cases)."""
     return predicate_margin(case, m, conj) <= (WEIGHTED_TOL if case.weighted else EXACT_TOL)

@@ -173,8 +173,7 @@ def kept_block_residuals(m: LinearFractionalMap, C: Conjugation, sizes,
     return [float(np.linalg.norm(defects[N][:keep, :keep])) for N, keep in sizes]
 
 
-def stable_keep(N: int, m: LinearFractionalMap | None = None,
-                C: Conjugation | None = None) -> int:
+def stable_keep(N: int, m: LinearFractionalMap, C: Conjugation) -> int:
     """Block size on which truncated products of the given factors are reliable.
 
     Powers of an inner-type symbol move coefficient mass outward at a rate
@@ -185,10 +184,8 @@ def stable_keep(N: int, m: LinearFractionalMap | None = None,
     N/2 and never below 4.  m is taken to be a self-map, as its callers have
     already checked (cnormal.check_instance), so it is not tested again here.
     """
-    rate = 1.0
-    disk = image_disk(m) if m is not None else None
-    if disk is not None and abs(disk[0]) + disk[1] > 0.98:   # sup |phi| over the disk
+    centre, radius = image_disk(m)
+    rate = (1.0 + abs(C.p)) / (1.0 - abs(C.p))
+    if abs(centre) + radius > 0.98:                  # sup |phi| over the disk
         rate *= boundary_derivative_sup(m)
-    if C is not None:
-        rate *= (1.0 + abs(C.p)) / (1.0 - abs(C.p))
     return max(4, min(N // 2, int(N / (1.25 * rate))))

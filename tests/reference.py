@@ -21,6 +21,8 @@ the two:
     Hermitian family with its real JW_p root;
   * the kernel residual with its denominators cleared
     (cleared_kernel_residual), which scales like the predicate's margin;
+  * adversarial families of valid instances, which tests/hunt.py runs
+    verify on to count contradictions;
   * the reduction of weighted_jw to weighted_jmu by the change of variables
     that turns JW_p's reflection into J_mu's (reflect_to_jmu);
   * the kept block of C T*T C - T T* as a difference of two Gram matrices,
@@ -45,7 +47,7 @@ from cnops.cnormal import (
 )
 from cnops.conjugations import Conjugation, JMu, JWp, conj_apply_kernel
 from cnops.hardy import lft_power_series, power_matrix
-from cnops.moebius import LinearFractionalMap, adjoint_symbol, lft_is_self_map
+from cnops.moebius import LinearFractionalMap, adjoint_symbol, image_disk, lft_is_self_map
 from cnops.operators import conjugation_operator
 
 BOUNDARY_FP_TOL = 1e-10   # ||z| - 1| below this classifies a fixed point as boundary
@@ -168,6 +170,67 @@ def cleared_kernel_residual(case: CaseId, m: LinearFractionalMap, conj: Conjugat
     cleared = ((lhs - rhs) * _kernel_denominator(m, eta_z, w)
                * _kernel_denominator(adjoint_symbol(m), eta_w, z))
     return float(np.abs(cleared).max()) / m.scale ** 4
+
+
+# --------------------------------------------------------------------------
+# adversarial families: seeded valid instances near the routes' blind spots
+# --------------------------------------------------------------------------
+
+def _unimodular(g) -> complex:
+    return np.exp(2j * np.pi * g.uniform())
+
+
+def near_circle_automorphisms(case: CaseId, count: int = 100, seed: int = 7):
+    """(m, conj, beta) for a weighted case on automorphisms
+    gamma (q - z)/(1 - conj(q) z) with 1 - |q| log-uniform in [1e-4, 1e-1]:
+    W is a multiple of a unitary there, so every instance is true.  J_mu has
+    a random mu, JW_p a |p| in [0.1, 0.6]; beta is unimodular."""
+    g = np.random.default_rng(seed)
+    for _ in range(count):
+        q = (1.0 - 10 ** g.uniform(-4, -1)) * _unimodular(g)
+        gamma = _unimodular(g)
+        m = LinearFractionalMap(-gamma, gamma * q, -np.conj(q), 1.0)
+        conj = (JMu(_unimodular(g)) if case.conj_type is JMu
+                else JWp(g.uniform(0.1, 0.6) * _unimodular(g)))
+        yield m, conj, _unimodular(g)
+
+
+def perturbed_automorphisms(count: int = 100, seed: int = 14):
+    """(m, conj, beta) for weighted_jmu on disk automorphisms
+    gamma (q - z)/(1 - conj(q) z) with one coefficient moved by a log-uniform
+    delta in [1e-12, 1e-7], kept when the moved map is a self-map with no
+    tolerance: weighted_jmu's one equation implies the paper's other only on a
+    self-map, so on a map that leaves the disk by less than SELF_MAP_TOL the
+    margin can read far below the cleared residual (6.8e-15 against 197 times
+    that on one such draw)."""
+    g = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        gamma = _unimodular(g)
+        q = g.uniform(0.05, 0.6) * _unimodular(g)
+        coefficients = [-gamma, gamma * q, -np.conj(q), 1.0]
+        coefficients[g.integers(4)] += 10 ** g.uniform(-12, -7) * _unimodular(g)
+        m = LinearFractionalMap(*coefficients)
+        centre, radius = image_disk(m)
+        if abs(centre) + radius <= 1.0:
+            out.append((m, JMu(_unimodular(g)), _unimodular(g)))
+    return out
+
+
+def comp_jw_dilations(count: int = 100, seed: int = 7, tiny_p: bool = True):
+    """(m, conj, beta) for comp_jw on dilations a z: either |a| in
+    [0.05, 0.95] with |p| log-uniform in [1e-12, 1e-3] (tiny_p), or
+    |a| = 1 - delta, delta log-uniform in [1e-12, 1e-2], with |p| in
+    [0.1, 0.6].  None is a rotation, so none is JW_p-normal, but the margin
+    and the kernel residual both vanish with A p, A = |a|^2 - 1, and the
+    smallest read true under EXACT_TOL."""
+    g = np.random.default_rng(seed)
+    for _ in range(count):
+        if tiny_p:
+            a, p = g.uniform(0.05, 0.95), 10 ** g.uniform(-12, -3)
+        else:
+            a, p = 1.0 - 10 ** g.uniform(-12, -2), g.uniform(0.1, 0.6)
+        yield LinearFractionalMap(a * _unimodular(g), 0, 0, 1), JWp(p * _unimodular(g)), 1.0
 
 
 # --------------------------------------------------------------------------

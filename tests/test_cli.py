@@ -211,6 +211,16 @@ class TestVerify:
         assert report["verdict"] is False and report["consistent"] is True
         assert report["margin"] == pytest.approx(0.15, rel=1e-9)
 
+    def test_comp_jw_margin_vanishes_with_p(self, capsys):
+        # the kernel residual of a dilation is about 2.1 |p|, here 2.1e-12:
+        # the p-blind margin ||a/d| - 1| = 0.5 read false against it (exit 1),
+        # where |A| |p| / s^2 = 7.5e-13 reads true, as the J_mu limit does
+        code, out, err = run_main(capsys, ["verify", "--map", "0.5,0,0,1", "--conj", "jw:1e-12"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] is True and report["consistent"] is True
+        assert report["margin"] == pytest.approx(0.75e-12, rel=1e-9)
+
     def test_overflowing_residual_is_json_null(self, capsys):
         # at beta = 1.3e154 the residuals, reported times s^2, exceed the float
         # range; JSON has no Infinity, so they are written as null with a warning
@@ -523,7 +533,7 @@ class TestSweep:
 # sha256 of the rows "sample,verdict,consistent,margin" of run_sweep(case, 48, 42)
 SWEEP_48_SEED_42 = {
     CaseId.COMP_JMU: "95dc3eacda5c0c4504754043ac3f99fc68df486cfea6f798b08626d2ad6adb43",
-    CaseId.COMP_JW: "e3f094ee2eca341e2bed0b0c0433a411a28017a4788eef665abad212fd0224b7",
+    CaseId.COMP_JW: "841b3871442d4ec0072e2353072f6c4441c2670ee8c9f16f4790e813c11853f9",
     CaseId.WEIGHTED_JMU: "4fbe98b4ba5f8e9b7a089b6d83943565aa8abda66b415ec956fa29475d702177",
     CaseId.WEIGHTED_JW: "e6bbda0740dc3626a80d1eb761f766d71b48b079fd0365f4d36a2bfb99e1f373",
 }

@@ -24,7 +24,7 @@ from cnops.cnormal import (
     verify,
 )
 from cnops.conjugations import JMu, JWp, basis_images, conj_apply_kernel
-from cnops.moebius import LinearFractionalMap, adjoint_symbol, image_disk, lft_is_self_map
+from cnops.moebius import LinearFractionalMap, adjoint_symbol, lft_is_self_map
 from cnops.operators import composition_matrix, conjugation_operator, kept_blocks
 from reference import (
     HypothesisViolationError,
@@ -34,6 +34,7 @@ from reference import (
     is_disk_automorphism,
     kernel_series,
     lft_eval,
+    perturbed_automorphisms,
     predicate_hermitian_jmu,
     predicate_hermitian_jw,
     predicate_normal_bdyfix,
@@ -624,27 +625,6 @@ class TestKernelResidual:
             assert r1 == pytest.approx(r0, rel=1e-10)
 
 
-def perturbed_automorphisms(count=100):
-    """weighted_jmu instances on disk automorphisms gamma (q - z)/(1 - conj(q) z)
-    with one coefficient moved by a log-uniform delta in [1e-12, 1e-7], kept
-    when the moved map is a self-map with no tolerance: weighted_jmu's one
-    equation implies the paper's other only on a self-map, so on a map that
-    leaves the disk by less than SELF_MAP_TOL the margin can read far below
-    the cleared residual (6.8e-15 against 197 times that on one such draw)."""
-    g = np.random.default_rng(14)
-    out = []
-    while len(out) < count:
-        gamma = np.exp(2j * np.pi * g.uniform())
-        q = g.uniform(0.05, 0.6) * np.exp(2j * np.pi * g.uniform())
-        coefficients = [-gamma, gamma * q, -np.conj(q), 1.0]
-        coefficients[g.integers(4)] += 10 ** g.uniform(-12, -7) * np.exp(2j * np.pi * g.uniform())
-        m = LinearFractionalMap(*coefficients)
-        centre, radius = image_disk(m)
-        if abs(centre) + radius <= 1.0:
-            out.append((m, JMu(np.exp(2j * np.pi * g.uniform())), np.exp(2j * np.pi * g.uniform())))
-    return out
-
-
 class TestClearedKernelResidual:
     """reference.cleared_kernel_residual: the kernel residual times the two
     kernel denominators, over s^4, scales like the predicate's margin where
@@ -688,9 +668,10 @@ class TestClearedKernelResidual:
 
 class TestPredicates:
     def test_comp_jmu(self):
-        assert case_predicate(CaseId.COMP_JMU, LinearFractionalMap(0.7, 0, 0, 1), None)
-        assert not case_predicate(CaseId.COMP_JMU, LinearFractionalMap(0.5, 0, 0.25, 1), None)
-        assert not case_predicate(CaseId.COMP_JMU, GENERIC, None)
+        assert case_predicate(CaseId.COMP_JMU, LinearFractionalMap(0.7, 0, 0, 1), JMu(1.0))
+        assert not case_predicate(CaseId.COMP_JMU, LinearFractionalMap(0.5, 0, 0.25, 1),
+                                  JMu(1.0))
+        assert not case_predicate(CaseId.COMP_JMU, GENERIC, JMu(1.0))
 
     def test_comp_jw(self):
         assert case_predicate(CaseId.COMP_JW, LinearFractionalMap(np.exp(0.7j), 0, 0, 1), JWp(0.4))
@@ -867,6 +848,46 @@ def test_weighted_predicate_proofs_are_identities():
     assert sp.expand(E.subs({p: 0, lam: -mu}) - lin) == 0
 
 
+def test_composition_predicate_proof_is_an_identity():
+    # _sides' composition branch, transcribed with each conjugate a free
+    # symbol (ac for conj(a)), s for sqrt(1 - |p|^2) and C K_x = u_x K_{eta_x}
+    # read through u_x and conj(eta_x).  At b = c = 0 and lam = conj(p) / p,
+    # lhs - rhs clears to -|d|^2 conj(p)^2 s (z - w) p A: a multiple of the
+    # A p that the composition margin reads
+    sp = pytest.importorskip("sympy")
+    a, ac, b, bc, c, cc, d, dc = sp.symbols("a ac b bc c cc d dc")
+    p, pc, lamc, s, w, z = sp.symbols("p pc lamc s w z")
+
+    def kernel_denominator(m, mc, xc, y):
+        (a, b, c, d), (ac, bc, cc, dc) = m, mc
+        return (d * dc - b * bc + (dc * c - bc * a) * y
+                + xc * (cc * d - ac * b + (c * cc - a * ac) * y))
+
+    def kernel_action(x):
+        return s / (1 - x * p), (p - lamc * x) / (1 - x * p)
+
+    u_z, ez = kernel_action(z)
+    u_w, ew = kernel_action(w)
+    lhs = (u_z * (cc * ez + dc) * (c * w + d)
+           / kernel_denominator((a, b, c, d), (ac, bc, cc, dc), ez, w))
+    rhs = (ew * (a * d - b * c) * (ac * dc - bc * cc) * z
+           / kernel_denominator((ac, -cc, -bc, dc), (a, -c, -b, d), ew, z) + d * dc)
+    rhs = u_w / (d - b * ew) * rhs / (dc - bc * z)
+    defect = (lhs - rhs).subs({b: 0, bc: 0, c: 0, cc: 0, lamc: p / pc})
+    numerator, _ = sp.fraction(sp.cancel(sp.together(defect)))
+    assert sp.expand(numerator + d * dc * pc ** 2 * s * (z - w) * p * (a * ac - d * dc)) == 0
+    # the transcription is _sides, on the grid, for maps of both kinds
+    sides = sp.lambdify((a, ac, b, bc, c, cc, d, dc, p, pc, lamc, s, w, z), (lhs, rhs))
+    pts = ring_grid(12)
+    for m in (GENERIC, LinearFractionalMap(0.5j, 0, 0, 1), LinearFractionalMap(0.3, 0.2j, -0.1, 1)):
+        for conj in (JMu(np.exp(0.4j)), JWp(0.4), JWp(1e-3 - 0.3j)):
+            args = [x for v in m.coefficients() for x in (v, np.conj(v))]
+            args += [conj.p, np.conj(conj.p), np.conj(conj.lam), np.sqrt(1 - abs(conj.p) ** 2)]
+            for got, want in zip(sides(*args, pts[:, None], pts[None, :]),
+                                 cnormal._sides(m, conj, pts[:, None], pts[None, :])):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestNormalBdyfix:
     def test_symmetric_map_true_both(self):
         m = LinearFractionalMap(1, 0.4, 0.4, 1)
@@ -946,10 +967,11 @@ def test_weighted_jw_margin_tends_to_weighted_jmus_as_p_vanishes(seed, log_p, p_
                                                                  log_t, t_angle):
     # J_mu is JW_p's member p = 0 with mu = -lam, and every route reads a
     # conjugation only through (p, lam), so each agrees within C |p|: the
-    # margins |e2| / |p| and |lin| differ by at most |A| |p| <= s^2 |p|,
-    # whatever the map's scale; the kernel action, the basis images and the
-    # exact block X of T C move by O(|p|) (the constants hold with room over
-    # the worst of 3000 random draws), plus rounding
+    # weighted margins |e2| / |p| and |lin|, and the composition margins,
+    # differ by at most |A| |p| / s^2 <= |p|, whatever the map's scale; the
+    # kernel action, the basis images and the exact block X of T C move by
+    # O(|p|) (the constants hold with room over the worst of 3000 random
+    # draws), plus rounding
     m = rescaled(random_self_map(np.random.default_rng(seed)),
                  10.0 ** log_t * np.exp(1j * t_angle))
     p = 10.0 ** log_p * np.exp(1j * p_angle)
@@ -958,6 +980,9 @@ def test_weighted_jw_margin_tends_to_weighted_jmus_as_p_vanishes(seed, log_p, p_
     assert jmu_conj.p == 0 and jmu_conj.lam == -jmu_conj.mu
     jw = cnormal.predicate_margin(CaseId.WEIGHTED_JW, m, conj)
     jmu = cnormal.predicate_margin(CaseId.WEIGHTED_JMU, m, jmu_conj)
+    assert abs(jw - jmu) <= abs(p) + 1e-13
+    jw = cnormal.predicate_margin(CaseId.COMP_JW, m, conj)
+    jmu = cnormal.predicate_margin(CaseId.COMP_JMU, m, jmu_conj)
     assert abs(jw - jmu) <= abs(p) + 1e-13
     pts = ring_grid(12)
     for got, want in zip(conj_apply_kernel(conj, pts), conj_apply_kernel(jmu_conj, pts)):
@@ -970,6 +995,23 @@ def test_weighted_jw_margin_tends_to_weighted_jmus_as_p_vanishes(seed, log_p, p_
         X, _ = kept_blocks(m, conj, 64, 16, beta)
         X0, _ = kept_blocks(m, jmu_conj, 64, 16, beta)
         assert np.abs(X - X0).max() <= 16 * abs(p) + 1e-13
+
+
+def test_comp_jw_dilation_residual_follows_its_margin():
+    # on b = c = 0 maps the kernel residual is a multiple of A p
+    # (test_composition_predicate_proof_is_an_identity), and so is the
+    # margin |A| |p| / s^2: their ratio read 1.81 to 33.6 on these draws,
+    # whatever |p|, where the p-blind margin ||a/d| - 1| spread it from
+    # 2.6e-10 to 15
+    g = np.random.default_rng(15)
+    for _ in range(200):
+        a = g.uniform(0.05, 0.999) * np.exp(2j * np.pi * g.uniform())
+        d = 10.0 ** g.uniform(-3, 3) * np.exp(2j * np.pi * g.uniform())
+        m = LinearFractionalMap(a * d, 0, 0, d)
+        conj = JWp(10.0 ** g.uniform(-10, np.log10(0.5)) * np.exp(2j * np.pi * g.uniform()))
+        ratio = (kernel_residual(CaseId.COMP_JW, m, conj)
+                 / predicate_margin(CaseId.COMP_JW, m, conj))
+        assert 1.0 <= ratio <= 100.0, (m, conj, ratio)
 
 
 class TestReflectionToJmu:
@@ -1027,9 +1069,9 @@ MUTANTS = {
                                LinearFractionalMap(0.5, 0.25, 0, 1), JMu(1.0)),
     "comp_jmu without c = 0": (CaseId.COMP_JMU, lambda m, C: abs(m.b) / m.scale,
                                LinearFractionalMap(0.5, 0, 0.25, 1), JMu(1.0)),
-    "comp_jw without |a| = |d|": (CaseId.COMP_JW,
-                                  lambda m, C: max(abs(m.b), abs(m.c)) / m.scale,
-                                  LinearFractionalMap(0.5, 0, 0, 1), JWp(0.4)),
+    "composition without A p = 0": (CaseId.COMP_JW,
+                                    lambda m, C: max(abs(m.b), abs(m.c)) / m.scale,
+                                    LinearFractionalMap(0.5, 0, 0, 1), JWp(0.4)),
     "weighted_jmu without lin = 0": (CaseId.WEIGHTED_JMU, lambda m, C: 0.0,
                                      GENERIC, JMu(1.0)),
     "weighted_jmu with mu for conj(mu) in lin": (
@@ -1043,13 +1085,19 @@ MUTANTS = {
         LinearFractionalMap(0.5, 0.3, 0.1j, 1), JWp(0.48 + 0.16j)),
 }
 
-# Mutants with the same verdict as predicate_margin on every self-map, since
-# |a| = |d| forces b conj(d) = a conj(c) there: c = 0 gives b = 0, and b = 0
-# gives c = 0.  Each comes with a map just off the self-maps where the two differ.
+def _composition_term(m, C):
+    """The composition margin's |A| |p| / s^2, A = |a|^2 - |d|^2."""
+    return abs(abs(m.a) ** 2 - abs(m.d) ** 2) * abs(C.p) / m.scale ** 2
+
+
+# Mutants with the same verdict as predicate_margin on every self-map at
+# p != 0, since A p = 0 there forces |a| = |d| and so b conj(d) = a conj(c):
+# c = 0 gives b = 0, and b = 0 gives c = 0.  Each comes with a map just off
+# the self-maps where the two differ.
 EQUIVALENT = {
-    "comp_jw without b = 0": (lambda m: max(abs(m.c) / m.scale, abs(abs(m.a / m.d) - 1.0)),
+    "comp_jw without b = 0": (lambda m, C: max(abs(m.c) / m.scale, _composition_term(m, C)),
                               LinearFractionalMap(np.exp(0.7j), 1e-6, 0, 1)),
-    "comp_jw without c = 0": (lambda m: max(abs(m.b) / m.scale, abs(abs(m.a / m.d) - 1.0)),
+    "comp_jw without c = 0": (lambda m, C: max(abs(m.b) / m.scale, _composition_term(m, C)),
                               LinearFractionalMap(np.exp(0.7j), 0, 1e-6, 1)),
 }
 
@@ -1069,11 +1117,11 @@ def test_every_predicate_condition_fails_a_test(monkeypatch, name):
 @pytest.mark.parametrize("name", EQUIVALENT)
 def test_equivalent_mutants_differ_only_off_the_self_maps(name):
     margin, m = EQUIVALENT[name]
-    assert margin(m) == 0.0 and not case_predicate(CaseId.COMP_JW, m, JWp(0.4))
+    assert margin(m, JWp(0.4)) == 0.0 and not case_predicate(CaseId.COMP_JW, m, JWp(0.4))
     assert not lft_is_self_map(m)
 
 
-@pytest.mark.parametrize("case,conj", [(CaseId.COMP_JMU, None), (CaseId.COMP_JW, JWp(0.4)),
+@pytest.mark.parametrize("case,conj", [(CaseId.COMP_JMU, JMu(1.0)), (CaseId.COMP_JW, JWp(0.4)),
                                        (CaseId.WEIGHTED_JMU, JMu(-1.0)),
                                        (CaseId.WEIGHTED_JW, JWp(0.4))])
 def test_predicate_returns_builtin_types(case, conj):

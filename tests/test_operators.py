@@ -180,7 +180,8 @@ class TestConjugationOperator:
         # coefficient mass past the cut, so only rows within the stable block
         # (stable_keep -> 21 here) are reliable
         M64 = conjugation_operator(JWp(0.4), 64)
-        assert involution_defect(M64, stable_keep(64, C=JWp(0.4))) < 1e-5
+        identity = LinearFractionalMap(1, 0, 0, 1)
+        assert involution_defect(M64, stable_keep(64, m=identity, C=JWp(0.4))) < 1e-5
         assert involution_defect(M64, 32) > 1e-3
 
     def test_double_application_equals_linearization(self, rng):
@@ -456,15 +457,14 @@ class TestBasisImages:
 
 class TestStableKeep:
     def test_strict_contraction_keeps_half(self):
-        assert stable_keep(64, m=GENERIC) == 32
         assert stable_keep(64, m=GENERIC, C=JMu(1.0)) == 32
 
     def test_jw_reduces_block(self):
-        assert stable_keep(64, C=JWp(0.4)) < 32
+        assert stable_keep(64, m=LinearFractionalMap(1, 0, 0, 1), C=JWp(0.4)) < 32
 
     def test_automorphism_reduces_block(self):
         m = LinearFractionalMap(-1.0, 0.5, -0.5, 1.0)
-        assert stable_keep(128, m=m) < 64
+        assert stable_keep(128, m=m, C=JMu(1.0)) < 64
 
 
 class TestQuadratureReference:
